@@ -66,7 +66,7 @@ from .homeo import (
     repelling_family,
 )
 from .lamplighter import FLIP, INF_HAT, Point, hat, metric, parse_word
-from .transport import DiscreteMeasure, dual_lower_bound, wasserstein
+from .transport import DiscreteMeasure, cost_matrix, dual_lower_bound, solve_assignment, wasserstein
 
 
 class UsageError(Exception):
@@ -196,7 +196,8 @@ def _cmd_transport(args) -> int:
     if args.action == "assign":
         if len(mu.atoms) != len(nu.atoms) or any(m != mu.atoms[0][1] for _, m in mu.atoms + nu.atoms):
             raise UsageError("assign expects two uniform measures with equal support sizes")
-        value, _ = wasserstein(mu, nu, dist)
+        total, _ = solve_assignment(cost_matrix(mu.support(), nu.support(), dist))
+        value = total / len(mu.atoms)
         _emit({"value": _number(value), "note": "uniform-uniform assignment equals transport"}, args)
         return 0
     if args.action == "dual":

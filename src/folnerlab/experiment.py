@@ -133,6 +133,16 @@ KNOWN_SCENARIOS = ("thm-example", "genericity", "rightavg", "operator-identities
 
 _GUARD_MARK = "guard:"
 
+#: Largest genericity nmax.  Row n solves a transportation simplex of up to
+#: (2^(n+2) + 2) x 2 cells; on a 2-core Xeon one row took 0.9 s at n = 7
+#: (514 x 2) and 8.2 s at n = 8 (1026 x 2).
+GENERICITY_MAX_N = 7
+
+
+def _genericity_rows(n: int) -> int:
+    """Atoms of the n-th empirical measure: two per shift in [-2^n, 2^n]."""
+    return 2 * (2 ** (n + 1) + 1)
+
 
 def _check_rate(params: dict, key: str, violations: list[str], where: str) -> None:
     raw = params.get(key)
@@ -203,10 +213,11 @@ def validate_config(raw: str) -> ExperimentConfig:
             nmax = params.get("nmax", 3)
             if not isinstance(nmax, int) or nmax < 1:
                 violations.append(f"{where}.params.nmax: must be a positive integer")
-            elif nmax > MATERIALIZE_MAX_N:
+            elif nmax > GENERICITY_MAX_N:
                 violations.append(
-                    f"{_GUARD_MARK}{where}.params.nmax: materialized rate sets support "
-                    f"n <= {MATERIALIZE_MAX_N} (size guard), got {nmax}"
+                    f"{_GUARD_MARK}{where}.params.nmax: n = {nmax} needs a "
+                    f"{_genericity_rows(nmax)}x2 transportation simplex; the simplex size guard allows "
+                    f"n <= {GENERICITY_MAX_N} ({_genericity_rows(GENERICITY_MAX_N)}x2), got {nmax}"
                 )
         if sid == "rightavg":
             nmax = params.get("nmax", 8)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -52,6 +52,11 @@ class RateSequence:
 
     default: Fraction
     window: tuple[tuple[int, Fraction], ...] = ()
+    #: ``window`` as a dict, built once per instance for ``value``.
+    _lookup: dict[int, Fraction] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_lookup", dict(self.window))
 
     @staticmethod
     def make(default, window=None) -> "RateSequence":
@@ -86,7 +91,7 @@ class RateSequence:
         raise ValueError(f"unknown rate preset {name!r}")
 
     def value(self, position: int) -> Fraction:
-        return _window_dict(self).get(position, self.default)
+        return self._lookup.get(position, self.default)
 
     def to_dict(self) -> dict:
         return {
@@ -97,11 +102,6 @@ class RateSequence:
     @staticmethod
     def from_dict(raw: dict) -> "RateSequence":
         return RateSequence.make(raw.get("default", 0), raw.get("window", {}))
-
-
-@lru_cache(maxsize=None)
-def _window_dict(rate: RateSequence) -> dict[int, Fraction]:
-    return dict(rate.window)
 
 
 def selection_word(rate: RateSequence, n: int, k: int) -> tuple[int, ...]:

@@ -2,15 +2,21 @@
 
 The Wasserstein distance between two finitely supported probability
 measures is computed as an exact minimum-cost transportation plan
-(simplex on the transportation polytope with Bland pivoting, all
-arithmetic in ``Fraction``).  The permutation form over a finite group
-set is solved by an exact shortest-augmenting-path assignment; at every
-finite size the two agree (Birkhoff), which the test suite checks
-against both a factorial brute force and a basis-enumeration oracle.
+(simplex on the transportation polytope with Bland pivoting).  The
+permutation form over a finite group set is solved by an exact
+shortest-augmenting-path assignment; at every finite size the two agree
+(Birkhoff), which the test suite checks against both a factorial brute
+force and a basis-enumeration oracle.
+
+Both kernels scale their rational inputs to integers at entry (costs by
+the lcm of their denominators, masses by the lcm of theirs), run on
+Python ``int`` and divide back at exit, so results stay exact and no
+``Fraction`` is built inside a pivot or augmenting loop.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +50,11 @@ def _checked_cost(dist, x, y) -> Fraction:
     if cost < 0:
         raise MetricOracleError(f"metric returned negative value {value!r}")
     return cost
+
+
+def cost_matrix(sources: Sequence, targets: Sequence, dist: Callable) -> list[list[Fraction]]:
+    """Exact costs dist(p, q) for every source p (row) and target q (column)."""
+    return [[_checked_cost(dist, p, q) for q in targets] for p in sources]
 
 
 @dataclass(frozen=True)
@@ -112,15 +123,59 @@ class TransportPlan:
         return sum((mass * costs[i][j] for i, j, mass in self.flows), Fraction(0))
 
 
-def _northwest_corner(supplies, demands):
+def _integer_scaled(values) -> tuple[list[int], int]:
+    """Integers proportional to the rationals in ``values``, and the common
+    denominator (their lcm) that divides them back."""
+    fractions = [Fraction(x) for x in values]
+    scale = math.lcm(*(x.denominator for x in fractions))
+    return [x.numerator * (scale // x.denominator) for x in fractions], scale
+
+
+def _integer_costs(costs) -> tuple[list[list[int]], int]:
+    """A cost matrix as integers over one common denominator."""
+    width = len(costs[0]) if costs else 0
+    flat, scale = _integer_scaled([c for row in costs for c in row])
+    return [flat[k * width : (k + 1) * width] for k in range(len(costs))], scale
+
+
+def _entering_cell(cost, pot, m):
+    """Bland's entering cell: the first cell in row-major order whose
+    reduced cost c_ij - u_i - v_j is negative, or None at an optimum."""
+    v = pot[m:]
+    for i, row in enumerate(cost):
+        ui = pot[i]
+        for j, c in enumerate(row):
+            if c - ui < v[j]:
+                return i, j
+    return None
+
+
+def transportation_plan(supplies, demands, costs):
+    """Exact minimum-cost transportation: NW-corner start, then simplex
+    pivots with Bland's rule (first negative reduced cost enters, smallest
+    tied minus-cell leaves).  Returns (value, flows dict).
+
+    The solve runs on integer-scaled costs and masses; positive scaling
+    keeps every comparison, so the pivots are those of the rational
+    problem.  The basis is a spanning tree on rows 0..m-1 and columns
+    m..m+n-1, hung from row 0 with parent links and depths.  Each pivot
+    re-hangs only the subtree the leaving cell cuts off from row 0; its
+    potentials, recomputed from the tree equations, shift by the entering
+    cell's reduced cost, and no other potential moves.
+    """
     m, n = len(supplies), len(demands)
-    rs, rd = list(supplies), list(demands)
-    basis, flow = [], {}
+    cost, cost_scale = _integer_costs(costs)
+    masses, mass_scale = _integer_scaled([*supplies, *demands])
+    rs, rd = masses[:m], masses[m:]
+
+    flow: dict[tuple[int, int], int] = {}
+    adj: list[set[int]] = [set() for _ in range(m + n)]
     i = j = 0
     while True:
         q = min(rs[i], rd[j])
-        basis.append((i, j))
-        flow[(i, j)] = q
+        flow[i, j] = q
+        adj[i].add(m + j)
+        adj[m + j].add(i)
         rs[i] -= q
         rd[j] -= q
         if i == m - 1 and j == n - 1:
@@ -129,115 +184,86 @@ def _northwest_corner(supplies, demands):
             i += 1
         else:
             j += 1
-    return basis, flow
 
+    pot = [0] * (m + n)  # u_i at node i, v_j at node m + j
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
 
-def _tree_potentials(basis, costs, m, n):
-    rows_adj = defaultdict(list)
-    cols_adj = defaultdict(list)
-    for i, j in basis:
-        rows_adj[i].append(j)
-        cols_adj[j].append(i)
-    u = [None] * m
-    v = [None] * n
-    u[0] = Fraction(0)
-    stack = [("r", 0)]
-    while stack:
-        side, idx = stack.pop()
-        if side == "r":
-            for j in rows_adj[idx]:
-                if v[j] is None:
-                    v[j] = costs[idx][j] - u[idx]
-                    stack.append(("c", j))
-        else:
-            for i in cols_adj[idx]:
-                if u[i] is None:
-                    u[i] = costs[i][idx] - v[idx]
-                    stack.append(("r", i))
-    if any(x is None for x in u) or any(x is None for x in v):
-        raise AssertionError("transportation basis is not a spanning tree")
-    return u, v
+    def hang(node: int, above: int) -> None:
+        """Hang the component of ``node`` (apart from ``above``) below
+        ``above``; its potentials follow from u_i + v_j = c_ij."""
+        parent[node] = above
+        stack = [node]
+        while stack:
+            x = stack.pop()
+            p = parent[x]
+            depth[x] = depth[p] + 1
+            pot[x] = (cost[x][p - m] if x < m else cost[p][x - m]) - pot[p]
+            for y in adj[x]:
+                if y != p:
+                    parent[y] = x
+                    stack.append(y)
 
+    for y in adj[0]:
+        hang(y, 0)
 
-def _basis_cycle(basis, entering):
-    """Path through the basis tree closing the entering cell into a cycle;
-    returns the path cells in order starting at the entering row."""
-    ie, je = entering
-    rows_adj = defaultdict(list)
-    cols_adj = defaultdict(list)
-    for i, j in basis:
-        rows_adj[i].append(j)
-        cols_adj[j].append(i)
-    start, goal = ("r", ie), ("c", je)
-    parent = {start: None}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        side, idx = node
-        neighbours = (
-            (("c", j) for j in rows_adj[idx]) if side == "r" else (("r", i) for i in cols_adj[idx])
-        )
-        for nxt in neighbours:
-            if nxt not in parent:
-                parent[nxt] = node
-                stack.append(nxt)
-    node = goal
-    nodes = []
-    while node is not None:
-        nodes.append(node)
-        node = parent[node]
-    nodes.reverse()  # r_ie ... c_je
-    cells = []
-    for a, b in zip(nodes, nodes[1:]):
-        (sa, ia), (sb, ib) = a, b
-        cells.append((ia, ib) if sa == "r" else (ib, ia))
-    return cells
+    def cell(x: int) -> tuple[int, int]:
+        """The basic cell joining node x to its parent."""
+        return (x, parent[x] - m) if x < m else (parent[x], x - m)
 
-
-def transportation_plan(supplies, demands, costs):
-    """Exact minimum-cost transportation: NW-corner start, then simplex
-    pivots with Bland's rule (first negative reduced cost enters, smallest
-    tied minus-cell leaves).  Returns (value, flows dict)."""
-    m, n = len(supplies), len(demands)
-    basis, flow = _northwest_corner(supplies, demands)
     cap = 200 + 30 * m * n
     for _ in range(cap):
-        u, v = _tree_potentials(basis, costs, m, n)
-        in_basis = set(basis)
-        entering = None
-        for i in range(m):
-            for j in range(n):
-                if (i, j) not in in_basis and costs[i][j] - u[i] - v[j] < 0:
-                    entering = (i, j)
-                    break
-            if entering:
-                break
+        entering = _entering_cell(cost, pot, m)
         if entering is None:
             break
-        path = _basis_cycle(basis, entering)
-        minus = path[0::2]  # path cells alternate -, +, -, ... after the entering +
+        ie, je = entering
+        # Walk both ends of the entering cell up to their common ancestor.
+        # Along the cycle r_ie .. c_je the tree cells alternate -, +, -, ...,
+        # so a cell is a minus cell when the walk crosses it from a row to a
+        # column: below a row on the r_ie side, below a column on the c_je side.
+        a, b = ie, m + je
+        a_side, b_side = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                a_side.append(a)
+                a = parent[a]
+            else:
+                b_side.append(b)
+                b = parent[b]
+        minus = [cell(x) for x in a_side if x < m] + [cell(x) for x in b_side if x >= m]
+        plus = [cell(x) for x in a_side if x >= m] + [cell(x) for x in b_side if x < m]
         theta = min(flow[c] for c in minus)
         leaving = min(c for c in minus if flow[c] == theta)
-        flow[entering] = Fraction(0)
-        sign = 1
-        for cell in [entering] + path:
-            flow[cell] += theta if sign > 0 else -theta
-            sign = -sign
+        if theta:
+            for c in minus:
+                flow[c] -= theta
+            for c in plus:
+                flow[c] += theta
+        flow[entering] = theta
         del flow[leaving]
-        basis = sorted(flow.keys())
+        # The leaving cell's lower end roots the subtree cut off from row 0;
+        # the end of the entering cell inside it hangs from the other end.
+        li, lj = leaving
+        lower = li if parent[li] == m + lj else m + lj
+        adj[li].discard(m + lj)
+        adj[m + lj].discard(li)
+        adj[ie].add(m + je)
+        adj[m + je].add(ie)
+        if lower in a_side:
+            hang(ie, m + je)
+        else:
+            hang(m + je, ie)
     else:
         raise AssertionError("transportation simplex failed to terminate")
-    value = sum((q * costs[i][j] for (i, j), q in flow.items()), Fraction(0))
-    return value, {cell: q for cell, q in flow.items() if q > 0}
+    value = Fraction(sum(q * cost[i][j] for (i, j), q in flow.items()), cost_scale * mass_scale)
+    return value, {c: Fraction(q, mass_scale) for c, q in flow.items() if q > 0}
 
 
 def wasserstein(
     mu: DiscreteMeasure, nu: DiscreteMeasure, dist: Callable
 ) -> tuple[Fraction, TransportPlan]:
     """Exact optimal-transport distance and an optimal plan."""
-    costs = [[_checked_cost(dist, p, q) for q, _ in nu.atoms] for p, _ in mu.atoms]
+    costs = cost_matrix(mu.support(), nu.support(), dist)
     supplies = [mass for _, mass in mu.atoms]
     demands = [mass for _, mass in nu.atoms]
     value, flow = transportation_plan(supplies, demands, costs)
@@ -275,11 +301,14 @@ def dual_lower_bound(
 
 def solve_assignment(costs: Sequence[Sequence[Fraction]]) -> tuple[Fraction, list[int]]:
     """Exact square assignment via shortest augmenting paths with dual
-    potentials; returns (total cost, column assigned to each row)."""
+    potentials; returns (total cost, column assigned to each row).  The
+    costs are scaled to integers by the lcm of their denominators, so the
+    potentials and slacks are ``int`` throughout."""
     n = len(costs)
+    cost, scale = _integer_costs(costs)
     INF = float("inf")
-    u = [Fraction(0)] * (n + 1)
-    v = [Fraction(0)] * (n + 1)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     match = [0] * (n + 1)  # match[j] = row occupying column j (1-based, 0 = free)
     for i in range(1, n + 1):
         match[0] = i
@@ -290,10 +319,11 @@ def solve_assignment(costs: Sequence[Sequence[Fraction]]) -> tuple[Fraction, lis
         while True:
             used[j0] = True
             i0, delta, j1 = match[j0], INF, 0
+            row, ui = cost[i0 - 1], u[i0]
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = costs[i0 - 1][j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - ui - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
@@ -316,8 +346,7 @@ def solve_assignment(costs: Sequence[Sequence[Fraction]]) -> tuple[Fraction, lis
     assignment = [0] * n
     for j in range(1, n + 1):
         assignment[match[j] - 1] = j - 1
-    total = sum((costs[i][assignment[i]] for i in range(n)), Fraction(0))
-    return total, assignment
+    return Fraction(sum(cost[i][assignment[i]] for i in range(n)), scale), assignment
 
 
 def assignment_distance(
@@ -335,6 +364,5 @@ def assignment_distance(
         )
     xs = [act(g, x) for g in elements]
     ys = [act(g, y) for g in elements]
-    costs = [[_checked_cost(dist, p, q) for q in ys] for p in xs]
-    total, _ = solve_assignment(costs)
+    total, _ = solve_assignment(cost_matrix(xs, ys, dist))
     return total / len(elements)

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's solver code paths: assignment by
 factorial enumeration, transportation by enumerating spanning bases of
-the bipartite support graph, matching by trying every injection, and
-defects by materializing both sets.
+the bipartite support graph or, onto two atoms, as a fractional knapsack,
+matching by trying every injection, and defects by materializing both
+sets.
 """
 
 from fractions import Fraction
@@ -83,6 +84,22 @@ def vertex_enumeration_transport(supplies, demands, costs) -> Fraction:
             best = total
     assert best is not None, "no feasible basis found"
     return best
+
+
+def two_atom_transport(supplies, demands, costs) -> Fraction:
+    """Optimal transportation onto one or two target atoms as a fractional
+    knapsack: every source first sends its whole mass to the last atom,
+    then sources in increasing order of c_i0 - c_i1 move mass to the
+    first atom until its demand is met."""
+    total = sum((s * row[-1] for s, row in zip(supplies, costs)), Fraction(0))
+    if len(demands) == 1:
+        return total
+    room = demands[0]
+    for s, row in sorted(zip(supplies, costs), key=lambda entry: entry[1][0] - entry[1][1]):
+        moved = min(s, room)
+        total += moved * (row[0] - row[1])
+        room -= moved
+    return total
 
 
 def brute_matching(adjacency, size_left, size_right) -> int:

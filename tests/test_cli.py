@@ -84,6 +84,22 @@ def test_transport_commands(tmp_path, capsys):
     assert payload["lower_bound"]["float"] <= payload["primal"]["float"]
 
 
+def test_transport_assign_runs_the_assignment_solver(tmp_path, capsys, monkeypatch):
+    mu = tmp_path / "mu.json"
+    nu = tmp_path / "nu.json"
+    points_mu = [("hat", 0), ("hat", 3), ("check", 1)]
+    points_nu = [("hat", 2), ("check", -1), ("check", 4)]
+    for path, points in ((mu, points_mu), (nu, points_nu)):
+        path.write_text(
+            json.dumps([{"point": {"component": c, "pos": p}, "mass": "1/3"} for c, p in points])
+        )
+    assert run_cli("transport", "wasserstein", "--mu", str(mu), "--nu", str(nu)) == 0
+    expected = json.loads(capsys.readouterr().out)["value"]["exact"]
+    monkeypatch.setattr("folnerlab.cli.wasserstein", None)
+    assert run_cli("transport", "assign", "--mu", str(mu), "--nu", str(nu)) == 0
+    assert json.loads(capsys.readouterr().out)["value"]["exact"] == expected
+
+
 def test_transport_interval_measures(tmp_path, capsys):
     mu = tmp_path / "mu.json"
     nu = tmp_path / "nu.json"
@@ -176,9 +192,24 @@ def test_validate_config_rejects_bad_rate():
 
 def test_validate_config_guard_marked():
     with pytest.raises(ConfigError) as err:
-        validate_config('{"scenarios": [{"id": "genericity", "params": {"nmax": 4}}]}')
+        validate_config('{"scenarios": [{"id": "genericity", "params": {"nmax": 8}}]}')
     assert guard_violations(err.value)
     assert any("size guard" in v for v in err.value.violations)
+
+
+def test_genericity_guard_follows_the_simplex_size(tmp_path, capsys):
+    within = tmp_path / "within.json"
+    within.write_text(
+        json.dumps({"scenarios": [{"id": "genericity", "params": {"rate": "const:1/2", "nmax": 4}}]})
+    )
+    assert run_cli("experiment", "--config", str(within), "--out", str(tmp_path / "res")) == 0
+    rows = (tmp_path / "res" / "results.csv").read_text().splitlines()
+    assert any(row.startswith("genericity,4,") for row in rows)
+    over = tmp_path / "over.json"
+    over.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 8}}]}))
+    capsys.readouterr()
+    assert run_cli("experiment", "--config", str(over)) == 3
+    assert "1026x2 transportation simplex" in capsys.readouterr().err
 
 
 def test_validate_config_unknown_scenario():
@@ -192,7 +223,7 @@ def test_experiment_cli_exit_codes(tmp_path):
     good.write_text(json.dumps({"scenarios": [{"id": "rightavg", "params": {"nmax": 2}}]}))
     assert run_cli("experiment", "--config", str(good), "--out", str(tmp_path / "res")) == 0
     guard = tmp_path / "guard.json"
-    guard.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 4}}]}))
+    guard.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 8}}]}))
     assert run_cli("experiment", "--config", str(guard)) == 3
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")

@@ -1,13 +1,27 @@
 """Exact transport: plans, duals, assignment, and their cross-checks."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import brute_assignment_distance, vertex_enumeration_transport
+from oracles import (
+    brute_assignment,
+    brute_assignment_distance,
+    two_atom_transport,
+    vertex_enumeration_transport,
+)
 
-from folnerlab.dynamics import empirical_measure, wf_estimate
+from folnerlab.dynamics import (
+    LimitProfile,
+    empirical_measure,
+    genericity_table,
+    limit_measure,
+    wf_estimate,
+)
 from folnerlab.errors import GuardViolation, LipschitzViolation, MetricOracleError
 from folnerlab.folner import RateSequence, explicit_folner, rate_folner
 from folnerlab.functions import ends_separator, scaled_to_unit, affine
@@ -23,8 +37,10 @@ from folnerlab.transport import (
     ASSIGNMENT_GUARD,
     DiscreteMeasure,
     assignment_distance,
+    cost_matrix,
     dual_lower_bound,
     solve_assignment,
+    transportation_plan,
     wasserstein,
 )
 
@@ -221,3 +237,102 @@ def test_measure_validation():
         [(hat(0), Fraction(1, 2)), (hat(0), Fraction(1, 4)), (hat(1), Fraction(1, 4))]
     )
     assert len(merged.atoms) == 2
+
+
+# ------------------------------------------------------------ exact kernels
+
+#: Instances with mixed cost denominators, degenerate (equal-part) masses and
+#: tied costs, with the value, flows and assignments recorded from the
+#: all-Fraction kernels the integer ones replaced.  The last eight transports
+#: have tied optima on which another leaving tie-break or entering rule
+#: returns a different plan, so they pin the pivot rules themselves.
+GOLDEN = json.loads((Path(__file__).parent / "transport_golden.json").read_text())
+
+
+def _fractions(values):
+    return [Fraction(x) for x in values]
+
+
+@pytest.mark.parametrize("case", GOLDEN["transport"], ids=lambda case: f"{len(case['supplies'])}x{len(case['demands'])}")
+def test_transportation_plan_golden(case):
+    value, flows = transportation_plan(
+        _fractions(case["supplies"]), _fractions(case["demands"]), [_fractions(r) for r in case["costs"]]
+    )
+    assert value == Fraction(case["value"])
+    assert flows == {(i, j): Fraction(q) for i, j, q in case["flows"]}
+
+
+@pytest.mark.parametrize("case", GOLDEN["assignment"], ids=lambda case: f"n{len(case['costs'])}")
+def test_solve_assignment_golden(case):
+    value, assignment = solve_assignment([_fractions(r) for r in case["costs"]])
+    assert value == Fraction(case["value"])
+    assert assignment == case["assignment"]
+
+
+COSTS = st.fractions(min_value=0, max_value=12, max_denominator=12)
+
+
+def _masses(weights):
+    total = sum(weights)
+    return [Fraction(w, total) for w in weights]
+
+
+@st.composite
+def transport_problems(draw, max_side=4):
+    weights = st.lists(st.integers(0, 6), min_size=1, max_size=max_side).filter(any)
+    supplies = _masses(draw(weights))
+    demands = _masses(draw(weights))
+    costs = [[draw(COSTS) for _ in demands] for _ in supplies]
+    return supplies, demands, costs
+
+
+def _feasible(flows, supplies, demands):
+    rows = [sum((q for (i, _), q in flows.items() if i == r), Fraction(0)) for r in range(len(supplies))]
+    cols = [sum((q for (_, j), q in flows.items() if j == c), Fraction(0)) for c in range(len(demands))]
+    return rows == supplies and cols == demands and all(q > 0 for q in flows.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(transport_problems())
+def test_transportation_plan_matches_vertex_enumeration(problem):
+    supplies, demands, costs = problem
+    value, flows = transportation_plan(supplies, demands, costs)
+    assert value == vertex_enumeration_transport(supplies, demands, costs)
+    assert _feasible(flows, supplies, demands)
+    assert sum(q * costs[i][j] for (i, j), q in flows.items()) == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(COSTS, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_solve_assignment_matches_brute_force(costs):
+    value, assignment = solve_assignment(costs)
+    assert value == brute_assignment(costs)
+    assert sorted(assignment) == list(range(len(costs)))
+    assert sum(costs[i][j] for i, j in enumerate(assignment)) == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(transport_problems(max_side=6), st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50))
+def test_scaling_costs_scales_the_value_and_keeps_the_plan(problem, factor):
+    supplies, demands, costs = problem
+    value, flows = transportation_plan(supplies, demands, costs)
+    scaled_value, scaled_flows = transportation_plan(supplies, demands, [[factor * c for c in row] for row in costs])
+    assert scaled_value == factor * value
+    assert scaled_flows == flows
+
+
+@pytest.mark.parametrize("preset", ["const:1/2", "const:1/3", "zero", "decay", "split"])
+def test_genericity_distances_match_knapsack(preset):
+    rate = RateSequence.from_preset(preset)
+    profile = LimitProfile(rate)
+    sets = [rate_folner(rate, n) for n in range(1, 6)]
+    for x in (hat(0), check(2), hat(-3)):
+        rows, _ = genericity_table(sets, x, profile)
+        target = limit_measure(profile, x)
+        for folner, row in zip(sets, rows):
+            source = empirical_measure(folner, x)
+            costs = cost_matrix(source.support(), target.support(), metric)
+            expected = two_atom_transport(
+                [m for _, m in source.atoms], [m for _, m in target.atoms], costs
+            )
+            assert row.distance == expected
