@@ -46,7 +46,6 @@ from .transport import (  # noqa: F401
     wasserstein,
 )
 from .dynamics import (  # noqa: F401
-    LimitProfile,
     empirical_measure,
     example_case,
     folner_average,

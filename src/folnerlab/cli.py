@@ -13,7 +13,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dynamics import (
-    LimitProfile,
     average_invariance_defect,
     averaging_residual,
     default_sample,
@@ -25,17 +24,10 @@ from .dynamics import (
     translation_gap,
     verdicts,
 )
-from .errors import (
-    ConfigError,
-    GuardViolation,
-    InvariantViolation,
-    LipschitzViolation,
-    MetricOracleError,
-    WordParseError,
-)
+from .errors import ConfigError, GuardViolation, InvariantViolation
+from .exact import exact
 from .experiment import (
     ExperimentConfig,
-    ResultRow,
     ResultTable,
     guard_violations,
     run_experiment,
@@ -93,10 +85,8 @@ def _load_measure(path: str) -> DiscreteMeasure:
         point = entry["point"]
         if isinstance(point, dict):
             point = Point.from_dict(point)
-        elif isinstance(point, str):
-            point = Fraction(point)
         else:
-            point = Fraction(repr(float(point)))
+            point = exact(point)
         pairs.append((point, entry["mass"]))
     return DiscreteMeasure.from_pairs(pairs)
 
@@ -216,79 +206,53 @@ def _cmd_dynamics(args) -> int:
     import random
 
     rate = _rate_arg(args)
-    profile = LimitProfile(rate)
     rng = random.Random(args.seed)
     table = ResultTable()
     sample = default_sample(8)
     if args.action == "generic":
         sets = [rate_folner(rate, n) for n in range(1, args.nmax + 1)]
-        rows, violations = genericity_table(sets, _parse_point(args.x), profile)
+        rows, violations = genericity_table(sets, _parse_point(args.x), rate)
         table.failures.extend(violations)
         for row in rows:
-            table.rows.append(
-                ResultRow("generic", row.n, args.x, "w-to-limit", float(row.distance), "closed-form")
-            )
+            table.add("generic", row.n, args.x, "w-to-limit", row.distance, "closed-form")
     elif args.action == "rightavg":
         f = ends_separator()
         for n in range(1, args.nmax + 1):
             mu = empirical_measure(box_folner(range(-n, n + 1)), _parse_point(args.x))
-            table.rows.append(
-                ResultRow("rightavg", n, args.x, "average", float(mu.integrate(f)), "closed-form")
-            )
+            table.add("rightavg", n, args.x, "average", mu.integrate(f), "closed-form")
     elif args.action == "seever":
         worst = Fraction(0)
         for _ in range(args.pairs):
             worst = max(
-                worst, seever_residual(profile, random_affine(rng), random_affine(rng), sample)
+                worst, seever_residual(rate, random_affine(rng), random_affine(rng), sample)
             )
-        table.rows.append(
-            ResultRow("seever", None, "random-pairs", "residual", float(worst), "closed-form")
-        )
+        table.add("seever", None, "random-pairs", "residual", worst, "closed-form")
         if worst > Fraction(1, 10**12):
             table.failures.append("seever: residual exceeded tolerance")
     elif args.action == "averaging":
         for _ in range(args.pairs):
-            averaging_residual(profile, random_affine(rng), random_affine(rng), hat(rng.randint(-8, 8)))
-        value = averaging_residual(profile, ends_separator(), ends_separator(), hat(0))
-        table.rows.append(
-            ResultRow("averaging", None, "hat:0", "residual", float(value), "closed-form")
-        )
+            averaging_residual(rate, random_affine(rng), random_affine(rng), hat(rng.randint(-8, 8)))
+        value = averaging_residual(rate, ends_separator(), ends_separator(), hat(0))
+        table.add("averaging", None, "hat:0", "residual", value, "closed-form")
     elif args.action == "tinv":
-        gap = translation_gap(profile, ends_separator(), parse_word(args.g), sample)
-        table.rows.append(
-            ResultRow("tinv", None, args.g, "translation-gap", float(gap), "closed-form")
-        )
+        gap = translation_gap(rate, ends_separator(), parse_word(args.g), sample)
+        table.add("tinv", None, args.g, "translation-gap", gap, "closed-form")
     elif args.action == "met":
         f = ends_separator()
         for n in range(1, args.nmax + 1):
             value = average_invariance_defect(
                 rate_folner(rate, n), parse_word(args.g), f, sample
             )
-            table.rows.append(
-                ResultRow("met", n, args.g, "average-invariance-defect", float(value), "brute-force-oracle")
-            )
+            table.add("met", n, args.g, "average-invariance-defect", value, "brute-force-oracle")
     elif args.action == "thm-example":
-        bundle = example_case(args.case)
-        continuous, pattern = verdicts(bundle.profile, 16)
-        table.rows.append(
-            ResultRow(f"thm-example-{args.case}", None, "verdict", "continuous", float(continuous), "closed-form")
-        )
-        table.rows.append(
-            ResultRow(
-                f"thm-example-{args.case}",
-                None,
-                "verdict",
-                "ergodic-everywhere",
-                float(pattern == "all"),
-                "closed-form",
-            )
-        )
+        bundle, name = example_case(args.case), f"thm-example-{args.case}"
+        continuous, pattern = verdicts(bundle.rate, 16)
+        table.add(name, None, "verdict", "continuous", continuous, "closed-form")
+        table.add(name, None, "verdict", "ergodic-everywhere", pattern == "all", "closed-form")
         for b in range(-8, 9):
-            mu = limit_measure(bundle.profile, hat(b))
+            mu = limit_measure(bundle.rate, hat(b))
             value, _ = wasserstein(mu, DiscreteMeasure.point_mass(INF_HAT), metric)
-            table.rows.append(
-                ResultRow(f"thm-example-{args.case}", None, f"hat:{b}", "w-to-hat-end", float(value), "closed-form")
-            )
+            table.add(name, None, f"hat:{b}", "w-to-hat-end", value, "closed-form")
     else:
         raise UsageError(f"unknown dynamics action {args.action!r}")
     _emit_table(table, args)
@@ -308,20 +272,16 @@ def _cmd_homeo(args) -> int:
     if args.action == "match":
         left = _load_family(args.base)
         right = _load_family(args.other or args.base)
-        value = matching_number(left, right, Fraction(repr(args.radius)))
+        value = matching_number(left, right, exact(args.radius))
         _emit({"matching": value, "left": len(left.members), "right": len(right.members)}, args)
         return 0
     if args.action == "repel":
-        g = repelling_element(Fraction(repr(args.x)), Fraction(repr(args.eps)))
+        g = repelling_element(exact(args.x), exact(args.eps))
         _emit(g.to_dict(), args)
-        return 0
-    if args.action == "hatfn":
-        family = repelling_family(_load_family(args.base), args.n)
-        _emit([g.to_dict() for g in family.members], args)
         return 0
     if args.action == "empirical":
         family = repelling_family(_load_family(args.base), args.n)
-        y = Fraction(repr(args.y))
+        y = exact(args.y)
         mu = interval_empirical(family, y)
         low, high = endpoint_fractions(family, y)
         value, _ = wasserstein(mu, end_mixture(y), interval_distance)
@@ -409,7 +369,7 @@ def build_parser() -> _Parser:
     dynamics.set_defaults(func=_cmd_dynamics)
 
     homeo = sub.add_parser("homeo", parents=[common])
-    homeo.add_argument("action", choices=("match", "repel", "hatfn", "empirical"))
+    homeo.add_argument("action", choices=("match", "repel", "empirical"))
     homeo.add_argument("--n", type=int, default=8)
     homeo.add_argument("--y", type=float, default=0.5)
     homeo.add_argument("--x", type=float, default=0.5)
@@ -437,7 +397,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 3 if guard_violations(exc) else 1
-    except (WordParseError, LipschitzViolation, MetricOracleError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

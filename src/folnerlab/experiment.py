@@ -10,18 +10,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .dynamics import (
-    LimitProfile,
+    CASE_WIDTH,
     averaging_residual,
     default_sample,
     empirical_measure,
     example_case,
+    genericity_guard,
     genericity_table,
     invariance_gap,
     limit_measure,
@@ -29,16 +32,8 @@ from .dynamics import (
     translation_gap,
     verdicts,
 )
-from .errors import ConfigError
-from .folner import (
-    MATERIALIZE_MAX_N,
-    RateSequence,
-    box_folner,
-    flip_balance,
-    left_defect,
-    rate_folner,
-    right_defect,
-)
+from .errors import ConfigError, GuardViolation
+from .folner import RateSequence, box_folner, flip_balance, left_defect, rate_folner, right_defect
 from .functions import ends_separator, random_affine
 from .homeo import (
     HomeoFamily,
@@ -49,7 +44,18 @@ from .homeo import (
     interval_empirical,
     repelling_family,
 )
-from .lamplighter import CHECK, FLIP, INF_HAT, SIGMA, SIGMA_INV, check, hat, metric, parse_word
+from .lamplighter import (
+    CHECK,
+    FLIP,
+    INF_HAT,
+    SIGMA,
+    SIGMA_INV,
+    GroupElement,
+    check,
+    hat,
+    metric,
+    parse_word,
+)
 from .transport import DiscreteMeasure, wasserstein
 
 PROVENANCE_TAGS = ("paper-bound", "closed-form", "brute-force-oracle")
@@ -76,6 +82,11 @@ class ResultTable:
     rows: list[ResultRow] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+
+    def add(
+        self, experiment: str, n: int | None, subject: str, quantity: str, value, provenance: str
+    ) -> None:
+        self.rows.append(ResultRow(experiment, n, subject, quantity, float(value), provenance))
 
     def sorted_rows(self) -> list[ResultRow]:
         return sorted(
@@ -109,6 +120,8 @@ class ResultTable:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A scenario as configured; ``params`` is the raw config mapping."""
+
     id: str
     params: dict
 
@@ -129,38 +142,225 @@ class ExperimentConfig:
         }
 
 
-KNOWN_SCENARIOS = ("thm-example", "genericity", "rightavg", "operator-identities", "homeo-empirical", "folner-defect")
-
 _GUARD_MARK = "guard:"
 
-#: Largest genericity nmax.  Row n solves a transportation simplex of up to
-#: (2^(n+2) + 2) x 2 cells; on a 2-core Xeon one row took 0.9 s at n = 7
-#: (514 x 2) and 8.2 s at n = 8 (1026 x 2).
-GENERICITY_MAX_N = 7
+
+@dataclass(frozen=True)
+class Param:
+    """One scenario parameter.  ``parse`` turns the raw config value into
+    the value the runner reads, or raises ValueError naming the accepted
+    range; ``guard`` raises GuardViolation when that value is past a cost
+    guard."""
+
+    default: object
+    parse: Callable
+    guard: Callable | None = None
 
 
-def _genericity_rows(n: int) -> int:
-    """Atoms of the n-th empirical measure: two per shift in [-2^n, 2^n]."""
-    return 2 * (2 ** (n + 1) + 1)
+@dataclass(frozen=True)
+class Scenario:
+    run: Callable
+    params: dict[str, Param]
+
+    def resolve(self, raw: dict, where: str) -> tuple[dict, list[str]]:
+        """The runner's values, defaults filled in, and every violation
+        (guard violations are prefixed so the CLI can exit 3)."""
+        values, violations = {}, []
+        for name, param in self.params.items():
+            try:
+                values[name] = param.parse(raw.get(name, param.default))
+                if param.guard is not None:
+                    param.guard(values[name])
+            except GuardViolation as exc:
+                violations.append(f"{_GUARD_MARK}{where}.params.{name}: {exc}")
+            except ValueError as exc:
+                violations.append(f"{where}.params.{name}: {exc}")
+        return values, violations
 
 
-def _check_rate(params: dict, key: str, violations: list[str], where: str) -> None:
-    raw = params.get(key)
-    if raw is None:
-        return
-    if isinstance(raw, str):
-        try:
-            RateSequence.from_preset(raw)
-        except ValueError as exc:
-            violations.append(f"{where}.{key}: {exc}")
-        return
-    if isinstance(raw, dict):
-        try:
-            RateSequence.from_dict(raw)
-        except ValueError as exc:
-            violations.append(f"{where}.{key}: {exc}")
-        return
-    violations.append(f"{where}.{key}: expected a preset name or a rate mapping")
+def _integer(low: int, high: float = math.inf) -> Callable:
+    def parse(value):
+        if not isinstance(value, int) or not low <= value <= high:
+            raise ValueError(f"must be an integer in [{low}, {high}]")
+        return value
+
+    return parse
+
+
+def _choice(*options: str) -> Callable:
+    def parse(value):
+        if value not in options:
+            raise ValueError(f"must be one of {', '.join(options)}")
+        return value
+
+    return parse
+
+
+def _list_of(accepts: Callable[[object], bool], what: str) -> Callable:
+    def parse(value):
+        if not isinstance(value, list) or not all(accepts(v) for v in value):
+            raise ValueError(f"must be a list of {what}")
+        return value
+
+    return parse
+
+
+def _rate(value) -> RateSequence:
+    if isinstance(value, str):
+        return RateSequence.from_preset(value)
+    if isinstance(value, dict) and isinstance(value.get("window", {}), dict):
+        return RateSequence.from_dict(value)
+    raise ValueError("expected a preset name or a rate mapping with a window object")
+
+
+def _generators(value) -> list[tuple[str, GroupElement]]:
+    if not isinstance(value, list) or not all(isinstance(word, str) for word in value):
+        raise ValueError("must be a list of generator words")
+    return [(word, parse_word(word)) for word in value]
+
+
+def _run_thm_example(values: dict, rng, table: ResultTable) -> None:
+    case, bmax = values["case"], values["bmax"]
+    bundle = example_case(case)
+    name = f"thm-example-{case}"
+    continuous, pattern = verdicts(bundle.rate, bmax)
+    table.add(name, None, "verdict", "continuous", continuous, "closed-form")
+    table.add(name, None, "verdict", "ergodic-everywhere", pattern == "all", "closed-form")
+    table.add(name, None, "verdict", "ergodic-somewhere", pattern != "none", "closed-form")
+    if continuous != bundle.continuous or pattern != bundle.finite_ergodic:
+        table.failures.append(f"{name}: computed verdicts diverge from the expected alternative")
+    target = DiscreteMeasure.point_mass(INF_HAT)
+    for b in range(-bmax, bmax + 1):
+        mu = limit_measure(bundle.rate, hat(b))
+        value, _ = wasserstein(mu, target, metric)
+        if value != bundle.rate.value(b):
+            table.failures.append(f"{name}: W(limit at hat {b}, point mass) != rate value")
+        table.add(name, None, f"hat:{b}", "w-to-hat-end", value, "closed-form")
+        swapped = limit_measure(bundle.rate, check(b))
+        hat_mass = mu.mass_where(lambda p: p.component != CHECK)
+        swapped_check = swapped.mass_where(lambda p: p.component == CHECK)
+        if hat_mass != swapped_check:
+            table.failures.append(f"{name}: hat/check symmetry broken at position {b}")
+
+
+def _run_genericity(values: dict, rng, table: ResultTable) -> None:
+    rate = values["rate"]
+    sets = [rate_folner(rate, n) for n in range(1, values["nmax"] + 1)]
+    rows, violations = genericity_table(sets, hat(0), rate)
+    table.failures.extend(f"genericity: {v}" for v in violations)
+    for folner, row in zip(sets, rows):
+        table.add("genericity", row.n, "hat:0", "w-to-limit", row.distance, "closed-form")
+        table.add("genericity", row.n, "hat:0", "tolerance", row.bound, "closed-form")
+        mass = empirical_measure(folner, hat(0)).mass_where(lambda p: p.component == CHECK)
+        if mass != flip_balance(folner, 0):
+            table.failures.append(f"genericity: check mass differs from support ratio at n={row.n}")
+        table.add("genericity", row.n, "hat:0", "check-mass", mass, "brute-force-oracle")
+
+
+def _run_rightavg(values: dict, rng, table: ResultTable) -> None:
+    for n in range(1, values["nmax"] + 1):
+        box = box_folner(range(-n, n + 1))
+        mass = empirical_measure(box, hat(0)).mass_where(lambda p: p.component == CHECK)
+        table.add("rightavg", n, "hat:0", "check-mass", mass, "closed-form")
+        if mass != Fraction(1, 2):
+            table.failures.append(f"rightavg: check mass at n={n} is {mass}, expected 1/2")
+        balance = flip_balance(rate_folner(RateSequence.constant(0), n), 0)
+        table.add("rightavg", n, "rate-zero", "flip-balance", balance, "paper-bound")
+        if balance != 0:
+            table.failures.append(f"rightavg: zero-rate balance at n={n} is {balance}")
+
+
+def _run_operator_identities(values: dict, rng, table: ResultTable) -> None:
+    rate = values["rate"]
+    sample = default_sample(8)
+    worst_seever = Fraction(0)
+    for _ in range(values["pairs"]):
+        f, h = random_affine(rng), random_affine(rng)
+        worst_seever = max(worst_seever, seever_residual(rate, f, h, sample))
+        averaging_residual(rate, f, h, hat(rng.randint(-8, 8)))
+    table.add(
+        "operator-identities", None, "random-pairs", "seever-residual", worst_seever, "closed-form"
+    )
+    if worst_seever > Fraction(1, 10**12):
+        table.failures.append("operator-identities: Seever residual exceeded tolerance")
+    gap = translation_gap(rate, ends_separator(), FLIP, sample)
+    table.add("operator-identities", None, "flip", "translation-gap", gap, "closed-form")
+    checked = invariance_gap(limit_measure(rate, hat(0)))
+    table.add(
+        "operator-identities", None, "limit-at-hat0", "invariance-gap", checked, "closed-form"
+    )
+    if checked != 0:
+        table.failures.append("operator-identities: limit measure is not invariant")
+
+
+def _run_homeo(values: dict, rng, table: ResultTable) -> None:
+    base = HomeoFamily((IDENTITY_MAP,), "identity")
+    for y in values["y"]:
+        previous = None
+        for n in values["n"]:
+            family = repelling_family(base, n)
+            low, high = endpoint_fractions(family, y)
+            table.add("homeo-empirical", n, f"y={y}", "low-endpoint-fraction", low, "closed-form")
+            table.add("homeo-empirical", n, f"y={y}", "high-endpoint-fraction", high, "closed-form")
+            value, _ = wasserstein(interval_empirical(family, y), end_mixture(y), interval_distance)
+            table.add(
+                "homeo-empirical", n, f"y={y}", "w-to-end-mixture", value, "brute-force-oracle"
+            )
+            if previous is not None and value >= previous and 0 < float(y) < 1:
+                table.failures.append(f"homeo-empirical: distance did not decrease at n={n}, y={y}")
+            previous = value
+
+
+def _run_folner_defect(values: dict, rng, table: ResultTable) -> None:
+    for n in range(1, values["nmax"] + 1):
+        folner = rate_folner(values["rate"], n)
+        for word, g in values["generators"]:
+            value = left_defect(folner, g)
+            provenance = "closed-form" if g in (SIGMA, SIGMA_INV) else "brute-force-oracle"
+            table.add("folner-defect", n, f"g={word or 'e'}", "left-defect", value, provenance)
+        rvalue = right_defect(folner, FLIP)
+        table.add("folner-defect", n, "g=f", "right-defect", rvalue, "paper-bound")
+        if rvalue != 2:
+            table.failures.append(f"folner-defect: right defect of the origin flip at n={n} is {rvalue}")
+
+
+#: Every scenario: its runner and, per parameter, the one default, check and guard.
+SCENARIOS = {
+    "thm-example": Scenario(
+        _run_thm_example,
+        {"case": Param("d", _choice("a", "b", "c", "d")), "bmax": Param(16, _integer(1, CASE_WIDTH))},
+    ),
+    "genericity": Scenario(
+        _run_genericity,
+        {"rate": Param("const:0.5", _rate), "nmax": Param(3, _integer(1), genericity_guard)},
+    ),
+    "rightavg": Scenario(_run_rightavg, {"nmax": Param(8, _integer(1, 10))}),
+    "operator-identities": Scenario(
+        _run_operator_identities,
+        {"rate": Param("const:0.5", _rate), "pairs": Param(20, _integer(1, 1000))},
+    ),
+    "homeo-empirical": Scenario(
+        _run_homeo,
+        {
+            "n": Param(
+                [4, 8, 16, 32],
+                _list_of(lambda n: isinstance(n, int) and 2 <= n <= 64, "integers in [2, 64]"),
+            ),
+            "y": Param(
+                [0.25, 0.5, 0.75],
+                _list_of(lambda y: isinstance(y, (int, float)) and 0 <= y <= 1, "numbers in [0, 1]"),
+            ),
+        },
+    ),
+    "folner-defect": Scenario(
+        _run_folner_defect,
+        {
+            "rate": Param("zero", _rate),
+            "nmax": Param(4, _integer(1, 8)),
+            "generators": Param(["s", "S", "f"], _generators),
+        },
+    ),
+}
 
 
 def validate_config(raw: str) -> ExperimentConfig:
@@ -194,61 +394,14 @@ def validate_config(raw: str) -> ExperimentConfig:
         if not isinstance(entry, dict) or "id" not in entry:
             violations.append(f"{where}: each scenario needs an 'id'")
             continue
-        sid = entry["id"]
-        params = entry.get("params", {})
-        if sid not in KNOWN_SCENARIOS:
+        sid, params = entry["id"], entry.get("params", {})
+        if not isinstance(sid, str) or sid not in SCENARIOS:
             violations.append(f"{where}.id: unknown scenario {sid!r}")
             continue
         if not isinstance(params, dict):
             violations.append(f"{where}.params: must be an object")
             continue
-        if sid == "thm-example":
-            if params.get("case", "d") not in ("a", "b", "c", "d"):
-                violations.append(f"{where}.params.case: must be one of a, b, c, d")
-            bmax = params.get("bmax", 16)
-            if not isinstance(bmax, int) or not 1 <= bmax <= 256:
-                violations.append(f"{where}.params.bmax: must be an integer in [1, 256]")
-        if sid == "genericity":
-            _check_rate(params, "rate", violations, where)
-            nmax = params.get("nmax", 3)
-            if not isinstance(nmax, int) or nmax < 1:
-                violations.append(f"{where}.params.nmax: must be a positive integer")
-            elif nmax > GENERICITY_MAX_N:
-                violations.append(
-                    f"{_GUARD_MARK}{where}.params.nmax: n = {nmax} needs a "
-                    f"{_genericity_rows(nmax)}x2 transportation simplex; the simplex size guard allows "
-                    f"n <= {GENERICITY_MAX_N} ({_genericity_rows(GENERICITY_MAX_N)}x2), got {nmax}"
-                )
-        if sid == "rightavg":
-            nmax = params.get("nmax", 8)
-            if not isinstance(nmax, int) or not 1 <= nmax <= 10:
-                violations.append(f"{where}.params.nmax: must be an integer in [1, 10]")
-        if sid == "operator-identities":
-            _check_rate(params, "rate", violations, where)
-            pairs = params.get("pairs", 20)
-            if not isinstance(pairs, int) or not 1 <= pairs <= 1000:
-                violations.append(f"{where}.params.pairs: must be an integer in [1, 1000]")
-        if sid == "homeo-empirical":
-            sizes = params.get("n", [4, 8, 16, 32])
-            if not isinstance(sizes, list) or any(
-                not isinstance(n, int) or not 2 <= n <= 64 for n in sizes
-            ):
-                violations.append(f"{where}.params.n: must be a list of integers in [2, 64]")
-            ys = params.get("y", [0.25, 0.5, 0.75])
-            if not isinstance(ys, list) or any(
-                not isinstance(y, (int, float)) or not 0 <= y <= 1 for y in ys
-            ):
-                violations.append(f"{where}.params.y: must be a list of numbers in [0, 1]")
-        if sid == "folner-defect":
-            _check_rate(params, "rate", violations, where)
-            nmax = params.get("nmax", 4)
-            if not isinstance(nmax, int) or not 1 <= nmax <= 8:
-                violations.append(f"{where}.params.nmax: must be an integer in [1, 8]")
-            if params.get("materialize") and isinstance(nmax, int) and nmax > MATERIALIZE_MAX_N:
-                violations.append(
-                    f"{_GUARD_MARK}{where}.params.nmax: materialize=true supports "
-                    f"n <= {MATERIALIZE_MAX_N} (size guard), got {nmax}"
-                )
+        violations.extend(SCENARIOS[sid].resolve(params, where)[1])
         scenarios.append(ScenarioSpec(sid, params))
     if violations:
         raise ConfigError(violations)
@@ -257,169 +410,6 @@ def validate_config(raw: str) -> ExperimentConfig:
 
 def guard_violations(error: ConfigError) -> list[str]:
     return [v for v in error.violations if v.startswith(_GUARD_MARK)]
-
-
-def _rate_of(params: dict, default: str = "const:0.5") -> RateSequence:
-    raw = params.get("rate", default)
-    if isinstance(raw, dict):
-        return RateSequence.from_dict(raw)
-    return RateSequence.from_preset(raw)
-
-
-def _run_thm_example(scenario: ScenarioSpec, rng, table: ResultTable) -> None:
-    case = scenario.params.get("case", "d")
-    bmax = scenario.params.get("bmax", 16)
-    bundle = example_case(case)
-    name = f"thm-example-{case}"
-    continuous, pattern = verdicts(bundle.profile, bmax)
-    table.rows.append(ResultRow(name, None, "verdict", "continuous", float(continuous), "closed-form"))
-    table.rows.append(
-        ResultRow(name, None, "verdict", "ergodic-everywhere", float(pattern == "all"), "closed-form")
-    )
-    table.rows.append(
-        ResultRow(name, None, "verdict", "ergodic-somewhere", float(pattern != "none"), "closed-form")
-    )
-    if continuous != bundle.continuous or pattern != bundle.finite_ergodic:
-        table.failures.append(f"{name}: computed verdicts diverge from the expected alternative")
-    target = DiscreteMeasure.point_mass(INF_HAT)
-    for b in range(-bmax, bmax + 1):
-        mu = limit_measure(bundle.profile, hat(b))
-        value, _ = wasserstein(mu, target, metric)
-        expected = bundle.profile.rate.value(b)
-        if value != expected:
-            table.failures.append(f"{name}: W(limit at hat {b}, point mass) != rate value")
-        table.rows.append(
-            ResultRow(name, None, f"hat:{b}", "w-to-hat-end", float(value), "closed-form")
-        )
-        swapped = limit_measure(bundle.profile, check(b))
-        hat_mass = mu.mass_where(lambda p: p.component != CHECK)
-        swapped_check = swapped.mass_where(lambda p: p.component == CHECK)
-        if hat_mass != swapped_check:
-            table.failures.append(f"{name}: hat/check symmetry broken at position {b}")
-
-
-def _run_genericity(scenario: ScenarioSpec, rng, table: ResultTable) -> None:
-    rate = _rate_of(scenario.params)
-    nmax = scenario.params.get("nmax", 3)
-    profile = LimitProfile(rate)
-    sets = [rate_folner(rate, n) for n in range(1, nmax + 1)]
-    rows, violations = genericity_table(sets, hat(0), profile)
-    table.failures.extend(f"genericity: {v}" for v in violations)
-    for row in rows:
-        table.rows.append(
-            ResultRow("genericity", row.n, "hat:0", "w-to-limit", float(row.distance), "closed-form")
-        )
-        table.rows.append(
-            ResultRow("genericity", row.n, "hat:0", "tolerance", float(row.bound), "closed-form")
-        )
-        folner = sets[row.n - 1]
-        mass = empirical_measure(folner, hat(0)).mass_where(lambda p: p.component == CHECK)
-        ratio = flip_balance(folner, 0)
-        if mass != ratio:
-            table.failures.append(f"genericity: check mass differs from support ratio at n={row.n}")
-        table.rows.append(
-            ResultRow("genericity", row.n, "hat:0", "check-mass", float(mass), "brute-force-oracle")
-        )
-
-
-def _run_rightavg(scenario: ScenarioSpec, rng, table: ResultTable) -> None:
-    nmax = scenario.params.get("nmax", 8)
-    for n in range(1, nmax + 1):
-        box = box_folner(range(-n, n + 1))
-        mass = empirical_measure(box, hat(0)).mass_where(lambda p: p.component == CHECK)
-        table.rows.append(
-            ResultRow("rightavg", n, "hat:0", "check-mass", float(mass), "closed-form")
-        )
-        if mass != Fraction(1, 2):
-            table.failures.append(f"rightavg: check mass at n={n} is {mass}, expected 1/2")
-        balance = flip_balance(rate_folner(RateSequence.constant(0), n), 0)
-        table.rows.append(
-            ResultRow("rightavg", n, "rate-zero", "flip-balance", float(balance), "paper-bound")
-        )
-        if balance != 0:
-            table.failures.append(f"rightavg: zero-rate balance at n={n} is {balance}")
-
-
-def _run_operator_identities(scenario: ScenarioSpec, rng, table: ResultTable) -> None:
-    rate = _rate_of(scenario.params)
-    pairs = scenario.params.get("pairs", 20)
-    profile = LimitProfile(rate)
-    sample = default_sample(8)
-    worst_seever = Fraction(0)
-    for _ in range(pairs):
-        f, h = random_affine(rng), random_affine(rng)
-        worst_seever = max(worst_seever, seever_residual(profile, f, h, sample))
-        averaging_residual(profile, f, h, hat(rng.randint(-8, 8)))
-    table.rows.append(
-        ResultRow("operator-identities", None, "random-pairs", "seever-residual", float(worst_seever), "closed-form")
-    )
-    if worst_seever > Fraction(1, 10**12):
-        table.failures.append("operator-identities: Seever residual exceeded tolerance")
-    gap = translation_gap(profile, ends_separator(), FLIP, sample)
-    table.rows.append(
-        ResultRow("operator-identities", None, "flip", "translation-gap", float(gap), "closed-form")
-    )
-    checked = invariance_gap(limit_measure(profile, hat(0)))
-    table.rows.append(
-        ResultRow("operator-identities", None, "limit-at-hat0", "invariance-gap", float(checked), "closed-form")
-    )
-    if checked != 0:
-        table.failures.append("operator-identities: limit measure is not invariant")
-
-
-def _run_homeo(scenario: ScenarioSpec, rng, table: ResultTable) -> None:
-    sizes = scenario.params.get("n", [4, 8, 16, 32])
-    ys = scenario.params.get("y", [0.25, 0.5, 0.75])
-    base = HomeoFamily((IDENTITY_MAP,), "identity")
-    for y in ys:
-        previous = None
-        for n in sizes:
-            family = repelling_family(base, n)
-            low, high = endpoint_fractions(family, y)
-            table.rows.append(
-                ResultRow("homeo-empirical", n, f"y={y}", "low-endpoint-fraction", float(low), "closed-form")
-            )
-            table.rows.append(
-                ResultRow("homeo-empirical", n, f"y={y}", "high-endpoint-fraction", float(high), "closed-form")
-            )
-            value, _ = wasserstein(interval_empirical(family, y), end_mixture(y), interval_distance)
-            table.rows.append(
-                ResultRow("homeo-empirical", n, f"y={y}", "w-to-end-mixture", float(value), "brute-force-oracle")
-            )
-            if previous is not None and value >= previous and 0 < float(y) < 1:
-                table.failures.append(f"homeo-empirical: distance did not decrease at n={n}, y={y}")
-            previous = value
-
-
-def _run_folner_defect(scenario: ScenarioSpec, rng, table: ResultTable) -> None:
-    rate = _rate_of(scenario.params, default="zero")
-    nmax = scenario.params.get("nmax", 4)
-    words = scenario.params.get("generators", ["s", "S", "f"])
-    for n in range(1, nmax + 1):
-        folner = rate_folner(rate, n)
-        for word in words:
-            g = parse_word(word)
-            value = left_defect(folner, g)
-            provenance = "closed-form" if g in (SIGMA, SIGMA_INV) else "brute-force-oracle"
-            table.rows.append(
-                ResultRow("folner-defect", n, f"g={word or 'e'}", "left-defect", float(value), provenance)
-            )
-        rvalue = right_defect(folner, FLIP)
-        table.rows.append(
-            ResultRow("folner-defect", n, "g=f", "right-defect", float(rvalue), "paper-bound")
-        )
-        if rvalue != 2:
-            table.failures.append(f"folner-defect: right defect of the origin flip at n={n} is {rvalue}")
-
-
-_RUNNERS = {
-    "thm-example": _run_thm_example,
-    "genericity": _run_genericity,
-    "rightavg": _run_rightavg,
-    "operator-identities": _run_operator_identities,
-    "homeo-empirical": _run_homeo,
-    "folner-defect": _run_folner_defect,
-}
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -431,8 +421,12 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Run every scenario; deterministic for a fixed config and seed."""
     table = ResultTable()
     rng = random.Random(config.seed)
-    for scenario in config.scenarios:
-        _RUNNERS[scenario.id](scenario, rng, table)
+    for spec in config.scenarios:
+        scenario = SCENARIOS[spec.id]
+        values, violations = scenario.resolve(spec.params, spec.id)
+        if violations:
+            raise ConfigError(violations)
+        scenario.run(values, rng, table)
     table.metadata = {
         "config_hash": config_hash(config),
         "seed": config.seed,

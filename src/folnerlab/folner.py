@@ -10,22 +10,28 @@ never right Folner (a flip at a window position moves the whole set off
 itself).  The *box* family takes all shifts and all flip supports inside
 one finite interval; it balances every in-box flip position exactly at 1/2.
 
-Sets of interesting size are never materialized: cardinalities, defects
-|gF \\ F| and flip balances are computed by counting over the 2^(2n)
-selection words only, as exact rationals.  Enumeration paths exist below
-the size guards and must agree with the counting paths exactly.
+Rate, box and explicit sets share one protocol (``FolnerSet``): ``size``,
+``shifts()``, ``balance(position)``, ``left_intersection(g)`` and
+``right_intersection(g)`` (the counts |gF & F| and |Fg & F|),
+``elements`` and ``to_dict()``.  The module-level ``left_defect``,
+``right_defect``, ``flip_balance`` and ``enumerate_elements`` work on any
+kind through it.  Sets of interesting size are never materialized:
+cardinalities, defects |gF \\ F| and flip balances are computed by
+counting over the 2^(2n) selection words only, packed into ints and
+built once per rate set.  Enumeration paths exist below the size guards
+and must agree with the counting paths exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GuardViolation, HorizonExhausted
+from .exact import exact
 from .lamplighter import IDENTITY, GroupElement, compose, word_of
 
 #: Largest n for which a rate set may be materialized (|F_4| is ~5.5e8).
@@ -39,7 +45,7 @@ INTERLEAVE_HORIZON = 16
 
 
 def _to_rate(value) -> Fraction:
-    v = Fraction(repr(value)) if isinstance(value, float) else Fraction(value)
+    v = exact(value)
     if not 0 <= v <= 1:
         raise ValueError(f"rate value {value!r} outside [0, 1]")
     return v
@@ -81,7 +87,7 @@ class RateSequence:
     def from_preset(name: str) -> "RateSequence":
         key = name.removeprefix("r-")
         if key.startswith("const:"):
-            return RateSequence.constant(Fraction(key.split(":", 1)[1]))
+            return RateSequence.constant(key.split(":", 1)[1])
         if key == "zero":
             return RateSequence.constant(0)
         if key == "decay":
@@ -94,67 +100,15 @@ class RateSequence:
         return self._lookup.get(position, self.default)
 
     def to_dict(self) -> dict:
+        """Exact fraction strings, so ``from_dict(to_dict(r)) == r``."""
         return {
-            "default": float(self.default),
-            "window": {str(k): float(v) for k, v in self.window},
+            "default": str(self.default),
+            "window": {str(k): str(v) for k, v in self.window},
         }
 
     @staticmethod
     def from_dict(raw: dict) -> "RateSequence":
         return RateSequence.make(raw.get("default", 0), raw.get("window", {}))
-
-
-def selection_word(rate: RateSequence, n: int, k: int) -> tuple[int, ...]:
-    """The k-th threshold word over positions -n..n: bit l is 1 iff
-    0 < r_l - (k-1) 2^(-2n) <= 1."""
-    if not 1 <= k <= 4**n:
-        raise ValueError(f"k={k} outside 1..{4 ** n}")
-    offset = Fraction(k - 1, 4**n)
-    return tuple(int(0 < rate.value(l) - offset <= 1) for l in range(-n, n + 1))
-
-
-def word_family(rate: RateSequence, n: int) -> tuple[tuple[int, ...], ...]:
-    """All 2^(2n) words over the window -2n..2n: selection word in the
-    middle, the bits of k-1 (little-endian, 2n of them) split around it."""
-    words = []
-    for k in range(1, 4**n + 1):
-        pad = [(k - 1) >> i & 1 for i in range(2 * n)]
-        words.append(tuple(pad[:n]) + selection_word(rate, n, k) + tuple(pad[n:]))
-    return tuple(words)
-
-
-@lru_cache(maxsize=None)
-def _encoded_words(rate: RateSequence, n: int) -> frozenset[int]:
-    """word_family packed into ints; bit index of window position l is l + 2n."""
-    if n > COUNT_MAX_N:
-        raise GuardViolation(f"selection-word counting supports n <= {COUNT_MAX_N}, got {n}")
-    encoded = set()
-    for word in word_family(rate, n):
-        encoded.add(sum(bit << i for i, bit in enumerate(word)))
-    if len(encoded) != 4**n:
-        raise AssertionError("selection words must be pairwise distinct")
-    return frozenset(encoded)
-
-
-@lru_cache(maxsize=None)
-def _stay_count(rate: RateSequence, n: int, mask: int) -> int:
-    """How many window words remain in the family after XOR with mask."""
-    if mask == 0:
-        return 4**n
-    words = _encoded_words(rate, n)
-    return sum((u ^ mask) in words for u in words)
-
-
-def _ones_count(rate: RateSequence, n: int, position: int) -> int:
-    """How many window words have bit 1 at the given window position.
-
-    Inside the threshold section [-n, n] the bit is 1 for exactly
-    ceil(r * 4^n) of the 4^n words; in the enumeration padding each bit is
-    set for exactly half of them.
-    """
-    if abs(position) <= n:
-        return math.ceil(rate.value(position) * 4**n)
-    return 4**n // 2
 
 
 @dataclass(frozen=True)
@@ -166,6 +120,8 @@ class SupportFamily:
 
     rate: RateSequence
     n: int
+    #: How many words stay in the family after XOR with a mask, by mask.
+    _stays: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def bound(self) -> int:
@@ -184,13 +140,48 @@ class SupportFamily:
     def cardinality(self) -> int:
         return 4**self.n * 2 ** len(self.free_positions)
 
+    def threshold(self, position: int) -> int:
+        """c_l = ceil(r_l 4^n): word k sets window bit l (|l| <= n) iff k-1 < c_l."""
+        r = self.rate.value(position)
+        return -(-r.numerator * 4**self.n // r.denominator)
+
+    @cached_property
+    def words(self) -> frozenset[int]:
+        """The 4^n window words packed into ints, bit l + 2n for position l.
+
+        Word k carries the threshold bits k-1 < c_l on [-n, n] and the 2n
+        bits of k-1 as padding: the low n below the window section, the
+        high n above it.  Sweeping k-1 upward through the sorted thresholds
+        clears one section bit at each, so no rational is formed.
+        """
+        n = self.n
+        if n > COUNT_MAX_N:
+            raise GuardViolation(f"selection-word counting supports n <= {COUNT_MAX_N}, got {n}")
+        low, high_shift = (1 << n) - 1, 3 * n + 1
+        ends = sorted((self.threshold(l), 1 << (l + 2 * n)) for l in range(-n, n + 1))
+        section, start = sum(bit for _, bit in ends), 0
+        words = set()
+        for end, bit in ends + [(4**n, 0)]:
+            words.update((j & low) | (j >> n) << high_shift | section for j in range(start, end))
+            start = max(start, end)
+            section ^= bit
+        return frozenset(words)
+
+    def stay_count(self, mask: int) -> int:
+        """How many window words remain in the family after XOR with mask."""
+        if not mask:
+            return 4**self.n
+        if mask not in self._stays:
+            words = self.words
+            self._stays[mask] = sum((u ^ mask) in words for u in words)
+        return self._stays[mask]
+
     def contains_fraction(self, position: int) -> Fraction:
-        """Exact fraction of supports containing the given position."""
-        if abs(position) <= 2 * self.n:
-            return Fraction(_ones_count(self.rate, self.n, position), 4**self.n)
-        if abs(position) <= self.bound:
-            return Fraction(1, 2)
-        return Fraction(0)
+        """Exact fraction of supports containing the given position: c_l / 4^n
+        inside [-n, n], one half on the padding and the free positions."""
+        if abs(position) <= self.n:
+            return Fraction(self.threshold(position), 4**self.n)
+        return Fraction(1, 2) if abs(position) <= self.bound else Fraction(0)
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
         if self.n > MATERIALIZE_MAX_N:
@@ -198,8 +189,8 @@ class SupportFamily:
                 f"support enumeration is guarded at n <= {MATERIALIZE_MAX_N}, got {self.n}"
             )
         free = self.free_positions
-        for word in word_family(self.rate, self.n):
-            fixed = [l for l, bit in zip(self.window_positions, word) if bit]
+        for word in self.words:
+            fixed = [l for l in self.window_positions if word >> (l + 2 * self.n) & 1]
             for r in range(len(free) + 1):
                 for extra in itertools.combinations(free, r):
                     yield tuple(sorted(fixed + list(extra)))
@@ -215,18 +206,17 @@ def support_family(rate: RateSequence, n: int) -> SupportFamily:
 class FolnerSet:
     """A finite set of group elements with a provenance recipe.
 
-    ``kind`` dispatches the computation: "rate" and "box" sets support
-    counting paths without materialization; "explicit" sets carry their
-    elements.  ``recipe`` is serialization metadata only.
+    Every kind provides ``size``, ``shifts()`` (the shift range when the
+    set is a shift range times a support family, else None),
+    ``balance(position)``, ``left_intersection(g)`` and
+    ``right_intersection(g)``.  ``elements`` holds the materialized
+    elements or None; the rate and box kinds build them on request with
+    ``materialize()``, under their size guards.  ``recipe`` is
+    serialization metadata only.
     """
 
-    kind: str
-    size: int
-    elements: tuple[GroupElement, ...] | None
-    rate: RateSequence | None = None
-    n: int | None = None
-    box: tuple[int, ...] | None = None
-    recipe: tuple[tuple[str, str], ...] = ()
+    elements: tuple[GroupElement, ...] | None = field(default=None, kw_only=True)
+    recipe: tuple[tuple[str, str], ...] = field(default=(), kw_only=True)
 
     def to_dict(self) -> dict:
         out = {"recipe": dict(self.recipe), "size": self.size}
@@ -239,141 +229,6 @@ def _sorted_elements(elements: Iterable[GroupElement]) -> tuple[GroupElement, ..
     return tuple(sorted(set(elements), key=lambda g: (g.shift, g.flips)))
 
 
-def rate_folner(rate: RateSequence, n: int, materialize: bool = False) -> FolnerSet:
-    """The n-th rate set: shifts in [-2^n, 2^n], supports from the family."""
-    family = support_family(rate, n)
-    size = (2 ** (n + 1) + 1) * family.cardinality
-    recipe = (("kind", "rate"), ("n", str(n)), ("rate", repr(rate.to_dict())))
-    out = FolnerSet("rate", size, None, rate=rate, n=n, recipe=recipe)
-    if materialize:
-        return replace(out, elements=enumerate_elements(out))
-    return out
-
-
-def box_folner(positions: Iterable[int], materialize: bool = False) -> FolnerSet:
-    """All elements whose shift and flip support live inside one finite set."""
-    box = tuple(sorted(set(int(p) for p in positions)))
-    if not box:
-        raise ValueError("box must be non-empty")
-    size = len(box) * 2 ** len(box)
-    recipe = (("kind", "box"), ("positions", repr(list(box))))
-    out = FolnerSet("box", size, None, box=box, recipe=recipe)
-    if materialize:
-        return replace(out, elements=enumerate_elements(out))
-    return out
-
-
-def explicit_folner(elements: Iterable[GroupElement], note: str = "explicit") -> FolnerSet:
-    elems = _sorted_elements(elements)
-    if not elems:
-        raise ValueError("a Folner set must be non-empty")
-    return FolnerSet("explicit", len(elems), elems, recipe=(("kind", note),))
-
-
-def enumerate_elements(folner: FolnerSet) -> tuple[GroupElement, ...]:
-    """Materialize the elements (guarded for the implicit kinds)."""
-    if folner.elements is not None:
-        return folner.elements
-    if folner.kind == "rate":
-        if folner.n > MATERIALIZE_MAX_N:
-            raise GuardViolation(
-                f"rate sets materialize only for n <= {MATERIALIZE_MAX_N}, got n={folner.n}"
-            )
-        family = support_family(folner.rate, folner.n)
-        bound = family.bound
-        elems = [
-            GroupElement(a, b)
-            for b in family.tuples()
-            for a in range(-bound, bound + 1)
-        ]
-        return _sorted_elements(elems)
-    if folner.kind == "box":
-        if len(folner.box) > BOX_MATERIALIZE_MAX:
-            raise GuardViolation(
-                f"box sets materialize only for |box| <= {BOX_MATERIALIZE_MAX}"
-            )
-        elems = []
-        for a in folner.box:
-            for r in range(len(folner.box) + 1):
-                for flips in itertools.combinations(folner.box, r):
-                    elems.append(GroupElement(a, flips))
-        return _sorted_elements(elems)
-    raise GuardViolation(f"cannot enumerate a {folner.kind!r} set without elements")
-
-
-def shift_range(folner: FolnerSet) -> tuple[int, ...]:
-    """The multiset-free range of shifts (counting kinds only)."""
-    if folner.kind == "rate":
-        bound = 2**folner.n
-        return tuple(range(-bound, bound + 1))
-    if folner.kind == "box":
-        return folner.box
-    raise GuardViolation(f"shift range unavailable for kind {folner.kind!r}")
-
-
-def flip_balance(folner: FolnerSet, position: int) -> Fraction:
-    """Exact fraction of elements whose flip support contains the position."""
-    if folner.kind == "rate":
-        return support_family(folner.rate, folner.n).contains_fraction(position)
-    if folner.kind == "box":
-        return Fraction(1, 2) if position in folner.box else Fraction(0)
-    elements = enumerate_elements(folner)
-    return Fraction(sum(position in g.flips for g in elements), len(elements))
-
-
-def _defect_from_intersection(size: int, intersection: int) -> Fraction:
-    # |gF| = |F|, so |gF \ F| = 2 (|F| - |gF & F|).
-    return Fraction(2 * (size - intersection), size)
-
-
-def _rate_left_intersection(folner: FolnerSet, g: GroupElement) -> int:
-    rate, n = folner.rate, folner.n
-    bound, w = 2**n, 2 * n
-    free_factor = 2 ** ((2 ** (n + 1) + 1) - (4 * n + 1))
-    total = 0
-    for a in range(-bound, bound + 1):
-        if not -bound <= a + g.shift <= bound:
-            continue
-        shifted = [d + a for d in g.flips]
-        if any(abs(p) > bound for p in shifted):
-            continue
-        mask = sum(1 << (p + w) for p in shifted if abs(p) <= w)
-        total += _stay_count(rate, n, mask) * free_factor
-    return total
-
-
-def _rate_right_intersection(folner: FolnerSet, g: GroupElement) -> int | None:
-    """Counting path for right translation; only pure flips are countable."""
-    if g.shift != 0:
-        return None
-    rate, n = folner.rate, folner.n
-    bound, w = 2**n, 2 * n
-    if any(abs(d) > bound for d in g.flips):
-        return 0
-    mask = sum(1 << (d + w) for d in g.flips if abs(d) <= w)
-    free_factor = 2 ** ((2 ** (n + 1) + 1) - (4 * n + 1))
-    return (2 * bound + 1) * _stay_count(rate, n, mask) * free_factor
-
-
-def _box_left_intersection(box: tuple[int, ...], g: GroupElement) -> int:
-    members = set(box)
-    good = sum(
-        1
-        for a in box
-        if a + g.shift in members and all(d + a in members for d in g.flips)
-    )
-    return good * 2 ** len(box)
-
-
-def _box_right_intersection(box: tuple[int, ...], g: GroupElement) -> int:
-    members = set(box)
-    shifted = {q + g.shift for q in members}
-    if any(d not in members and d not in shifted for d in g.flips):
-        return 0
-    stable = [q for q in box if q + g.shift in members]
-    return len(stable) * 2 ** len(stable)
-
-
 def _enumerated_intersection(folner: FolnerSet, g: GroupElement, side: str) -> int:
     elements = set(enumerate_elements(folner))
     if side == "left":
@@ -383,41 +238,176 @@ def _enumerated_intersection(folner: FolnerSet, g: GroupElement, side: str) -> i
     return len(elements & translated)
 
 
+@dataclass(frozen=True)
+class RateFolner(FolnerSet):
+    """The n-th rate set: shifts in [-2^n, 2^n], supports from the family."""
+
+    rate: RateSequence
+    n: int
+    family: SupportFamily = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "family", support_family(self.rate, self.n))
+
+    @property
+    def size(self) -> int:
+        return (2 ** (self.n + 1) + 1) * self.family.cardinality
+
+    def shifts(self) -> tuple[int, ...]:
+        return tuple(range(-(2**self.n), 2**self.n + 1))
+
+    def balance(self, position: int) -> Fraction:
+        return self.family.contains_fraction(position)
+
+    def _kept_supports(self, positions: Iterable[int]) -> int:
+        """Window words kept by XOR with the flips at the given positions,
+        times the free positions' 2^(#free) supports."""
+        w = 2 * self.n
+        mask = sum(1 << (p + w) for p in positions if abs(p) <= w)
+        return self.family.stay_count(mask) * 2 ** len(self.family.free_positions)
+
+    def left_intersection(self, g: GroupElement) -> int:
+        bound = 2**self.n
+        total = 0
+        for a in range(-bound, bound + 1):
+            shifted = [d + a for d in g.flips]
+            if abs(a + g.shift) <= bound and all(abs(p) <= bound for p in shifted):
+                total += self._kept_supports(shifted)
+        return total
+
+    def right_intersection(self, g: GroupElement) -> int:
+        """Counted for pure flips; a shifted g needs enumeration (guarded)."""
+        if g.shift != 0:
+            return _enumerated_intersection(self, g, "right")
+        if any(abs(d) > 2**self.n for d in g.flips):
+            return 0
+        return (2 ** (self.n + 1) + 1) * self._kept_supports(g.flips)
+
+    def materialize(self) -> tuple[GroupElement, ...]:
+        if self.n > MATERIALIZE_MAX_N:
+            raise GuardViolation(
+                f"rate sets materialize only for n <= {MATERIALIZE_MAX_N}, got n={self.n}"
+            )
+        shifts = self.shifts()
+        return _sorted_elements(GroupElement(a, b) for b in self.family.tuples() for a in shifts)
+
+
+@dataclass(frozen=True)
+class BoxFolner(FolnerSet):
+    """All elements whose shift and flip support live inside one finite set."""
+
+    positions: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.positions) * 2 ** len(self.positions)
+
+    def shifts(self) -> tuple[int, ...]:
+        return self.positions
+
+    def balance(self, position: int) -> Fraction:
+        return Fraction(1, 2) if position in self.positions else Fraction(0)
+
+    def left_intersection(self, g: GroupElement) -> int:
+        members = set(self.positions)
+        good = sum(
+            1
+            for a in self.positions
+            if a + g.shift in members and all(d + a in members for d in g.flips)
+        )
+        return good * 2 ** len(members)
+
+    def right_intersection(self, g: GroupElement) -> int:
+        members = set(self.positions)
+        shifted = {q + g.shift for q in members}
+        if any(d not in members and d not in shifted for d in g.flips):
+            return 0
+        stable = [q for q in self.positions if q + g.shift in members]
+        return len(stable) * 2 ** len(stable)
+
+    def materialize(self) -> tuple[GroupElement, ...]:
+        box = self.positions
+        if len(box) > BOX_MATERIALIZE_MAX:
+            raise GuardViolation(f"box sets materialize only for |box| <= {BOX_MATERIALIZE_MAX}")
+        return _sorted_elements(
+            GroupElement(a, flips)
+            for a in box
+            for r in range(len(box) + 1)
+            for flips in itertools.combinations(box, r)
+        )
+
+
+@dataclass(frozen=True)
+class ExplicitFolner(FolnerSet):
+    """A set given by its elements; every count enumerates them."""
+
+    @property
+    def size(self) -> int:
+        return len(self.elements)
+
+    def shifts(self) -> None:
+        return None
+
+    def balance(self, position: int) -> Fraction:
+        return Fraction(sum(position in g.flips for g in self.elements), len(self.elements))
+
+    def left_intersection(self, g: GroupElement) -> int:
+        return _enumerated_intersection(self, g, "left")
+
+    def right_intersection(self, g: GroupElement) -> int:
+        return _enumerated_intersection(self, g, "right")
+
+
+def rate_folner(rate: RateSequence, n: int, materialize: bool = False) -> RateFolner:
+    """The n-th rate set: shifts in [-2^n, 2^n], supports from the family."""
+    recipe = (("kind", "rate"), ("n", str(n)), ("rate", repr(rate.to_dict())))
+    out = RateFolner(rate, n, recipe=recipe)
+    return replace(out, elements=out.materialize()) if materialize else out
+
+
+def box_folner(positions: Iterable[int], materialize: bool = False) -> BoxFolner:
+    """All elements whose shift and flip support live inside one finite set."""
+    box = tuple(sorted(set(int(p) for p in positions)))
+    if not box:
+        raise ValueError("box must be non-empty")
+    out = BoxFolner(box, recipe=(("kind", "box"), ("positions", repr(list(box)))))
+    return replace(out, elements=out.materialize()) if materialize else out
+
+
+def explicit_folner(elements: Iterable[GroupElement], note: str = "explicit") -> ExplicitFolner:
+    elems = _sorted_elements(elements)
+    if not elems:
+        raise ValueError("a Folner set must be non-empty")
+    return ExplicitFolner(elements=elems, recipe=(("kind", note),))
+
+
+def enumerate_elements(folner: FolnerSet) -> tuple[GroupElement, ...]:
+    """Materialize the elements (guarded for the implicit kinds)."""
+    return folner.elements if folner.elements is not None else folner.materialize()
+
+
+def flip_balance(folner: FolnerSet, position: int) -> Fraction:
+    """Exact fraction of elements whose flip support contains the position."""
+    return folner.balance(position)
+
+
+def _defect_from_intersection(size: int, intersection: int) -> Fraction:
+    # |gF| = |F|, so |gF \ F| = 2 (|F| - |gF & F|).
+    return Fraction(2 * (size - intersection), size)
+
+
 def left_defect(folner: FolnerSet, g: GroupElement) -> Fraction:
     """Exact |gF \\ F| / |F|."""
     if g == IDENTITY:
         return Fraction(0)
-    if folner.kind == "rate":
-        return _defect_from_intersection(folner.size, _rate_left_intersection(folner, g))
-    if folner.kind == "box":
-        return _defect_from_intersection(folner.size, _box_left_intersection(folner.box, g))
-    return _defect_from_intersection(folner.size, _enumerated_intersection(folner, g, "left"))
+    return _defect_from_intersection(folner.size, folner.left_intersection(g))
 
 
 def right_defect(folner: FolnerSet, g: GroupElement) -> Fraction:
     """Exact |Fg \\ F| / |F|."""
     if g == IDENTITY:
         return Fraction(0)
-    if folner.kind == "rate":
-        counted = _rate_right_intersection(folner, g)
-        if counted is None:
-            if folner.n > MATERIALIZE_MAX_N:
-                raise GuardViolation(
-                    "right translation by a shifted element needs enumeration; "
-                    f"n={folner.n} exceeds the materialization guard"
-                )
-            counted = _enumerated_intersection(folner, g, "right")
-        return _defect_from_intersection(folner.size, counted)
-    if folner.kind == "box":
-        return _defect_from_intersection(folner.size, _box_right_intersection(folner.box, g))
-    return _defect_from_intersection(folner.size, _enumerated_intersection(folner, g, "right"))
-
-
-def defect_by_enumeration(folner: FolnerSet, g: GroupElement, side: str = "left") -> Fraction:
-    """Reference path: symmetric difference of materialized sets."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    return _defect_from_intersection(folner.size, _enumerated_intersection(folner, g, side))
+    return _defect_from_intersection(folner.size, folner.right_intersection(g))
 
 
 def translate_folner(
@@ -439,14 +429,6 @@ def translate_folner(
             )
         )
     return out
-
-
-def union_folner(sets: Sequence[FolnerSet]) -> FolnerSet:
-    """Explicit union (plumbing for monotone/exhausting repairs)."""
-    elems: list[GroupElement] = []
-    for folner in sets:
-        elems.extend(enumerate_elements(folner))
-    return explicit_folner(elems, note="union")
 
 
 def interleave_folner(

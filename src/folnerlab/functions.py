@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import LipschitzViolation
+from .exact import exact
 from .lamplighter import CHECK, Point, embedding, metric
 
 
@@ -36,7 +37,7 @@ def affine(c0, c1, c2) -> TestFunction:
     distance; across components the distance is 1 and the value moves at
     most |c1| + |c2|.
     """
-    c0, c1, c2 = Fraction(c0), Fraction(c1), Fraction(c2)
+    c0, c1, c2 = exact(c0), exact(c1), exact(c2)
     bound = max(4 * abs(c1), abs(c1) + abs(c2))
 
     def evaluate(x: Point) -> Fraction:

@@ -20,16 +20,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import GuardViolation, InvariantViolation
+from .exact import exact
 from .transport import DiscreteMeasure
 
 #: Largest base family accepted when building repelling families.
 BASE_FAMILY_GUARD = 64
 
 _BISECTION_TOL = Fraction(1, 10**12)
-
-
-def _coord(value) -> Fraction:
-    return Fraction(repr(value)) if isinstance(value, float) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,7 @@ class PLHomeo:
                 raise ValueError("breakpoints must increase strictly in both coordinates")
 
     def __call__(self, t) -> Fraction:
-        t = _coord(t)
+        t = exact(t)
         if not 0 <= t <= 1:
             raise ValueError(f"argument {t} outside [0, 1]")
         pts = self.breakpoints
@@ -77,7 +74,7 @@ class PLHomeo:
 
 
 def pl_homeo(points: Iterable[Sequence]) -> PLHomeo:
-    return PLHomeo(tuple((_coord(x), _coord(y)) for x, y in points))
+    return PLHomeo(tuple((exact(x), exact(y)) for x, y in points))
 
 
 IDENTITY_MAP = pl_homeo([(0, 0), (1, 1)])
@@ -115,7 +112,7 @@ class HomeoFamily:
 def matching_number(left: HomeoFamily, right: HomeoFamily, radius) -> int:
     """Maximum number of members of `left` injectable into `right` with each
     image within uniform distance < radius (augmenting-path matching)."""
-    radius = _coord(radius)
+    radius = exact(radius)
     adjacency = [
         [j for j, e in enumerate(right.members) if sup_distance(e, f) < radius]
         for f in left.members
@@ -149,7 +146,7 @@ def repelling_element(x, eps) -> PLHomeo:
     """The minimal-breakpoint map pushing [0, x - eps) below eps and
     (x + eps, 1] above 1 - eps; interior breakpoints whose first coordinate
     leaves (0, 1) are dropped."""
-    x, eps = _coord(x), _coord(eps)
+    x, eps = exact(x), exact(eps)
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
     if not 0 < eps < Fraction(1, 2):
@@ -166,7 +163,7 @@ def repelling_element(x, eps) -> PLHomeo:
 def is_repelling(f: PLHomeo, x, eps) -> bool:
     """Exact check of the repelling inequalities (via monotonicity they
     reduce to the two cut points)."""
-    x, eps = _coord(x), _coord(eps)
+    x, eps = exact(x), exact(eps)
     low_ok = x - eps <= 0 or f(x - eps) <= eps
     high_ok = x + eps >= 1 or f(x + eps) >= 1 - eps
     return low_ok and high_ok
@@ -218,7 +215,7 @@ def repelling_family(base: HomeoFamily, n: int) -> HomeoFamily:
 
 def interval_empirical(family: HomeoFamily, y) -> DiscreteMeasure:
     """Uniform measure on the orbit {g(y)} (with multiplicity merged)."""
-    y = _coord(y)
+    y = exact(y)
     return DiscreteMeasure.uniform([g(y) for g in family.members])
 
 
@@ -228,7 +225,7 @@ def endpoint_fractions(family: HomeoFamily, y) -> tuple[Fraction, Fraction]:
     if family.n is None:
         raise ValueError("endpoint fractions need a family with an n tag")
     threshold = Fraction(1, family.n**2)
-    y = _coord(y)
+    y = exact(y)
     values = [g(y) for g in family.members]
     total = len(values)
     low = Fraction(sum(v <= threshold for v in values), total)
@@ -237,10 +234,10 @@ def endpoint_fractions(family: HomeoFamily, y) -> tuple[Fraction, Fraction]:
 
 
 def interval_distance(a, b) -> Fraction:
-    return abs(_coord(a) - _coord(b))
+    return abs(exact(a) - exact(b))
 
 
 def end_mixture(y) -> DiscreteMeasure:
     """(1 - y) delta_0 + y delta_1."""
-    y = _coord(y)
+    y = exact(y)
     return DiscreteMeasure.from_pairs(((Fraction(0), 1 - y), (Fraction(1), y)))

@@ -70,11 +70,6 @@ INF_HAT = hat(INF)
 INF_CHECK = check(INF)
 
 
-def point_key(x: Point) -> tuple:
-    """Deterministic sort key: hats before checks, finite before infinite."""
-    return (x.component != HAT, x.is_infinite(), 0 if x.is_infinite() else x.pos)
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """Canonical pair (shift, strictly increasing flip support)."""

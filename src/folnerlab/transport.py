@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import GuardViolation, LipschitzViolation, MetricOracleError
+from .exact import exact
 from . import lamplighter
 from .folner import FolnerSet, enumerate_elements
 
@@ -32,21 +33,12 @@ ASSIGNMENT_GUARD = 4096
 MASS_TOLERANCE = Fraction(1, 10**12)
 
 
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        if value != value:
-            raise MetricOracleError("NaN value")
-        return Fraction(value)
-    return Fraction(value)
-
-
 def _checked_cost(dist, x, y) -> Fraction:
     value = dist(x, y)
-    if isinstance(value, float) and value != value:
-        raise MetricOracleError(f"metric returned NaN at ({x!r}, {y!r})")
-    cost = _to_fraction(value)
+    try:
+        cost = exact(value)
+    except ValueError as exc:
+        raise MetricOracleError(f"metric returned {value!r} at ({x!r}, {y!r})") from exc
     if cost < 0:
         raise MetricOracleError(f"metric returned negative value {value!r}")
     return cost
@@ -67,7 +59,7 @@ class DiscreteMeasure:
     def from_pairs(pairs: Iterable[tuple[Hashable, object]]) -> "DiscreteMeasure":
         merged: dict[Hashable, Fraction] = {}
         for point, mass in pairs:
-            m = _to_fraction(mass)
+            m = exact(mass)
             if m < 0:
                 raise ValueError(f"negative mass {mass!r}")
             if m > 0:
@@ -89,7 +81,7 @@ class DiscreteMeasure:
         return DiscreteMeasure.from_pairs((p, Fraction(1, n)) for p in points)
 
     def integrate(self, f: Callable) -> Fraction:
-        return sum((mass * _to_fraction(f(point)) for point, mass in self.atoms), Fraction(0))
+        return sum((mass * exact(f(point)) for point, mass in self.atoms), Fraction(0))
 
     def support(self) -> tuple[Hashable, ...]:
         return tuple(point for point, _ in self.atoms)
@@ -287,7 +279,7 @@ def dual_lower_bound(
         declared = getattr(f, "lipschitz", Fraction(1))
         if declared > 1:
             raise LipschitzViolation(f"witness declares Lipschitz constant {declared} > 1")
-        values = {p: _to_fraction(f(p)) for p in points}
+        values = {p: exact(f(p)) for p in points}
         for a in range(len(points)):
             for b in range(a + 1, len(points)):
                 p, q = points[a], points[b]

@@ -3,8 +3,8 @@
 These deliberately avoid the library's solver code paths: assignment by
 factorial enumeration, transportation by enumerating spanning bases of
 the bipartite support graph or, onto two atoms, as a fractional knapsack,
-matching by trying every injection, and defects by materializing both
-sets.
+matching by trying every injection, defects by materializing both sets,
+and the rate family's selection words from their Fraction definition.
 """
 
 from fractions import Fraction
@@ -118,3 +118,22 @@ def brute_defect(folner: FolnerSet, g: GroupElement, side: str) -> Fraction:
     elements = set(enumerate_elements(folner))
     moved = {compose(g, h) if side == "left" else compose(h, g) for h in elements}
     return Fraction(len(elements ^ moved), len(elements))
+
+
+def selection_word(rate, n: int, k: int) -> tuple[int, ...]:
+    """The k-th threshold word over positions -n..n: bit l is 1 iff
+    0 < r_l - (k-1) 2^(-2n) <= 1."""
+    if not 1 <= k <= 4**n:
+        raise ValueError(f"k={k} outside 1..{4 ** n}")
+    offset = Fraction(k - 1, 4**n)
+    return tuple(int(0 < rate.value(l) - offset <= 1) for l in range(-n, n + 1))
+
+
+def word_family(rate, n: int) -> tuple[tuple[int, ...], ...]:
+    """All 2^(2n) words over the window -2n..2n: selection word in the
+    middle, the bits of k-1 (little-endian, 2n of them) split around it."""
+    words = []
+    for k in range(1, 4**n + 1):
+        pad = [(k - 1) >> i & 1 for i in range(2 * n)]
+        words.append(tuple(pad[:n]) + selection_word(rate, n, k) + tuple(pad[n:]))
+    return tuple(words)

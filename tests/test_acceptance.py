@@ -12,7 +12,6 @@ from oracles import brute_assignment_distance, brute_matching
 
 from folnerlab.dynamics import (
     GENERATORS,
-    LimitProfile,
     average_invariance_defect,
     averaging_residual,
     default_sample,
@@ -112,7 +111,7 @@ def test_acceptance_1_selection_ratio_bound():
 def test_acceptance_2_genericity_at_the_origin():
     start = time.monotonic()
     for name, rate in PRESETS.items():
-        profile = LimitProfile(rate)
+        profile = rate
         sets = [rate_folner(rate, n) for n in (1, 2, 3)]
         rows, violations = genericity_table(sets, hat(0), profile)
         assert violations == [], name
@@ -209,7 +208,7 @@ def test_acceptance_6_operator_identities():
     rng = random.Random(31337)
     sample = default_sample(10)
     for name, rate in PRESETS.items():
-        profile = LimitProfile(rate)
+        profile = rate
         for _ in range(20):
             f, h = random_affine(rng), random_affine(rng)
             assert seever_residual(profile, f, h, sample) <= TOL_12, name
@@ -223,7 +222,7 @@ def test_acceptance_6_operator_identities():
         for b in range(-8, 9):
             residual = averaging_residual(profile, separator, separator, hat(b))
             assert (abs(residual) <= TOL_12) == (rate.value(b) in (0, 1))
-    zero_profile = LimitProfile(PRESETS["const:0"])
+    zero_profile = PRESETS["const:0"]
     separator = ends_separator()
     gap = translation_gap(zero_profile, separator, FLIP, sample)
     expected = abs(Fraction(separator(INF_HAT)) - Fraction(separator(INF_CHECK)))
@@ -242,12 +241,12 @@ def test_acceptance_7_four_case_table():
     for case, verdict in expected.items():
         bundle = example_case(case)
         assert (bundle.continuous, bundle.finite_ergodic) == verdict
-        assert verdicts(bundle.profile, 64) == verdict
+        assert verdicts(bundle.rate, 64) == verdict
         for b in range(-64, 65):
-            mu_hat = limit_measure(bundle.profile, hat(b))
+            mu_hat = limit_measure(bundle.rate, hat(b))
             value, _ = wasserstein(mu_hat, target, metric)
-            assert value == bundle.profile.rate.value(b)
-            mu_check = limit_measure(bundle.profile, check(b))
+            assert value == bundle.rate.value(b)
+            mu_check = limit_measure(bundle.rate, check(b))
             hat_weight = mu_hat.mass_where(lambda p: p.component != CHECK)
             check_weight = mu_check.mass_where(lambda p: p.component == CHECK)
             assert hat_weight == check_weight  # hat/check swap symmetry
@@ -268,11 +267,11 @@ def test_acceptance_8_appendix_checks():
         ]
         assert values[0] >= values[1] >= values[2], g
     for rate in PRESETS.values():
-        profile = LimitProfile(rate)
+        profile = rate
         for x in default_sample(6):
             assert invariance_gap(limit_measure(profile, x)) == 0
     rng = random.Random(97)
-    profile = LimitProfile(PRESETS["decay"])
+    profile = PRESETS["decay"]
     ones = limit_apply(profile, constant(1))
     assert all(ones(x) == 1 for x in sample)
     for _ in range(100):

@@ -109,6 +109,13 @@ def test_transport_interval_measures(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"]["float"] == 1.0
 
 
+def test_transport_refuses_non_finite_masses(tmp_path, capsys):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps([{"point": {"component": "hat", "pos": 0}, "mass": "nan"}]))
+    assert run_cli("transport", "wasserstein", "--mu", str(mu), "--nu", str(mu)) == 1
+    assert "not an exact number" in capsys.readouterr().err
+
+
 def test_dynamics_thm_example(capsys):
     assert run_cli("dynamics", "thm-example", "--case", "d") == 0
     out = capsys.readouterr().out
@@ -187,6 +194,9 @@ def test_validate_config_rejects_bad_rate():
         validate_config(
             '{"scenarios": [{"id": "genericity", "params": {"rate": {"default": 1.5}}}]}'
         )
+    assert any("rate" in v for v in err.value.violations)
+    with pytest.raises(ConfigError) as err:
+        validate_config('{"scenarios": [{"id": "genericity", "params": {"rate": {"window": [1]}}}]}')
     assert any("rate" in v for v in err.value.violations)
 
 
@@ -278,3 +288,35 @@ def test_experiment_full_run_has_no_failures(tmp_path):
 def test_usage_error_returns_one():
     assert run_cli("folner") == 1
     assert run_cli("nonexistent") == 1
+
+
+def test_thm_example_case_b_over_the_whole_bmax_range(tmp_path):
+    config = tmp_path / "b.json"
+    config.write_text(json.dumps({"scenarios": [{"id": "thm-example", "params": {"case": "b", "bmax": 256}}]}))
+    assert run_cli("experiment", "--config", str(config), "--out", str(tmp_path / "res")) == 0
+    assert json.loads((tmp_path / "res" / "manifest.json").read_text())["failures"] == []
+    rows = (tmp_path / "res" / "results.csv").read_text().splitlines()
+    assert f"thm-example-b,,hat:256,w-to-hat-end,{1 / 258!r},closed-form" in rows
+    assert "thm-example-b,,verdict,ergodic-somewhere,0.0,closed-form" in rows
+
+
+def test_dynamics_generic_guard_exit_code(capsys):
+    assert run_cli("dynamics", "generic", "--preset", "r-const:0.5", "--nmax", "8") == 3
+    assert "1026x2" in capsys.readouterr().err
+
+
+def test_folner_defect_params_checked_with_the_config():
+    bad_word = {"scenarios": [{"id": "folner-defect", "params": {"generators": ["s", "q"]}}]}
+    with pytest.raises(ConfigError) as err:
+        validate_config(json.dumps(bad_word))
+    assert any(".params.generators:" in v for v in err.value.violations)
+    assert not guard_violations(err.value)
+    # materialize is no parameter of the scenario, so it trips no guard
+    flagged = {"scenarios": [{"id": "folner-defect", "params": {"nmax": 5, "materialize": True}}]}
+    assert validate_config(json.dumps(flagged)).scenarios[0].params["materialize"] is True
+
+
+def test_run_experiment_checks_unvalidated_params():
+    with pytest.raises(ConfigError) as err:
+        run_experiment(ExperimentConfig((ScenarioSpec("rightavg", {"nmax": 0}),)))
+    assert any("nmax" in v for v in err.value.violations)

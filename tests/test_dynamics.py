@@ -7,7 +7,6 @@ import pytest
 
 from folnerlab.dynamics import (
     GENERATORS,
-    LimitProfile,
     average_invariance_defect,
     averaging_residual,
     box_average_tail_bound,
@@ -84,8 +83,8 @@ def test_full_rate_toggles_everything():
     ones = RateSequence.constant(1)
     mu = empirical_measure(rate_folner(ones, 1), hat(0))
     assert mu.mass_where(lambda p: p.component == CHECK) == 1
-    assert limit_measure(LimitProfile(ones), hat(0)) == DiscreteMeasure.point_mass(INF_CHECK)
-    assert is_ergodic(LimitProfile(ones), 0)
+    assert limit_measure(ones, hat(0)) == DiscreteMeasure.point_mass(INF_CHECK)
+    assert is_ergodic(ones, 0)
 
 
 def test_average_two_evaluation_orders_agree():
@@ -105,18 +104,18 @@ def test_average_of_constant():
 
 
 def test_limit_measure_cases():
-    prof = LimitProfile(HALF)
+    prof = HALF
     mu = limit_measure(prof, hat(0))
     assert dict(mu.atoms) == {INF_HAT: Fraction(1, 2), INF_CHECK: Fraction(1, 2)}
     assert limit_measure(prof, INF_HAT) == DiscreteMeasure.point_mass(INF_HAT)
-    zero_prof = LimitProfile(ZERO)
+    zero_prof = ZERO
     assert limit_measure(zero_prof, check(5)) == DiscreteMeasure.point_mass(INF_CHECK)
     assert limit_measure(zero_prof, hat(5)) == DiscreteMeasure.point_mass(INF_HAT)
 
 
 def test_limit_measure_supported_on_the_two_ends():
     for rate in PRESETS.values():
-        prof = LimitProfile(rate)
+        prof = rate
         for x in default_sample(6):
             support = set(limit_measure(prof, x).support())
             assert support <= {INF_HAT, INF_CHECK}
@@ -124,7 +123,7 @@ def test_limit_measure_supported_on_the_two_ends():
 
 def test_genericity_zero_at_infinity():
     rows, violations = genericity_table(
-        [rate_folner(HALF, n) for n in (1, 2, 3)], INF_HAT, LimitProfile(HALF)
+        [rate_folner(HALF, n) for n in (1, 2, 3)], INF_HAT, HALF
     )
     assert [r.distance for r in rows] == [0, 0, 0]
     assert violations == []
@@ -133,7 +132,7 @@ def test_genericity_zero_at_infinity():
 def test_genericity_decreasing_and_bounded():
     for name, rate in PRESETS.items():
         sets = [rate_folner(rate, n) for n in (1, 2, 3)]
-        rows, violations = genericity_table(sets, hat(0), LimitProfile(rate))
+        rows, violations = genericity_table(sets, hat(0), rate)
         assert violations == []
         assert rows[0].distance > rows[1].distance > rows[2].distance
         for row in rows:
@@ -150,7 +149,7 @@ def test_genericity_bound_off_origin():
     for rate in (HALF, PRESETS["decay"], PRESETS["split"]):
         sets = [rate_folner(rate, n) for n in (2, 3)]
         for x in (hat(1), check(1), hat(-2), check(2)):
-            rows, _ = genericity_table(sets, x, LimitProfile(rate))
+            rows, _ = genericity_table(sets, x, rate)
             assert all(row.distance <= row.bound for row in rows)
 
 
@@ -191,7 +190,7 @@ def test_right_box_average_tail_bound():
 
 
 def test_limit_operator_constant_and_projection():
-    prof = LimitProfile(PRESETS["decay"])
+    prof = PRESETS["decay"]
     s_const = limit_apply(prof, constant(3))
     sample = default_sample(10)
     assert all(s_const(x) == 3 for x in sample)  # S1 = 1 scaled
@@ -202,7 +201,7 @@ def test_limit_operator_constant_and_projection():
 
 
 def test_limit_operator_zero_rate():
-    sf = limit_apply(LimitProfile(ZERO), affine(0, 1, 1))
+    sf = limit_apply(ZERO, affine(0, 1, 1))
     f = affine(0, 1, 1)
     for b in range(-10, 11):
         assert sf(hat(b)) == Fraction(f(INF_HAT))
@@ -210,7 +209,7 @@ def test_limit_operator_zero_rate():
 
 def test_limit_operator_positivity():
     rng = random.Random(71)
-    prof = LimitProfile(PRESETS["split"])
+    prof = PRESETS["split"]
     sample = default_sample(8)
     for _ in range(50):
         f = bump(hat(rng.randint(-4, 4)), Fraction(rng.randint(1, 4), 4))
@@ -222,7 +221,7 @@ def test_seever_residual_zero():
     sample = default_sample(8)
     rng = random.Random(73)
     for rate in PRESETS.values():
-        prof = LimitProfile(rate)
+        prof = rate
         assert seever_residual(prof, constant(2), random_affine(rng), sample) == 0
         for _ in range(10):
             f, h = random_affine(rng), random_affine(rng)
@@ -231,12 +230,12 @@ def test_seever_residual_zero():
 
 def test_averaging_residual_formula():
     separator = ends_separator()
-    prof = LimitProfile(HALF)
+    prof = HALF
     assert averaging_residual(prof, separator, separator, hat(0)) == Fraction(1, 4)
     assert averaging_residual(prof, constant(5), separator, hat(0)) == 0
     rng = random.Random(79)
     for rate in PRESETS.values():
-        prof = LimitProfile(rate)
+        prof = rate
         for _ in range(10):
             f, h = random_affine(rng), random_affine(rng)
             b = rng.randint(-6, 6)
@@ -250,7 +249,7 @@ def test_averaging_residual_formula():
 def test_averaging_residual_vanishes_iff_rate_degenerate():
     separator = ends_separator()
     for name, rate in PRESETS.items():
-        prof = LimitProfile(rate)
+        prof = rate
         for b in (-3, 0, 2):
             value = averaging_residual(prof, separator, separator, hat(b))
             assert (value == 0) == (rate.value(b) in (0, 1))
@@ -261,10 +260,10 @@ def test_translation_gap_examples():
     sample = default_sample(10)
     # constant rates are shift-invariant
     for rate in (ZERO, HALF):
-        assert translation_gap(LimitProfile(rate), separator, SIGMA, sample) == 0
-    assert translation_gap(LimitProfile(PRESETS["decay"]), separator, IDENTITY, sample) == 0
+        assert translation_gap(rate, separator, SIGMA, sample) == 0
+    assert translation_gap(PRESETS["decay"], separator, IDENTITY, sample) == 0
     # at zero rate the flip swaps the two point-mass limits at the origin
-    gap = translation_gap(LimitProfile(ZERO), separator, FLIP, sample)
+    gap = translation_gap(ZERO, separator, FLIP, sample)
     expected = abs(Fraction(separator(INF_HAT)) - Fraction(separator(INF_CHECK)))
     assert gap == expected == 1
 
@@ -290,7 +289,7 @@ def test_invariance_gap():
     assert invariance_gap(balanced) == 0
     assert invariance_gap(DiscreteMeasure.point_mass(hat(0))) > 0
     for rate in PRESETS.values():
-        prof = LimitProfile(rate)
+        prof = rate
         for x in default_sample(4):
             assert invariance_gap(limit_measure(prof, x)) == 0
 
@@ -300,7 +299,7 @@ def test_example_cases():
     for case, (continuous, pattern) in expected.items():
         bundle = example_case(case)
         assert (bundle.continuous, bundle.finite_ergodic) == (continuous, pattern)
-        assert verdicts(bundle.profile, 64) == (continuous, pattern)
+        assert verdicts(bundle.rate, 64) == (continuous, pattern)
     with pytest.raises(ValueError):
         example_case("e")
 
@@ -308,16 +307,16 @@ def test_example_cases():
 def test_case_distance_to_hat_end_is_rate():
     target = DiscreteMeasure.point_mass(INF_HAT)
     for case in "abcd":
-        profile = example_case(case).profile
+        profile = example_case(case).rate
         for b in range(-16, 17):
             mu = limit_measure(profile, hat(b))
             value, _ = wasserstein(mu, target, metric)
-            assert value == profile.rate.value(b)
+            assert value == profile.value(b)
 
 
 def test_case_hat_check_symmetry():
     for case in "abcd":
-        profile = example_case(case).profile
+        profile = example_case(case).rate
         for b in range(-16, 17):
             mu_hat = limit_measure(profile, hat(b))
             mu_check = limit_measure(profile, check(b))
@@ -327,9 +326,9 @@ def test_case_hat_check_symmetry():
 
 
 def test_is_ergodic():
-    assert is_ergodic(LimitProfile(ZERO), 3)
-    assert not is_ergodic(LimitProfile(HALF), 3)
-    split = LimitProfile(PRESETS["split"])
+    assert is_ergodic(ZERO, 3)
+    assert not is_ergodic(HALF, 3)
+    split = PRESETS["split"]
     assert is_ergodic(split, -1) and not is_ergodic(split, 1)
 
 

@@ -1,17 +1,18 @@
 """Folner families: selection words, cardinalities, defects, balances."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import brute_defect
+from oracles import brute_defect, selection_word, word_family
 
 from folnerlab.errors import GuardViolation, HorizonExhausted
 from folnerlab.folner import (
     RateSequence,
     box_folner,
-    defect_by_enumeration,
     enumerate_elements,
     explicit_folner,
     flip_balance,
@@ -19,11 +20,8 @@ from folnerlab.folner import (
     left_defect,
     rate_folner,
     right_defect,
-    selection_word,
     support_family,
     translate_folner,
-    union_folner,
-    word_family,
 )
 from folnerlab.lamplighter import (
     FLIP,
@@ -191,8 +189,8 @@ def test_counting_matches_enumeration_n3():
     folner = rate_folner(HALF, 3)
     materialized = rate_folner(HALF, 3, materialize=True)
     for g in (SIGMA, FLIP, flip_at(7)):
-        assert left_defect(folner, g) == defect_by_enumeration(materialized, g, "left")
-    assert right_defect(folner, FLIP) == defect_by_enumeration(materialized, FLIP, "right")
+        assert left_defect(folner, g) == brute_defect(materialized, g, "left")
+    assert right_defect(folner, FLIP) == brute_defect(materialized, FLIP, "right")
 
 
 def test_left_defect_nonincreasing_for_generators():
@@ -289,7 +287,7 @@ def test_translate_preserves_left_defects():
     for before, after in zip(sets, translated):
         assert after.size == before.size
         for g in (SIGMA, FLIP, GroupElement(rng.randint(-2, 2), (0,))):
-            assert left_defect(after, g) == defect_by_enumeration(before, g, "left")
+            assert left_defect(after, g) == brute_defect(before, g, "left")
 
 
 def test_translate_repel_example():
@@ -300,11 +298,6 @@ def test_translate_repel_example():
         g = compose(flip_at(n), GroupElement(-n, ()))
         assert g == GroupElement(-n, (0,))
         assert act(g, hat(0)) == check(n)
-
-
-def test_union_folner():
-    merged = union_folner([box_folner([0], materialize=True), box_folner([0, 1], materialize=True)])
-    assert merged.size == 8  # the smaller box is contained in the larger
 
 
 def test_rate_presets():
@@ -327,3 +320,36 @@ def test_folner_serialization():
     assert len(payload["elements"]) == 20
     virtual = rate_folner(HALF, 2)
     assert "elements" not in virtual.to_dict()
+
+
+def _packed(word) -> int:
+    return sum(bit << i for i, bit in enumerate(word))
+
+
+_fractions = st.fractions(min_value=0, max_value=1, max_denominator=300)
+_rates = st.builds(
+    RateSequence.make,
+    _fractions,
+    st.dictionaries(st.integers(-6, 6), _fractions, max_size=8),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rates, st.integers(1, 4))
+def test_integer_words_match_the_fraction_definition(rate, n):
+    words = support_family(rate, n).words
+    assert len(words) == 4**n
+    assert words == {_packed(w) for w in word_family(rate, n)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rates)
+def test_rate_dict_round_trip(rate):
+    assert RateSequence.from_dict(rate.to_dict()) == rate
+    assert RateSequence.from_dict(json.loads(json.dumps(rate.to_dict()))) == rate
+
+
+def test_rate_dict_is_exact():
+    third = RateSequence.make(Fraction(1, 3), {-1: 0.1, 2: "2/7"})
+    assert third.to_dict() == {"default": "1/3", "window": {"-1": "1/10", "2": "2/7"}}
+    assert RateSequence.from_dict(third.to_dict()) == third

@@ -16,13 +16,13 @@ from oracles import (
 )
 
 from folnerlab.dynamics import (
-    LimitProfile,
     empirical_measure,
     genericity_table,
     limit_measure,
     wf_estimate,
 )
 from folnerlab.errors import GuardViolation, LipschitzViolation, MetricOracleError
+from folnerlab.exact import exact
 from folnerlab.folner import RateSequence, explicit_folner, rate_folner
 from folnerlab.functions import ends_separator, scaled_to_unit, affine
 from folnerlab.lamplighter import (
@@ -128,6 +128,17 @@ def test_wasserstein_metric_axioms():
         d_mp, _ = wasserstein(mu, pi, metric)
         d_pn, _ = wasserstein(pi, nu, metric)
         assert d_mn <= d_mp + d_pn
+
+
+def test_outside_numbers_convert_exactly():
+    tenths = DiscreteMeasure.from_pairs([(hat(0), 0.1), (hat(1), 0.2), (hat(2), 0.7)])
+    assert [m for _, m in tenths.atoms] == [Fraction(1, 10), Fraction(1, 5), Fraction(7, 10)]
+    thirds = DiscreteMeasure.from_pairs([(hat(0), "1/3"), (hat(1), "2/3")])
+    assert thirds.atoms[0][1] == Fraction(1, 3)
+    for bad in (float("nan"), float("inf"), "nan", "1/0", [1]):
+        with pytest.raises(ValueError):
+            exact(bad)
+    assert affine(0.1, 0, 0)(hat(0)) == Fraction(1, 10)
 
 
 def test_metric_oracle_errors():
@@ -324,7 +335,7 @@ def test_scaling_costs_scales_the_value_and_keeps_the_plan(problem, factor):
 @pytest.mark.parametrize("preset", ["const:1/2", "const:1/3", "zero", "decay", "split"])
 def test_genericity_distances_match_knapsack(preset):
     rate = RateSequence.from_preset(preset)
-    profile = LimitProfile(rate)
+    profile = rate
     sets = [rate_folner(rate, n) for n in range(1, 6)]
     for x in (hat(0), check(2), hat(-3)):
         rows, _ = genericity_table(sets, x, profile)
