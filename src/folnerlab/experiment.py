@@ -178,9 +178,15 @@ class Scenario:
         return values, violations
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass in Python, so true and
+    false are refused explicitly."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer(low: int, high: float = math.inf) -> Callable:
     def parse(value):
-        if not isinstance(value, int) or not low <= value <= high:
+        if not _is_integer(value) or not low <= value <= high:
             raise ValueError(f"must be an integer in [{low}, {high}]")
         return value
 
@@ -344,11 +350,14 @@ SCENARIOS = {
         {
             "n": Param(
                 [4, 8, 16, 32],
-                _list_of(lambda n: isinstance(n, int) and 2 <= n <= 64, "integers in [2, 64]"),
+                _list_of(lambda n: _is_integer(n) and 2 <= n <= 64, "integers in [2, 64]"),
             ),
             "y": Param(
                 [0.25, 0.5, 0.75],
-                _list_of(lambda y: isinstance(y, (int, float)) and 0 <= y <= 1, "numbers in [0, 1]"),
+                _list_of(
+                    lambda y: (_is_integer(y) or isinstance(y, float)) and 0 <= y <= 1,
+                    "numbers in [0, 1]",
+                ),
             ),
         },
     ),
@@ -374,7 +383,7 @@ def validate_config(raw: str) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError(["config must be a JSON object"])
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_integer(seed):
         violations.append("seed: must be an integer")
         seed = 0
     fmt = data.get("format", "csv")

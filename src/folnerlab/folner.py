@@ -441,8 +441,9 @@ def interleave_folner(
     """Pick, for each slot n, a member of family schedule[n-1] whose left
     defect against every test element is at most target(n) (default 1/n).
 
-    The search inspects at most ``horizon`` members per slot and fails
-    loudly if none qualifies.
+    The search inspects at most ``horizon`` members per slot (a sequence
+    family ends at its length; errors a callable family raises propagate)
+    and fails loudly if none qualifies.
     """
     if len(schedule) != len(test_elements):
         raise ValueError("need one test set per schedule slot")
@@ -452,11 +453,9 @@ def interleave_folner(
         family = families[family_index]
         bound = target(slot)
         picked = None
-        for member_index in range(horizon):
-            try:
-                member = family(member_index) if callable(family) else family[member_index]
-            except IndexError:
-                break
+        reach = horizon if callable(family) else min(horizon, len(family))
+        for member_index in range(reach):
+            member = family(member_index) if callable(family) else family[member_index]
             worst = max((left_defect(member, g) for g in tests), default=Fraction(0))
             if worst <= bound:
                 picked = replace(

@@ -4,13 +4,15 @@ These deliberately avoid the library's solver code paths: assignment by
 factorial enumeration, transportation by enumerating spanning bases of
 the bipartite support graph or, onto two atoms, as a fractional knapsack,
 matching by trying every injection, defects by materializing both sets,
-and the rate family's selection words from their Fraction definition.
+the rate family's selection words from their Fraction definition, and
+PL maps by evaluating their breakpoint lists point by point in Fraction.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from folnerlab.folner import FolnerSet, enumerate_elements
+from folnerlab.homeo import repelling_element, squash_margin
 from folnerlab.lamplighter import GroupElement, act, compose, metric
 
 
@@ -137,3 +139,49 @@ def word_family(rate, n: int) -> tuple[tuple[int, ...], ...]:
         pad = [(k - 1) >> i & 1 for i in range(2 * n)]
         words.append(tuple(pad[:n]) + selection_word(rate, n, k) + tuple(pad[n:]))
     return tuple(words)
+
+
+def pl_value(points, t) -> Fraction:
+    """Value at t of the PL map with these breakpoints: binary search for
+    the segment, then one Fraction interpolation."""
+    lo, hi = 0, len(points) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if points[mid][0] <= t:
+            lo = mid
+        else:
+            hi = mid
+    (x0, y0), (x1, y1) = points[lo], points[hi]
+    if t == x0:
+        return y0
+    return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+
+
+def pl_sup_distance(f, g) -> Fraction:
+    """max |f - g| evaluated point by point over the merged breakpoint grid."""
+    grid = sorted({x for x, _ in f.breakpoints} | {x for x, _ in g.breakpoints})
+    return max(abs(pl_value(f.breakpoints, t) - pl_value(g.breakpoints, t)) for t in grid)
+
+
+def pl_compose_breakpoints(outer, inner) -> tuple:
+    """Breakpoints of outer . inner: the inner grid joined with the
+    preimages of the outer grid, each point evaluated as outer(inner(t))."""
+    inverse = tuple((y, x) for x, y in inner.breakpoints)
+    grid = sorted({x for x, _ in inner.breakpoints} | {pl_value(inverse, x) for x, _ in outer.breakpoints})
+    return tuple((t, pl_value(outer.breakpoints, pl_value(inner.breakpoints, t))) for t in grid)
+
+
+def repelling_breakpoints(base, n: int) -> list:
+    """Breakpoints of the repelling family's members in order: base maps
+    composed point by point with the grid's repelling elements, duplicates
+    dropped by scanning the members kept so far."""
+    threshold = Fraction(1, n * n)
+    eps = min(squash_margin(base.members, threshold), threshold)
+    members = []
+    for k in range(n + 1):
+        mover = repelling_element(Fraction(k, n), eps)
+        for g in base.members:
+            points = pl_compose_breakpoints(g, mover)
+            if points not in members:
+                members.append(points)
+    return members

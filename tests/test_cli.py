@@ -200,6 +200,25 @@ def test_validate_config_rejects_bad_rate():
     assert any("rate" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"seed": True, "scenarios": []}, "seed"),
+        ({"scenarios": [{"id": "rightavg", "params": {"nmax": True}}]}, "params.nmax"),
+        ({"scenarios": [{"id": "homeo-empirical", "params": {"n": [4, True]}}]}, "params.n"),
+        ({"scenarios": [{"id": "homeo-empirical", "params": {"y": [False]}}]}, "params.y"),
+    ],
+)
+def test_config_integers_refuse_booleans(tmp_path, capsys, config, field):
+    with pytest.raises(ConfigError) as err:
+        validate_config(json.dumps(config))
+    assert any(v.startswith(field) or f".{field}:" in v for v in err.value.violations)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("experiment", "--config", str(path), "--out", str(tmp_path / "res")) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_validate_config_guard_marked():
     with pytest.raises(ConfigError) as err:
         validate_config('{"scenarios": [{"id": "genericity", "params": {"nmax": 8}}]}')

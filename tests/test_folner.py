@@ -272,6 +272,22 @@ def test_interleave_horizon_exhausted():
         )
 
 
+def test_interleave_sequence_family_ends_at_its_length():
+    family = [rate_folner(HALF, 1)] * 2
+    with pytest.raises(HorizonExhausted):
+        interleave_folner([family], [0], [[SIGMA]], target=lambda n: Fraction(1, 10))
+
+
+def test_interleave_callable_errors_propagate():
+    def family(index):
+        if index == 1:
+            raise IndexError("broken family member")
+        return rate_folner(HALF, 1)
+
+    with pytest.raises(IndexError, match="broken family member"):
+        interleave_folner([family], [0], [[SIGMA]], target=lambda n: Fraction(1, 10))
+
+
 def test_translate_identity_keeps_sets():
     sets = [rate_folner(HALF, n, materialize=True) for n in (1, 2)]
     translated = translate_folner(sets, [IDENTITY, IDENTITY])

@@ -4,11 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import brute_matching
+from oracles import (
+    brute_matching,
+    pl_compose_breakpoints,
+    pl_sup_distance,
+    pl_value,
+    repelling_breakpoints,
+)
 
 from folnerlab.errors import GuardViolation
 from folnerlab.homeo import (
+    _closer_than,
+    _max_matching,
     BASE_FAMILY_GUARD,
     HomeoFamily,
     IDENTITY_MAP,
@@ -233,3 +242,74 @@ def test_interval_empirical_transport_decreasing():
 def test_serialization_roundtrip():
     kink = pl_homeo([(0, 0), (Fraction(1, 3), Fraction(2, 3)), (1, 1)])
     assert PLHomeo.from_dict(kink.to_dict()) == kink
+
+
+# Property tests: the integer merge sweep against the Fraction reference.
+
+INTERIOR = st.builds(Fraction, st.integers(1, 29), st.integers(2, 30)).filter(lambda v: v < 1)
+
+
+@st.composite
+def pl_maps(draw, max_breaks=4):
+    xs = sorted(draw(st.lists(INTERIOR, unique=True, max_size=max_breaks)))
+    ys = sorted(draw(st.lists(INTERIOR, unique=True, min_size=len(xs), max_size=len(xs))))
+    return PLHomeo(((Fraction(0), Fraction(0)), *zip(xs, ys), (Fraction(1), Fraction(1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pl_maps(), pl_maps(), st.lists(st.fractions(min_value=0, max_value=1, max_denominator=50), max_size=6))
+def test_evaluation_matches_pointwise_reference(f, g, sample):
+    for t in [*sample, *g.xs(), *f.xs()]:
+        assert f(t) == pl_value(f.breakpoints, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pl_maps(), pl_maps())
+def test_sweep_sup_distance_matches_pointwise_maximum(f, g):
+    assert sup_distance(f, g) == pl_sup_distance(f, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pl_maps(), pl_maps(), st.fractions(min_value=-1, max_value=2, max_denominator=60))
+def test_early_exit_predicate_matches_reference(f, g, extra):
+    reference = pl_sup_distance(f, g)
+    grid = set(f.xs()) | set(g.xs())
+    gaps = {abs(pl_value(f.breakpoints, t) - pl_value(g.breakpoints, t)) for t in grid}
+    for radius in gaps | {extra, reference, reference + Fraction(1, 10**9)}:
+        assert _closer_than(f, g, radius) == (reference < radius)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pl_maps(), pl_maps())
+def test_compose_matches_pointwise_formula(outer, inner):
+    assert compose_maps(outer, inner).breakpoints == pl_compose_breakpoints(outer, inner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(pl_maps(3), min_size=1, max_size=5),
+    st.lists(pl_maps(3), min_size=1, max_size=5),
+    st.integers(min_value=0),
+)
+def test_matching_matches_brute_force_on_sampled_radii(left, right, pick):
+    distances = sorted({pl_sup_distance(e, f) for e in right for f in left})
+    radius = distances[pick % len(distances)]  # ties exercise the strict test
+    adjacency = [{j for j, e in enumerate(right) if pl_sup_distance(e, f) < radius} for f in left]
+    expected = brute_matching(adjacency, len(left), len(right))
+    assert matching_number(HomeoFamily(tuple(left)), HomeoFamily(tuple(right)), radius) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(pl_maps(3), min_size=1, max_size=3), st.sampled_from([2, 4, 8]))
+def test_repelling_family_members_and_order_match_reference(maps, n):
+    base = HomeoFamily((*maps, maps[0]))  # a repeated base map yields duplicate members
+    members = repelling_family(base, n).members
+    assert [m.breakpoints for m in members] == repelling_breakpoints(base, n)
+
+
+def test_max_matching_long_augmenting_chain():
+    # left i meets rights i and i + 1; the last left meets only right 0, so
+    # its augmenting path runs through every earlier left vertex
+    size = 1501
+    adjacency = [[i, i + 1] for i in range(size - 1)] + [[0]]
+    assert _max_matching(adjacency) == size
