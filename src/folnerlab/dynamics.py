@@ -8,6 +8,8 @@ measure on the pair of infinities whose weights are read off the rate
 sequence; the resulting limit operator S is a positive contractive
 projection and satisfies Seever's identity, while its averaging defect
 factors exactly as r(1-r) * (gap of f at the ends) * (gap of h).
+Since every limit measure lives on the two ends, S f is fixed by f's two
+end values and the rate: S reads f once at each end.
 All quantities here are exact rationals.
 """
 
@@ -19,15 +21,15 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import GuardViolation, InvariantViolation
+from .exact import exact
 from .folner import (
     FolnerSet,
     RateFolner,
     RateSequence,
-    box_folner,
     enumerate_elements,
     flip_balance,
 )
-from .functions import TestFunction, canonical_family
+from .functions import canonical_family
 from .lamplighter import (
     CHECK,
     FLIP,
@@ -91,21 +93,33 @@ def folner_average(folner: FolnerSet, f: Callable, x: Point) -> Fraction:
     return empirical_measure(folner, x).integrate(f)
 
 
+def _end_masses(rate: RateSequence, x: Point) -> tuple[Fraction, Fraction]:
+    """(hat-end mass, check-end mass) of the limit measure at a finite x."""
+    r = rate.value(x.pos)
+    return (1 - r, r) if x.component == HAT else (r, 1 - r)
+
+
 def limit_measure(rate: RateSequence, x: Point) -> DiscreteMeasure:
     """Two-atom limit on the infinities: from a hat point of position b the
-    check end receives weight r_b, from a check point the hat end does."""
+    check end receives weight r_b, from a check point the hat end does.
+    Zero-mass atoms are dropped."""
     if x.is_infinite():
         return DiscreteMeasure.point_mass(x)
-    r = rate.value(x.pos)
-    hat_mass = 1 - r if x.component == HAT else r
-    return DiscreteMeasure.from_pairs(((INF_HAT, hat_mass), (INF_CHECK, 1 - hat_mass)))
+    masses = zip((INF_HAT, INF_CHECK), _end_masses(rate, x))
+    return DiscreteMeasure(tuple((end, mass) for end, mass in masses if mass))
 
 
 def limit_apply(rate: RateSequence, f: Callable) -> Callable[[Point], Fraction]:
-    """(S f)(x) = integral of f against the limit measure at x."""
+    """(S f)(x) = integral of f against the limit measure at x.  S reads f
+    once at each end, when the operator is built; at a finite x it returns
+    the end-mass weighted sum of those two values, at an end f's value."""
+    at_hat, at_check = exact(f(INF_HAT)), exact(f(INF_CHECK))
 
     def apply(x: Point) -> Fraction:
-        return limit_measure(rate, x).integrate(f)
+        if x.is_infinite():
+            return at_hat if x.component == HAT else at_check
+        hat_mass, check_mass = _end_masses(rate, x)
+        return hat_mass * at_hat + check_mass * at_check
 
     return apply
 
@@ -167,22 +181,6 @@ def genericity_table(
         if b.distance > a.distance
     ]
     return rows, violations
-
-
-def right_box_averages(
-    boxes: Sequence[Iterable[int]], x: Point, f: Callable
-) -> list[Fraction]:
-    """Averages of f over the box family at x, one value per box."""
-    return [folner_average(box_folner(box), f, x) for box in boxes]
-
-
-def box_average_tail_bound(box: Iterable[int], x: Point, f: TestFunction) -> Fraction:
-    """Exact bound for |average - (f(hat inf) + f(check inf))/2| on a box
-    containing x's position: Lipschitz constant times the mean distance
-    of the shifted copies to the end."""
-    positions = sorted(set(box))
-    total = sum(metric(hat(x.pos - a), INF_HAT) for a in positions)
-    return f.lipschitz * Fraction(total, len(positions))
 
 
 def wf_estimate(sets: Sequence[FolnerSet], x: Point, y: Point) -> list[Fraction]:

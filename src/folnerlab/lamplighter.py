@@ -25,9 +25,6 @@ INF = math.inf
 HAT = "hat"
 CHECK = "check"
 
-#: Scale of the intra-component metric; cross-component distance is exactly 1.
-METRIC_SCALE = Fraction(1, 4)
-
 
 @dataclass(frozen=True)
 class Point:
@@ -50,6 +47,8 @@ class Point:
 
     @staticmethod
     def from_dict(raw: dict) -> "Point":
+        if "component" not in raw or "pos" not in raw:
+            raise ValueError(f"a point needs 'component' and 'pos', got {raw!r}")
         pos = raw["pos"]
         if pos == "inf":
             pos = INF
@@ -143,11 +142,24 @@ def embedding(pos: int | float) -> tuple[Fraction, Fraction]:
 
 def metric(x: Point, y: Point) -> Fraction:
     """Distance on the doubled line: exactly 1 across components, a scaled
-    l1 distance of the planar embeddings within a component."""
+    l1 distance of the planar embeddings within a component.
+
+    With d_a = 1 + |a| and s_a = sign(a) the within-component distance is
+    (|d_b - d_a| + |s_a d_b - s_b d_a|) / (4 d_a d_b) between finite a and b,
+    (1 + |s_a|) / (4 d_a) from a to infinity, and 0 at equal positions;
+    each case is one Fraction built from integers."""
     if x.component != y.component:
         return Fraction(1)
-    px, py = embedding(x.pos), embedding(y.pos)
-    return METRIC_SCALE * (abs(px[0] - py[0]) + abs(px[1] - py[1]))
+    a, b = x.pos, y.pos
+    if a == b:
+        return Fraction(0)
+    if a == INF:
+        a, b = b, a
+    da, sa = 1 + abs(a), (a > 0) - (a < 0)
+    if b == INF:
+        return Fraction(1 + abs(sa), 4 * da)
+    db, sb = 1 + abs(b), (b > 0) - (b < 0)
+    return Fraction(abs(db - da) + abs(sa * db - sb * da), 4 * da * db)
 
 
 _TOKENS = {"f": FLIP, "s": SIGMA, "S": SIGMA_INV}

@@ -30,8 +30,6 @@ from .folner import FolnerSet, enumerate_elements
 #: Largest group set accepted by the assignment solver.
 ASSIGNMENT_GUARD = 4096
 
-MASS_TOLERANCE = Fraction(1, 10**12)
-
 
 def _checked_cost(dist, x, y) -> Fraction:
     value = dist(x, y)
@@ -51,7 +49,8 @@ def cost_matrix(sources: Sequence, targets: Sequence, dist: Callable) -> list[li
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """A probability measure with finitely many atoms (duplicates merged)."""
+    """A probability measure with finitely many atoms (duplicates merged).
+    ``from_pairs`` requires the masses to sum to exactly 1."""
 
     atoms: tuple[tuple[Hashable, Fraction], ...]
 
@@ -67,7 +66,7 @@ class DiscreteMeasure:
         if not merged:
             raise ValueError("a measure needs at least one atom of positive mass")
         total = sum(merged.values())
-        if abs(total - 1) > MASS_TOLERANCE:
+        if total != 1:
             raise ValueError(f"masses sum to {total}, not 1")
         return DiscreteMeasure(tuple(merged.items()))
 
@@ -105,10 +104,10 @@ class TransportPlan:
             row[i] += mass
             col[j] += mass
         for i, (_, mass) in enumerate(mu.atoms):
-            if abs(row[i] - mass) > MASS_TOLERANCE:
+            if row[i] != mass:
                 raise ValueError(f"row marginal {i} is {row[i]}, expected {mass}")
         for j, (_, mass) in enumerate(nu.atoms):
-            if abs(col[j] - mass) > MASS_TOLERANCE:
+            if col[j] != mass:
                 raise ValueError(f"column marginal {j} is {col[j]}, expected {mass}")
 
     def cost(self, costs: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -4,16 +4,20 @@ These deliberately avoid the library's solver code paths: assignment by
 factorial enumeration, transportation by enumerating spanning bases of
 the bipartite support graph or, onto two atoms, as a fractional knapsack,
 matching by trying every injection, defects by materializing both sets,
-the rate family's selection words from their Fraction definition, and
-PL maps by evaluating their breakpoint lists point by point in Fraction.
+the rate family's selection words from their Fraction definition,
+PL maps by evaluating their breakpoint lists point by point in Fraction,
+the lamplighter metric from its planar embedding, the limit operator by
+integrating against the limit measure, and right-box averages with their
+tail bound.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from folnerlab.folner import FolnerSet, enumerate_elements
+from folnerlab.folner import FolnerSet, box_folner, enumerate_elements
+from folnerlab.dynamics import folner_average, limit_measure
 from folnerlab.homeo import repelling_element, squash_margin
-from folnerlab.lamplighter import GroupElement, act, compose, metric
+from folnerlab.lamplighter import INF_HAT, GroupElement, act, compose, embedding, hat, metric
 
 
 def brute_assignment(costs) -> Fraction:
@@ -185,3 +189,31 @@ def repelling_breakpoints(base, n: int) -> list:
             if points not in members:
                 members.append(points)
     return members
+
+
+def embedding_metric(x, y) -> Fraction:
+    """The doubled-line distance as a quarter of the l1 distance of the
+    planar embeddings within a component, 1 across components."""
+    if x.component != y.component:
+        return Fraction(1)
+    px, py = embedding(x.pos), embedding(y.pos)
+    return Fraction(1, 4) * (abs(px[0] - py[0]) + abs(px[1] - py[1]))
+
+
+def limit_apply_by_measure(rate, f):
+    """(S f)(x) as the integral of f against the limit measure at x."""
+    return lambda x: limit_measure(rate, x).integrate(f)
+
+
+def right_box_averages(boxes, x, f) -> list[Fraction]:
+    """Averages of f over the box family at x, one value per box."""
+    return [folner_average(box_folner(box), f, x) for box in boxes]
+
+
+def box_average_tail_bound(box, x, f) -> Fraction:
+    """Exact bound for |average - (f(hat inf) + f(check inf))/2| on a box
+    containing x's position: Lipschitz constant times the mean distance
+    of the shifted copies to the end."""
+    positions = sorted(set(box))
+    total = sum(metric(hat(x.pos - a), INF_HAT) for a in positions)
+    return f.lipschitz * Fraction(total, len(positions))

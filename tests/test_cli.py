@@ -1,6 +1,7 @@
 """CLI surfaces, config validation, exit codes, and determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -114,6 +115,79 @@ def test_transport_refuses_non_finite_masses(tmp_path, capsys):
     mu.write_text(json.dumps([{"point": {"component": "hat", "pos": 0}, "mass": "nan"}]))
     assert run_cli("transport", "wasserstein", "--mu", str(mu), "--nu", str(mu)) == 1
     assert "not an exact number" in capsys.readouterr().err
+
+
+def test_transport_refuses_masses_off_one_by_a_trillionth(tmp_path, capsys):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps([{"point": 0, "mass": "1/2"}, {"point": 1, "mass": "500000000001/1000000000000"}]))
+    nu = tmp_path / "nu.json"
+    nu.write_text(json.dumps([{"point": 0, "mass": 1}]))
+    assert run_cli("transport", "wasserstein", "--mu", str(mu), "--nu", str(nu)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: masses sum to 1000000000001/1000000000000")
+
+
+MALFORMED_JSON = {
+    "not-json": "{nope",
+    "object": json.dumps({"point": 0, "mass": 1}),
+    "number": "3",
+    "string": json.dumps("x"),
+    "null": "null",
+    "empty": "[]",
+    "list-of-lists": json.dumps([[0, 0], [1, 1]]),
+    "no-point": json.dumps([{"mass": 1}]),
+    "no-mass": json.dumps([{"point": 0}]),
+    "point-without-pos": json.dumps([{"point": {"component": "hat"}, "mass": 1}]),
+    "point-list": json.dumps([{"point": [1], "mass": 1}]),
+    "mass-list": json.dumps([{"point": 0, "mass": [1]}]),
+    "mass-null": json.dumps([{"point": 0, "mass": None}]),
+    "mixed-points": json.dumps(
+        [{"point": 0, "mass": "1/2"}, {"point": {"component": "hat", "pos": 0}, "mass": "1/2"}]
+    ),
+    "breakpoints-number": json.dumps([{"breakpoints": 3}]),
+    "breakpoints-flat": json.dumps([{"breakpoints": [0, 1]}]),
+    "breakpoints-triples": json.dumps([{"breakpoints": [[0, 0, 0], [1, 1, 1]]}]),
+    "breakpoints-object-entry": json.dumps([{"breakpoints": [[{}, 0], [1, 1]]}]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_JSON) + ["directory", "missing", "not-utf8"])
+def test_cli_readers_refuse_every_malformed_shape(tmp_path, capsys, shape):
+    bad = tmp_path / "bad.json"
+    if shape == "directory":
+        bad.mkdir()
+    elif shape == "not-utf8":
+        bad.write_bytes(b"\xff\xfe\x00")
+    elif shape != "missing":
+        bad.write_text(MALFORMED_JSON[shape])
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps([{"point": 0, "mass": 1}]))
+    for argv in (
+        ("transport", "wasserstein", "--mu", str(bad), "--nu", str(ok)),
+        ("transport", "wasserstein", "--mu", str(ok), "--nu", str(bad)),
+        ("homeo", "match", "--base", str(bad)),
+        ("homeo", "empirical", "--base", str(bad), "--n", "2"),
+    ):
+        assert run_cli(*argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: "), argv
+
+
+def test_unreadable_config_and_unwritable_output_exit_one(tmp_path, capsys):
+    assert run_cli("experiment", "--config", str(tmp_path)) == 1
+    assert run_cli("folner", "build", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_transport_refuses_mixed_measure_kinds(tmp_path, capsys):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps([{"point": {"component": "hat", "pos": 0}, "mass": 1}]))
+    nu = tmp_path / "nu.json"
+    nu.write_text(json.dumps([{"point": 0, "mass": 1}]))
+    assert run_cli("transport", "wasserstein", "--mu", str(mu), "--nu", str(nu)) == 1
+    assert "only lamplighter points or only interval numbers" in capsys.readouterr().err
 
 
 def test_dynamics_thm_example(capsys):
@@ -245,6 +319,17 @@ def test_validate_config_unknown_scenario():
     with pytest.raises(ConfigError) as err:
         validate_config('{"scenarios": [{"id": "mystery"}]}')
     assert not guard_violations(err.value)
+
+
+def test_any_nonzero_seever_residual_fails(tmp_path, capsys, monkeypatch):
+    tiny = lambda *args: Fraction(1, 10**13)  # noqa: E731
+    monkeypatch.setattr("folnerlab.cli.seever_residual", tiny)
+    monkeypatch.setattr("folnerlab.experiment.seever_residual", tiny)
+    assert run_cli("dynamics", "seever", "--pairs", "2") == 2
+    config = ExperimentConfig((ScenarioSpec("operator-identities", {"rate": "r-decay", "pairs": 2}),), seed=1)
+    table = run_experiment(config)
+    assert table.failures == ["operator-identities: Seever residual is 1/10000000000000, not 0"]
+    assert table.exit_code() == 2
 
 
 def test_experiment_cli_exit_codes(tmp_path):

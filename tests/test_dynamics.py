@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folnerlab.dynamics import (
+    CASE_WIDTH,
     GENERATORS,
     average_invariance_defect,
     averaging_residual,
-    box_average_tail_bound,
     default_sample,
     empirical_measure,
     example_case,
@@ -19,22 +20,31 @@ from folnerlab.dynamics import (
     is_ergodic,
     limit_apply,
     limit_measure,
-    right_box_averages,
     seever_residual,
     tau_bound,
     translation_gap,
     verdicts,
 )
 from folnerlab.folner import RateSequence, box_folner, rate_folner, translate_folner
-from folnerlab.functions import affine, bump, constant, ends_separator, random_affine, verify_lipschitz
+from folnerlab.functions import (
+    affine,
+    bump,
+    constant,
+    ends_separator,
+    envelope,
+    random_affine,
+    verify_lipschitz,
+)
 from folnerlab.lamplighter import (
     CHECK,
     FLIP,
     IDENTITY,
+    INF,
     INF_CHECK,
     INF_HAT,
     SIGMA,
     GroupElement,
+    Point,
     act,
     check,
     compose,
@@ -42,6 +52,7 @@ from folnerlab.lamplighter import (
     metric,
 )
 from folnerlab.transport import DiscreteMeasure, wasserstein
+from oracles import box_average_tail_bound, limit_apply_by_measure, right_box_averages
 
 HALF = RateSequence.constant(Fraction(1, 2))
 ZERO = RateSequence.constant(0)
@@ -217,6 +228,45 @@ def test_limit_operator_positivity():
         assert all(sf(x) >= 0 for x in sample)
 
 
+RATES = PRESETS | {f"case-{c}": example_case(c).rate for c in "abcd"}
+COEFFICIENTS = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+LIMIT_POINTS = st.builds(
+    Point, st.sampled_from(["hat", "check"]), st.integers(-300, 300) | st.just(INF)
+)
+TEST_FUNCTIONS = st.one_of(
+    st.builds(affine, COEFFICIENTS, COEFFICIENTS, COEFFICIENTS),
+    st.builds(bump, LIMIT_POINTS, st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=8)),
+    st.builds(
+        envelope,
+        st.lists(st.tuples(LIMIT_POINTS, COEFFICIENTS), min_size=1, max_size=3),
+        st.integers(1, 3),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(RATES)), TEST_FUNCTIONS, TEST_FUNCTIONS, LIMIT_POINTS)
+def test_limit_apply_matches_the_measure_oracle(name, f, h, x):
+    rate, oracle = RATES[name], limit_apply_by_measure
+    assert limit_apply(rate, f)(x) == oracle(rate, f)(x)
+    assert limit_apply(rate, limit_apply(rate, f))(x) == oracle(rate, oracle(rate, f))(x)
+    sh, oracle_sh = limit_apply(rate, h), oracle(rate, h)
+    fast = limit_apply(rate, lambda p: f(p) * sh(p))
+    assert fast(x) == oracle(rate, lambda p: f(p) * oracle_sh(p))(x)
+
+
+def test_limit_measure_matches_from_pairs_on_every_case():
+    for case in "abcd":
+        rate = example_case(case).rate
+        for end in (INF_HAT, INF_CHECK):
+            assert limit_measure(rate, end) == DiscreteMeasure.point_mass(end)
+        for b in range(-CASE_WIDTH, CASE_WIDTH + 1):
+            r = rate.value(b)
+            for x, hat_mass in ((hat(b), 1 - r), (check(b), r)):
+                expected = DiscreteMeasure.from_pairs(((INF_HAT, hat_mass), (INF_CHECK, 1 - hat_mass)))
+                assert limit_measure(rate, x) == expected
+
+
 def test_seever_residual_zero():
     sample = default_sample(8)
     rng = random.Random(73)
@@ -333,7 +383,6 @@ def test_is_ergodic():
 
 
 def test_canonical_functions_respect_declared_lipschitz():
-    from folnerlab.functions import envelope
 
     sample = default_sample(12)
     for f in (
@@ -347,7 +396,6 @@ def test_canonical_functions_respect_declared_lipschitz():
 
 
 def test_envelope_interpolates_anchors():
-    from folnerlab.functions import envelope
 
     f = envelope([(hat(0), Fraction(0)), (INF_HAT, Fraction(1, 8))], 1)
     assert f(hat(0)) == 0

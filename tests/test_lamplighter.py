@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folnerlab.errors import WordParseError
 from folnerlab.lamplighter import (
@@ -26,6 +27,7 @@ from folnerlab.lamplighter import (
     shift_by,
     word_of,
 )
+from oracles import embedding_metric
 
 
 def random_element(rng, span=6, max_flips=4):
@@ -149,6 +151,28 @@ def test_metric_compactification():
     for t in range(-100, 101):
         if t != 5:
             assert metric(hat(5), hat(t)) > 0
+
+
+POINTS = st.builds(
+    Point, st.sampled_from(["hat", "check"]), st.integers(-(10**6), 10**6) | st.just(INF)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["hat", "check"]), st.integers(-(10**6), 10**6) | st.just(INF), POINTS)
+def test_metric_matches_the_embedding_oracle(component, pos, y):
+    x = Point(component, pos)
+    assert metric(x, y) == embedding_metric(x, y)
+    near = Point(y.component, pos)  # the same position on y's component
+    assert metric(near, y) == embedding_metric(near, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(POINTS, POINTS, POINTS)
+def test_metric_axioms_property(x, y, z):
+    assert metric(x, y) == metric(y, x)
+    assert (metric(x, y) == 0) == (x == y)
+    assert metric(x, z) <= metric(x, y) + metric(y, z)
 
 
 def test_cross_distance_is_one():

@@ -36,6 +36,7 @@ from folnerlab.lamplighter import (
 from folnerlab.transport import (
     ASSIGNMENT_GUARD,
     DiscreteMeasure,
+    TransportPlan,
     assignment_distance,
     cost_matrix,
     dual_lower_bound,
@@ -128,6 +129,17 @@ def test_wasserstein_metric_axioms():
         d_mp, _ = wasserstein(mu, pi, metric)
         d_pn, _ = wasserstein(pi, nu, metric)
         assert d_mn <= d_mp + d_pn
+
+
+def test_masses_and_marginals_are_checked_exactly():
+    near = Fraction(1, 2) + Fraction(1, 10**12)
+    with pytest.raises(ValueError, match="masses sum to"):
+        DiscreteMeasure.from_pairs([(hat(0), Fraction(1, 2)), (hat(1), near)])
+    mu = DiscreteMeasure.from_pairs([(hat(0), Fraction(1, 2)), (hat(1), Fraction(1, 2))])
+    nu = DiscreteMeasure.point_mass(hat(0))
+    TransportPlan(((0, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2)))).validate(mu, nu)
+    with pytest.raises(ValueError, match="row marginal 1"):
+        TransportPlan(((0, 0, Fraction(1, 2)), (1, 0, near))).validate(mu, nu)
 
 
 def test_outside_numbers_convert_exactly():
