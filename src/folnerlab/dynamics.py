@@ -49,10 +49,10 @@ from .transport import DiscreteMeasure, wasserstein
 
 GENERATORS = (SIGMA, SIGMA_INV, FLIP)
 
-#: Largest genericity n.  Row n solves a transportation simplex of up to
-#: (2^(n+2) + 2) x 2 cells; on a 2-core Xeon one row took 0.9 s at n = 7
-#: (514 x 2) and 8.2 s at n = 8 (1026 x 2).
-GENERICITY_MAX_N = 7
+#: Largest genericity n, the counting limit its flip balance needs.  Row n
+#: solves a (2^(n+2) + 2) x 2 simplex from its optimal start basis; on a
+#: 2-core Xeon one row took 0.2 s at n = 10 (4098 x 2).
+GENERICITY_MAX_N = 10
 #: The example cases' rates are explicit on |position| <= CASE_WIDTH, the
 #: largest bound their verdicts may be checked on.
 CASE_WIDTH = 256

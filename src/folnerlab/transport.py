@@ -2,7 +2,8 @@
 
 The Wasserstein distance between two finitely supported probability
 measures is computed as an exact minimum-cost transportation plan
-(simplex on the transportation polytope with Bland pivoting).  The
+(simplex on the transportation polytope with Bland pivoting, which onto
+two target atoms starts at the optimal fractional-knapsack fill).  The
 permutation form over a finite group set is solved by an exact
 shortest-augmenting-path assignment; at every finite size the two agree
 (Birkhoff), which the test suite checks against both a factorial brute
@@ -141,10 +142,34 @@ def _entering_cell(cost, pot, m):
     return None
 
 
+def _start_basis(rs, rd, cost) -> dict[tuple[int, int], int]:
+    """The north-west corner start tree as {cell: flow}, m + n - 1 cells,
+    some maybe 0.  With two columns the corner walks the rows by
+    (c_i0 - c_i1, i): the knapsack fill, optimal because the row that
+    closes column 0 and opens column 1 has a difference between theirs."""
+    m, n = len(rs), len(rd)
+    rows = sorted(range(m), key=lambda i: (cost[i][0] - cost[i][1], i)) if n == 2 else range(m)
+    flow: dict[tuple[int, int], int] = {}
+    k = j = 0
+    while True:
+        i = rows[k]
+        q = min(rs[i], rd[j])
+        flow[i, j] = q
+        rs[i] -= q
+        rd[j] -= q
+        if k == m - 1 and j == n - 1:
+            return flow
+        if rs[i] == 0 and k < m - 1:
+            k += 1
+        else:
+            j += 1
+
+
 def transportation_plan(supplies, demands, costs):
-    """Exact minimum-cost transportation: NW-corner start, then simplex
+    """Exact minimum-cost transportation: ``_start_basis``, then simplex
     pivots with Bland's rule (first negative reduced cost enters, smallest
-    tied minus-cell leaves).  Returns (value, flows dict).
+    tied minus-cell leaves).  Returns (value, flows dict).  Two columns
+    start at the knapsack fill, ties by row index, so no pivot runs.
 
     The solve runs on integer-scaled costs and masses; positive scaling
     keeps every comparison, so the pivots are those of the rational
@@ -157,24 +182,11 @@ def transportation_plan(supplies, demands, costs):
     m, n = len(supplies), len(demands)
     cost, cost_scale = _integer_costs(costs)
     masses, mass_scale = _integer_scaled([*supplies, *demands])
-    rs, rd = masses[:m], masses[m:]
-
-    flow: dict[tuple[int, int], int] = {}
+    flow = _start_basis(masses[:m], masses[m:], cost)
     adj: list[set[int]] = [set() for _ in range(m + n)]
-    i = j = 0
-    while True:
-        q = min(rs[i], rd[j])
-        flow[i, j] = q
+    for i, j in flow:
         adj[i].add(m + j)
         adj[m + j].add(i)
-        rs[i] -= q
-        rd[j] -= q
-        if i == m - 1 and j == n - 1:
-            break
-        if rs[i] == 0 and i < m - 1:
-            i += 1
-        else:
-            j += 1
 
     pot = [0] * (m + n)  # u_i at node i, v_j at node m + j
     parent = [-1] * (m + n)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's solver code paths: assignment by
 factorial enumeration, transportation by enumerating spanning bases of
-the bipartite support graph or, onto two atoms, as a fractional knapsack,
+the bipartite support graph or, onto two atoms, as a fractional knapsack
+(value and plan),
 matching by trying every injection, defects by materializing both sets,
 the rate family's selection words from their Fraction definition,
 PL maps by evaluating their breakpoint lists point by point in Fraction,
@@ -92,20 +93,40 @@ def vertex_enumeration_transport(supplies, demands, costs) -> Fraction:
     return best
 
 
+def _knapsack_order(costs) -> list[int]:
+    """Source rows in increasing order of c_i0 - c_i1, ties by row index."""
+    return sorted(range(len(costs)), key=lambda i: (costs[i][0] - costs[i][1], i))
+
+
 def two_atom_transport(supplies, demands, costs) -> Fraction:
     """Optimal transportation onto one or two target atoms as a fractional
     knapsack: every source first sends its whole mass to the last atom,
-    then sources in increasing order of c_i0 - c_i1 move mass to the
-    first atom until its demand is met."""
+    then sources in the knapsack order move mass to the first atom until
+    its demand is met."""
     total = sum((s * row[-1] for s, row in zip(supplies, costs)), Fraction(0))
     if len(demands) == 1:
         return total
     room = demands[0]
-    for s, row in sorted(zip(supplies, costs), key=lambda entry: entry[1][0] - entry[1][1]):
-        moved = min(s, room)
-        total += moved * (row[0] - row[1])
+    for i in _knapsack_order(costs):
+        moved = min(supplies[i], room)
+        total += moved * (costs[i][0] - costs[i][1])
         room -= moved
     return total
+
+
+def two_atom_plan(supplies, demands, costs) -> dict:
+    """The knapsack fill onto two target atoms as {(i, j): flow}, positive
+    flows only: sources in the knapsack order fill the first atom until
+    its demand is met, and the rest of each source goes to the second."""
+    flows = {}
+    room = demands[0]
+    for i in _knapsack_order(costs):
+        moved = min(supplies[i], room)
+        room -= moved
+        for j, q in ((0, moved), (1, supplies[i] - moved)):
+            if q:
+                flows[i, j] = q
+    return flows
 
 
 def brute_matching(adjacency, size_left, size_right) -> int:

@@ -4,8 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from oracles import two_atom_transport
 
+from folnerlab import experiment
 from folnerlab.cli import main
+from folnerlab.dynamics import empirical_measure, limit_measure
 from folnerlab.errors import ConfigError
 from folnerlab.experiment import (
     ExperimentConfig,
@@ -15,6 +18,10 @@ from folnerlab.experiment import (
     run_experiment,
     validate_config,
 )
+from folnerlab.folner import RateSequence, rate_folner
+from folnerlab.homeo import IDENTITY_MAP, HomeoFamily
+from folnerlab.lamplighter import hat, metric
+from folnerlab.transport import cost_matrix
 
 
 def run_cli(*argv):
@@ -293,11 +300,33 @@ def test_config_integers_refuse_booleans(tmp_path, capsys, config, field):
     assert field in capsys.readouterr().err
 
 
+def test_homeo_empirical_checks_the_coupling_bound(tmp_path, monkeypatch):
+    rising = tmp_path / "rising.json"  # at y = 5/16 the distance rises from n = 8 to 16
+    rising.write_text(
+        json.dumps({"scenarios": [{"id": "homeo-empirical", "params": {"n": [8, 16, 32, 64], "y": [0.3125]}}]})
+    )
+    assert run_cli("experiment", "--config", str(rising), "--out", str(tmp_path / "res")) == 0
+    real = experiment.repelling_family
+
+    def identity_from_8(base, n):
+        return HomeoFamily((IDENTITY_MAP,), "identity", n) if n >= 8 else real(base, n)
+
+    monkeypatch.setattr(experiment, "repelling_family", identity_from_8)
+    config = ExperimentConfig((ScenarioSpec("homeo-empirical", {"n": [4, 8, 16], "y": [0.5]}),), seed=1)
+    table = run_experiment(config)
+    assert table.failures == [
+        "homeo-empirical: distance exceeds 67/192 at n=8, y=0.5",
+        "homeo-empirical: distance exceeds 785/4352 at n=16, y=0.5",
+    ]
+    assert table.exit_code() == 2
+
+
 def test_validate_config_guard_marked():
     with pytest.raises(ConfigError) as err:
-        validate_config('{"scenarios": [{"id": "genericity", "params": {"nmax": 8}}]}')
+        validate_config('{"scenarios": [{"id": "genericity", "params": {"nmax": 11}}]}')
     assert guard_violations(err.value)
     assert any("size guard" in v for v in err.value.violations)
+    assert any("8194x2" in v for v in err.value.violations)
 
 
 def test_genericity_guard_follows_the_simplex_size(tmp_path, capsys):
@@ -309,10 +338,10 @@ def test_genericity_guard_follows_the_simplex_size(tmp_path, capsys):
     rows = (tmp_path / "res" / "results.csv").read_text().splitlines()
     assert any(row.startswith("genericity,4,") for row in rows)
     over = tmp_path / "over.json"
-    over.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 8}}]}))
+    over.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 11}}]}))
     capsys.readouterr()
     assert run_cli("experiment", "--config", str(over)) == 3
-    assert "1026x2 transportation simplex" in capsys.readouterr().err
+    assert "8194x2 transportation simplex" in capsys.readouterr().err
 
 
 def test_validate_config_unknown_scenario():
@@ -337,7 +366,7 @@ def test_experiment_cli_exit_codes(tmp_path):
     good.write_text(json.dumps({"scenarios": [{"id": "rightavg", "params": {"nmax": 2}}]}))
     assert run_cli("experiment", "--config", str(good), "--out", str(tmp_path / "res")) == 0
     guard = tmp_path / "guard.json"
-    guard.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 8}}]}))
+    guard.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 11}}]}))
     assert run_cli("experiment", "--config", str(guard)) == 3
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
@@ -405,8 +434,21 @@ def test_thm_example_case_b_over_the_whole_bmax_range(tmp_path):
 
 
 def test_dynamics_generic_guard_exit_code(capsys):
-    assert run_cli("dynamics", "generic", "--preset", "r-const:0.5", "--nmax", "8") == 3
-    assert "1026x2" in capsys.readouterr().err
+    assert run_cli("dynamics", "generic", "--preset", "r-const:0.5", "--nmax", "11") == 3
+    assert "8194x2" in capsys.readouterr().err
+
+
+def test_dynamics_generic_runs_past_the_old_guard(capsys):
+    assert run_cli("dynamics", "generic", "--preset", "r-decay", "--nmax", "8") == 0
+    rows = capsys.readouterr().out.splitlines()
+    rate = RateSequence.from_preset("decay")
+    source, target = empirical_measure(rate_folner(rate, 8), hat(0)), limit_measure(rate, hat(0))
+    expected = two_atom_transport(
+        [m for _, m in source.atoms],
+        [m for _, m in target.atoms],
+        cost_matrix(source.support(), target.support(), metric),
+    )
+    assert f"generic,8,hat:0,w-to-limit,{float(expected)!r},closed-form" in rows
 
 
 def test_folner_defect_params_checked_with_the_config():

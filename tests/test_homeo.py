@@ -239,6 +239,17 @@ def test_interval_empirical_transport_decreasing():
             previous = value
 
 
+def test_interval_empirical_transport_within_the_coupling_bound():
+    # W_n <= 1/n^2 + 3/(n + 1), derived in experiment._run_homeo, exactly at
+    # every y = k/16, including y = 5/16 where W_16 > W_8
+    for n in [*range(2, 20), 32, 64]:
+        family = repelling_family(HomeoFamily((IDENTITY_MAP,), "id"), n)
+        for k in range(17):
+            y = Fraction(k, 16)
+            value, _ = wasserstein(interval_empirical(family, y), end_mixture(y), interval_distance)
+            assert value <= Fraction(1, n * n) + Fraction(3, n + 1)
+
+
 def test_serialization_roundtrip():
     kink = pl_homeo([(0, 0), (Fraction(1, 3), Fraction(2, 3)), (1, 1)])
     assert PLHomeo.from_dict(kink.to_dict()) == kink

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     brute_assignment,
     brute_assignment_distance,
+    two_atom_plan,
     two_atom_transport,
     vertex_enumeration_transport,
 )
@@ -33,6 +34,7 @@ from folnerlab.lamplighter import (
     hat,
     metric,
 )
+from folnerlab import transport
 from folnerlab.transport import (
     ASSIGNMENT_GUARD,
     DiscreteMeasure,
@@ -268,7 +270,9 @@ def test_measure_validation():
 #: tied costs, with the value, flows and assignments recorded from the
 #: all-Fraction kernels the integer ones replaced.  The last eight transports
 #: have tied optima on which another leaving tie-break or entering rule
-#: returns a different plan, so they pin the pivot rules themselves.
+#: returns a different plan, so they pin the pivot rules themselves; the
+#: 5x2 one among them is a tied knapsack whose flows are recorded from the
+#: two-column start (rows by c_i0 - c_i1, ties by row index).
 GOLDEN = json.loads((Path(__file__).parent / "transport_golden.json").read_text())
 
 
@@ -359,3 +363,33 @@ def test_genericity_distances_match_knapsack(preset):
                 [m for _, m in source.atoms], [m for _, m in target.atoms], costs
             )
             assert row.distance == expected
+
+
+#: Few distinct costs, so tied differences c_i0 - c_i1 are common.
+TIED_COSTS = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2)])
+
+
+@st.composite
+def two_column_problems(draw):
+    """m <= 8 rows onto two columns, with zero masses on either side."""
+    supplies = _masses(draw(st.lists(st.integers(0, 6), min_size=1, max_size=8).filter(any)))
+    demands = _masses(draw(st.lists(st.integers(0, 6), min_size=2, max_size=2).filter(any)))
+    costs = [[draw(st.one_of(TIED_COSTS, COSTS)) for _ in range(2)] for _ in supplies]
+    return supplies, demands, costs
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_column_problems())
+def test_two_column_start_is_the_knapsack_plan_and_needs_no_pivot(problem):
+    supplies, demands, costs = problem
+    passes = []
+    entering_cell = transport._entering_cell
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_entering_cell", lambda *a: passes.append(a) or entering_cell(*a))
+        value, flows = transportation_plan(supplies, demands, costs)
+    assert len(passes) == 1
+    assert flows == two_atom_plan(supplies, demands, costs)
+    assert value == two_atom_transport(supplies, demands, costs)
+    if len(supplies) <= 4:
+        assert value == vertex_enumeration_transport(supplies, demands, costs)
+
