@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately avoid the library's solver code paths: assignment by
-factorial enumeration, transportation by enumerating spanning bases of
+factorial enumeration and by the classical square Hungarian solve (the
+unit-count reference for the counted kernel), transportation by enumerating spanning bases of
 the bipartite support graph or, onto two atoms, as a fractional knapsack
 (value and plan),
 matching by trying every injection, defects by materializing both sets,
@@ -18,6 +19,7 @@ from itertools import combinations, permutations
 from folnerlab.folner import FolnerSet, box_folner, enumerate_elements
 from folnerlab.dynamics import folner_average, limit_measure
 from folnerlab.homeo import repelling_element, squash_margin
+from folnerlab.transport import _integer_costs
 from folnerlab.lamplighter import INF_HAT, GroupElement, act, compose, embedding, hat, metric
 
 
@@ -30,6 +32,55 @@ def brute_assignment(costs) -> Fraction:
         if best is None or total < best:
             best = total
     return best
+
+
+def unit_hungarian(costs) -> tuple[Fraction, list[int]]:
+    """The classical square Hungarian solve by shortest augmenting paths
+    with dual potentials, on integer-scaled costs; returns (total cost,
+    column assigned to each row).  The reference for the counted kernel."""
+    n = len(costs)
+    cost, scale = _integer_costs(costs)
+    INF = float("inf")
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    match = [0] * (n + 1)  # match[j] = row occupying column j (1-based, 0 = free)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = [INF] * (n + 1)
+        used = [False] * (n + 1)
+        way = [0] * (n + 1)
+        while True:
+            used[j0] = True
+            i0, delta, j1 = match[j0], INF, 0
+            row, ui = cost[i0 - 1], u[i0]
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - ui - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    assignment = [0] * n
+    for j in range(1, n + 1):
+        assignment[match[j] - 1] = j - 1
+    return Fraction(sum(cost[i][assignment[i]] for i in range(n)), scale), assignment
 
 
 def brute_assignment_distance(folner: FolnerSet, x, y) -> Fraction:

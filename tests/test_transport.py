@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     brute_assignment_distance,
     two_atom_plan,
     two_atom_transport,
+    unit_hungarian,
     vertex_enumeration_transport,
 )
 
@@ -30,6 +32,7 @@ from folnerlab.lamplighter import (
     INF_CHECK,
     INF_HAT,
     GroupElement,
+    act,
     check,
     hat,
     metric,
@@ -393,3 +396,130 @@ def test_two_column_start_is_the_knapsack_plan_and_needs_no_pivot(problem):
     if len(supplies) <= 4:
         assert value == vertex_enumeration_transport(supplies, demands, costs)
 
+
+
+# ------------------------------------------------------ counted assignment
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.lists(TIED_COSTS, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_solve_assignment_is_the_unit_hungarian_on_tied_costs(costs):
+    assert solve_assignment(costs) == unit_hungarian(costs)
+
+
+@st.composite
+def counted_problems(draw):
+    """Row and column counts (zeros allowed) with equal totals, and integer costs."""
+    supply = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(any))
+    demand = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(lambda d: sum(d) >= sum(supply)))
+    # move the surplus off the demand side, last column first
+    surplus = sum(demand) - sum(supply)
+    for j in reversed(range(len(demand))):
+        cut = min(surplus, demand[j])
+        demand[j] -= cut
+        surplus -= cut
+    costs = [[draw(st.integers(0, 6)) for _ in demand] for _ in supply]
+    return costs, supply, demand
+
+
+@settings(max_examples=200, deadline=None)
+@given(counted_problems())
+def test_counted_kernel_equals_the_expanded_hungarian(problem):
+    costs, supply, demand = problem
+    total, flows = transport._counted_assignment(costs, supply, demand)
+    rows = [i for i, count in enumerate(supply) for _ in range(count)]
+    cols = [j for j, count in enumerate(demand) for _ in range(count)]
+    expanded, _ = unit_hungarian([[Fraction(costs[i][j]) for j in cols] for i in rows])
+    assert total == expanded
+    assert [sum(column.values()) for column in flows] == demand
+    assert [sum(column.get(i, 0) for column in flows) for i in range(len(supply))] == supply
+    assert all(q >= 0 for column in flows for q in column.values())
+    assert total == sum(q * costs[i][j] for j, column in enumerate(flows) for i, q in column.items())
+
+
+def test_assignment_on_a_materialized_rate_set_equals_the_expanded_solve():
+    folner = rate_folner(RateSequence.from_preset("decay"), 2, materialize=True)
+    elements = folner.elements
+    for x, y in [(hat(0), check(2)), (hat(-1), hat(3)), (INF_HAT, check(0))]:
+        assigned = assignment_distance(folner, x, y)
+        xs = [act(g, x) for g in elements]
+        ys = [act(g, y) for g in elements]
+        expanded, _ = unit_hungarian(cost_matrix(xs, ys, metric))
+        assert assigned == expanded / len(elements)
+        value, _ = wasserstein(empirical_measure(folner, x), empirical_measure(folner, y), metric)
+        assert assigned == value
+
+
+def test_assignment_runs_at_the_guard_on_distinct_points():
+    lamps = range(-4, 5)
+    elements = [
+        GroupElement(a, flips)
+        for a in range(-4, 4)
+        for size in range(len(lamps) + 1)
+        for flips in combinations(lamps, size)
+    ]
+    assert len(elements) == ASSIGNMENT_GUARD
+    folner = explicit_folner(elements)
+    x, y = hat(1), check(-2)
+    value, _ = wasserstein(empirical_measure(folner, x), empirical_measure(folner, y), metric)
+    assert assignment_distance(folner, x, y) == value
+
+
+def test_corrupted_flow_makes_wasserstein_raise():
+    start_basis = transport._start_basis
+
+    def corrupted(rs, rd, cost):
+        flow = start_basis(rs, rd, cost)
+        cell = next(iter(flow))
+        flow[cell] += 1
+        return flow
+
+    mu, nu = DiscreteMeasure.point_mass(hat(0)), DiscreteMeasure.point_mass(hat(1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_start_basis", corrupted)
+        with pytest.raises(ValueError, match="row marginal 0"):
+            wasserstein(mu, nu, metric)
+
+
+def _counting(dist):
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return dist(p, q)
+
+    return counted, calls
+
+
+def test_dual_calls_the_metric_once_per_support_pair():
+    rng = random.Random(47)
+    mu, nu = random_measure(rng, 5), random_measure(rng, 5)
+    points = set(mu.support() + nu.support())
+    anchors = list(points)[:3]
+    witnesses = [ends_separator()] + [(lambda a: (lambda z: metric(z, a)))(a) for a in anchors]
+    dist, calls = _counting(metric)
+    assert dual_lower_bound(mu, nu, witnesses, dist) == dual_lower_bound(mu, nu, witnesses, metric)
+    assert len(calls) == len(points) * (len(points) - 1) // 2
+    dist, calls = _counting(metric)
+    assert dual_lower_bound(mu, nu, [], dist) == 0
+    assert calls == []
+
+
+def test_dual_error_order_and_exact_bound():
+    mu, nu = DiscreteMeasure.point_mass(hat(0)), DiscreteMeasure.point_mass(hat(2))
+
+    def broken(p, q):
+        raise AssertionError("the metric must not be called")
+
+    steep = lambda z: metric(z, hat(0))
+    steep.lipschitz = Fraction(2)
+    with pytest.raises(LipschitzViolation, match="declares Lipschitz constant 2"):
+        dual_lower_bound(mu, nu, [steep], broken)
+    with pytest.raises(MetricOracleError):
+        dual_lower_bound(mu, nu, [lambda z: 0], lambda p, q: float("nan"))
+    gap = metric(hat(0), hat(2))
+    tight = lambda z: metric(z, hat(0))
+    assert dual_lower_bound(mu, nu, [tight], metric) == gap
+    over = lambda z: metric(z, hat(0)) * (1 + Fraction(1, 10**9))
+    with pytest.raises(LipschitzViolation, match="1-Lipschitz bound on"):
+        dual_lower_bound(mu, nu, [over], metric)
