@@ -8,11 +8,12 @@ integer flows are checked against the scaled marginals before they are
 divided back.  The permutation form over a finite group set is solved
 by one counted assignment kernel: shortest augmenting paths with dual
 potentials on the distinct orbit points, each row and column carrying
-how many elements of F send x or y there.  With unit counts it is the
-classical Hungarian solve, which ``solve_assignment`` exposes.  At every
-finite size the permutation form and the transport distance agree
-(Birkhoff), which the test suite checks against a factorial brute force,
-the expanded Hungarian solve and a basis-enumeration oracle.
+how many elements of F send x or y there.  With unit counts it picks
+the assignment of the classical Hungarian solve; ``solve_assignment``
+exposes it.  At every finite size the permutation form and the transport
+distance agree (Birkhoff), which the test suite checks against a
+factorial brute force, the expanded Hungarian solve and a
+basis-enumeration oracle.
 
 Both kernels scale their rational inputs to integers at entry (costs by
 the lcm of their denominators, masses by the lcm of theirs), run on
@@ -303,9 +304,13 @@ def dual_lower_bound(
 ) -> Fraction:
     """max over witnesses of |mu(f) - nu(f)|, after verifying each witness
     is 1-Lipschitz on every pair of support points.  Always a lower bound
-    for the transport distance."""
+    for the transport distance.
+
+    The metric is called once per pair of the P support points, at the
+    first witness, and the P(P-1)/2 costs are kept as one flat list of
+    integers over a common scale for the later witnesses: O(P^2) memory."""
     points = list(dict.fromkeys(mu.support() + nu.support()))
-    pairs = [(a, b) for a in range(len(points)) for b in range(a + 1, len(points))]
+    size = len(points)
     costs = None
     best = Fraction(0)
     for f in witnesses:
@@ -315,15 +320,20 @@ def dual_lower_bound(
         values = {p: exact(f(p)) for p in points}
         if costs is None:
             costs, cost_scale = _integer_scaled(
-                [_checked_cost(dist, points[a], points[b]) for a, b in pairs]
+                _checked_cost(dist, points[a], points[b])
+                for a in range(size)
+                for b in range(a + 1, size)
             )
         scaled, value_scale = _integer_scaled(values.values())
         # |f(p) - f(q)| <= d(p, q), both sides over value_scale * cost_scale
-        for (a, b), c in zip(pairs, costs):
-            if abs(scaled[a] - scaled[b]) * cost_scale > c * value_scale:
-                raise LipschitzViolation(
-                    f"witness violates the 1-Lipschitz bound on ({points[a]!r}, {points[b]!r})"
-                )
+        pair_costs = iter(costs)
+        for a in range(size):
+            fa = scaled[a]
+            for b in range(a + 1, size):
+                if abs(fa - scaled[b]) * cost_scale > next(pair_costs) * value_scale:
+                    raise LipschitzViolation(
+                        f"witness violates the 1-Lipschitz bound on ({points[a]!r}, {points[b]!r})"
+                    )
         mu_f = sum(mass * values[p] for p, mass in mu.atoms)
         best = max(best, abs(mu_f - sum(mass * values[p] for p, mass in nu.atoms)))
     return best
@@ -338,10 +348,13 @@ def _counted_assignment(cost, supply, demand) -> tuple[int, list[dict[int, int]]
     potentials (Edmonds & Karp 1972; Jonker & Volgenant 1987): a Dijkstra
     search on reduced costs c_ij - u_i - v_j from the row, in which a full
     column, once reached, brings every row holding flow in it into the
-    frontier.  The path ends at the first column with room left and carries
-    its bottleneck: what the row still has to send, the column's room and
-    the flows it moves backward.  With all counts 1 these are exactly the
-    steps of the classical Hungarian solve.
+    frontier at the column's distance.  The path ends at the first column
+    with room left and carries its bottleneck: what the row still has to
+    send, the column's room and the flows it moves backward.  Distances
+    are kept absolute, so each step is one pass over the columns (the scan
+    of the last joined row also picks the next column) and the potentials
+    move once per path.  With all counts 1 it picks the columns and paths
+    of the classical Hungarian solve.
     """
     n = len(demand)
     INF = float("inf")
@@ -351,32 +364,31 @@ def _counted_assignment(cost, supply, demand) -> tuple[int, list[dict[int, int]]
     flows: list[dict[int, int]] = [{} for _ in range(n)]
     for r, left in enumerate(supply):
         while left:
-            minv = [INF] * n
+            dist = [INF] * n  # tentative distance of column j from row r
             used = [False] * n
-            way = [r] * n  # the frontier row that last lowered minv[j]
+            way = [r] * n  # the frontier row that last lowered dist[j]
             via = {r: -1}  # frontier row -> the full column it joined through
             used_columns: list[int] = []
-            joined = [r]
+            joined, d = [r], 0
             while True:
+                # the last joined row's pass sees the final dist, so its
+                # argmin is the next column
                 for i in joined:
-                    row, ui = cost[i], u[i]
+                    row, base = cost[i], d - u[i]
+                    best, j1 = INF, -1
                     for j in range(n):
                         if not used[j]:
-                            cur = row[j] - ui - v[j]
-                            if cur < minv[j]:
-                                minv[j] = cur
+                            cur = base + row[j] - v[j]
+                            if cur < dist[j]:
+                                dist[j] = cur
                                 way[j] = i
-                delta, j1 = INF, -1
-                for j in range(n):
-                    if not used[j] and minv[j] < delta:
-                        delta, j1 = minv[j], j
-                for i in via:
-                    u[i] += delta
-                for j in used_columns:
-                    v[j] -= delta
-                for j in range(n):
-                    if not used[j]:
-                        minv[j] -= delta
+                            else:
+                                cur = dist[j]
+                            if cur < best:
+                                best, j1 = cur, j
+                if not joined:
+                    best, j1 = min((dist[j], j) for j in range(n) if not used[j])
+                d = best
                 if room[j1]:
                     break
                 used[j1] = True
@@ -384,6 +396,10 @@ def _counted_assignment(cost, supply, demand) -> tuple[int, list[dict[int, int]]
                 joined = [i for i in flows[j1] if i not in via]
                 for i in joined:
                     via[i] = j1
+            for i, j in via.items():
+                u[i] += d - (dist[j] if j >= 0 else 0)
+            for j in used_columns:
+                v[j] -= d - dist[j]
             theta = min(left, room[j1])
             i = way[j1]
             while i != r:

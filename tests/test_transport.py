@@ -450,7 +450,10 @@ def test_assignment_on_a_materialized_rate_set_equals_the_expanded_solve():
         assert assigned == value
 
 
-def test_assignment_runs_at_the_guard_on_distinct_points():
+def test_assignment_at_the_guard_with_few_distinct_orbit_points():
+    """4096 elements, but 8 shifts move x and y to at most 16 distinct
+    points each, so the kernel solves a small counted problem.  The guard's
+    worst case, 4096 distinct points (a 4096^3 solve), is not run."""
     lamps = range(-4, 5)
     elements = [
         GroupElement(a, flips)
