@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .dynamics import (
     average_invariance_defect,
+    averaging_guard,
     averaging_residual,
     default_sample,
     empirical_measure,
@@ -250,6 +251,7 @@ def _cmd_dynamics(args) -> int:
         gap = translation_gap(rate, ends_separator(), parse_word(args.g), sample)
         table.add("tinv", None, args.g, "translation-gap", gap, "closed-form")
     elif args.action == "met":
+        averaging_guard(args.nmax)
         f = ends_separator()
         for n in range(1, args.nmax + 1):
             value = average_invariance_defect(

@@ -11,15 +11,18 @@ itself).  The *box* family takes all shifts and all flip supports inside
 one finite interval; it balances every in-box flip position exactly at 1/2.
 
 Rate, box and explicit sets share one protocol (``FolnerSet``): ``size``,
-``shifts()``, ``balance(position)``, ``left_intersection(g)`` and
-``right_intersection(g)`` (the counts |gF & F| and |Fg & F|),
-``elements`` and ``to_dict()``.  The module-level ``left_defect``,
-``right_defect``, ``flip_balance`` and ``enumerate_elements`` work on any
-kind through it.  Sets of interesting size are never materialized:
-cardinalities, defects |gF \\ F| and flip balances are computed by
-counting over the 2^(2n) selection words only, packed into ints and
-built once per rate set.  Enumeration paths exist below the size guards
-and must agree with the counting paths exactly.
+``shifts()``, ``balance(position)``, ``left_share(g)`` and
+``right_share(g)`` (the kept shares |gF & F|/|F| and |Fg & F|/|F| as
+exact fractions), ``elements`` and ``to_dict()``.  The module-level
+``left_defect``, ``right_defect``, ``flip_balance`` and
+``enumerate_elements`` work on any kind through it.  Sets of interesting
+size are never materialized, and a rate set's defects never build its
+2^(#free) free-position factor or its 4^n selection words: the kept
+share is counted in window units, one stay count per XOR mask, each a
+sum over the threshold intervals of the selection section and the
+aligned dyadic blocks that tile them (see ``SupportFamily.stay_count``).
+Enumeration paths exist below the size guards and must agree with the
+counting paths exactly.
 """
 
 from __future__ import annotations
@@ -38,8 +41,15 @@ from .lamplighter import IDENTITY, GroupElement, compose, word_of
 MATERIALIZE_MAX_N = 3
 #: Largest box (interval length) that may be materialized.
 BOX_MATERIALIZE_MAX = 22
-#: Largest n for which counting over selection words is attempted (4^n words).
-COUNT_MAX_N = 10
+#: Largest n for which rate-set defects are counted.  One stay count costs
+#: O(n^2) integer steps; the CLI ``folner defect --preset r-decay --n 64
+#: --g "f s s f S S f"`` takes about 0.8 s on a 2-core Xeon.
+COUNT_MAX_N = 64
+#: Largest n whose 4^n selection words are listed (``SupportFamily.words``).
+WORDS_MAX_N = 10
+#: Largest n whose rate-set size is built: |F_12| has 2,464 decimal digits,
+#: |F_13| 4,929, past the 4,300 Python converts to a string by default.
+SIZE_MAX_N = 12
 #: Default search horizon (members inspected per family) when interleaving.
 INTERLEAVE_HORIZON = 16
 
@@ -138,12 +148,35 @@ class SupportFamily:
 
     @property
     def cardinality(self) -> int:
-        return 4**self.n * 2 ** len(self.free_positions)
+        """4^n window words times 2^(#free), #free = 2(2^n - 2n); guarded at
+        n <= SIZE_MAX_N, since |F_n| has about 2^(n+1) bits."""
+        if self.n > SIZE_MAX_N:
+            raise GuardViolation(
+                f"rate-set sizes are built only for n <= {SIZE_MAX_N} (|F_{SIZE_MAX_N}| has "
+                f"2,464 digits; |F_n| has about 2^(n+1) bits), got n={self.n}"
+            )
+        return 4**self.n * 2 ** (2 * (self.bound - 2 * self.n))
 
     def threshold(self, position: int) -> int:
         """c_l = ceil(r_l 4^n): word k sets window bit l (|l| <= n) iff k-1 < c_l."""
         r = self.rate.value(position)
         return -(-r.numerator * 4**self.n // r.denominator)
+
+    def _sections(self) -> Iterator[tuple[int, int, int]]:
+        """(start, end, section) for each nonempty j-interval on which the
+        packed section bits of word j + 1 are constant, in increasing j.
+
+        Sweeping j upward through the sorted thresholds clears one section
+        bit at each, so the sections strictly shrink and are distinct.
+        """
+        n = self.n
+        ends = sorted((self.threshold(l), 1 << (l + 2 * n)) for l in range(-n, n + 1))
+        section, start = sum(bit for _, bit in ends), 0
+        for end, bit in ends + [(4**n, 0)]:
+            if end > start:
+                yield start, end, section
+                start = end
+            section ^= bit
 
     @cached_property
     def words(self) -> frozenset[int]:
@@ -151,29 +184,71 @@ class SupportFamily:
 
         Word k carries the threshold bits k-1 < c_l on [-n, n] and the 2n
         bits of k-1 as padding: the low n below the window section, the
-        high n above it.  Sweeping k-1 upward through the sorted thresholds
-        clears one section bit at each, so no rational is formed.
+        high n above it.  Only materialization and the tests list them;
+        counting never does.
+        """
+        n = self.n
+        if n > WORDS_MAX_N:
+            raise GuardViolation(f"selection words are listed only for n <= {WORDS_MAX_N}, got {n}")
+        low, high_shift = (1 << n) - 1, 3 * n + 1
+        return frozenset(
+            (j & low) | (j >> n) << high_shift | section
+            for start, end, section in self._sections()
+            for j in range(start, end)
+        )
+
+    @cached_property
+    def _tiling(self) -> tuple[dict[int, tuple[int, int]], tuple[tuple[int, tuple], ...]]:
+        """The section intervals by section, and each interval's section with
+        the aligned dyadic blocks (start, length) that tile it."""
+        where, tiling = {}, []
+        for start, end, section in self._sections():
+            where[section] = (start, end)
+            blocks = []
+            while start < end:
+                # The longest block aligned at start that fits before end.
+                align = (start & -start) or end
+                size = 1 << min(align.bit_length(), (end - start).bit_length()) - 1
+                blocks.append((start, size))
+                start += size
+            tiling.append((section, tuple(blocks)))
+        return where, tuple(tiling)
+
+    def stay_count(self, mask: int) -> int:
+        """How many window words remain in the family after XOR with mask.
+
+        Word j + 1 is the bits of j as padding plus section(j), which is
+        constant on each interval A of the ``_tiling``.  With p the mask's
+        padding read as bits of j and m its section part, word j + 1 stays
+        iff section(j ^ p) = section(j) ^ m.  The sections are distinct,
+        so on A that asks j ^ p to lie in the one interval B whose section
+        is section(A) ^ m, if there is one.  XOR with p maps an aligned
+        dyadic block of A onto an aligned dyadic block of the same length,
+        so each block adds one interval overlap: O(n^2) integer steps per
+        mask over the at most 2n + 2 intervals of 4n blocks each.
         """
         n = self.n
         if n > COUNT_MAX_N:
-            raise GuardViolation(f"selection-word counting supports n <= {COUNT_MAX_N}, got {n}")
-        low, high_shift = (1 << n) - 1, 3 * n + 1
-        ends = sorted((self.threshold(l), 1 << (l + 2 * n)) for l in range(-n, n + 1))
-        section, start = sum(bit for _, bit in ends), 0
-        words = set()
-        for end, bit in ends + [(4**n, 0)]:
-            words.update((j & low) | (j >> n) << high_shift | section for j in range(start, end))
-            start = max(start, end)
-            section ^= bit
-        return frozenset(words)
-
-    def stay_count(self, mask: int) -> int:
-        """How many window words remain in the family after XOR with mask."""
+            raise GuardViolation(
+                f"rate-set defects are counted only for n <= {COUNT_MAX_N}, got {n}"
+            )
         if not mask:
-            return 4**self.n
+            return 4**n
         if mask not in self._stays:
-            words = self.words
-            self._stays[mask] = sum((u ^ mask) in words for u in words)
+            pad = (mask & (1 << n) - 1) | (mask >> 3 * n + 1) << n
+            flip = mask & ((1 << 2 * n + 1) - 1) << n
+            where, tiling = self._tiling
+            total = 0
+            for section, blocks in tiling:
+                target = where.get(section ^ flip)
+                if target is None:
+                    continue
+                low, high = target
+                for start, size in blocks:
+                    image = (start ^ pad) & -size
+                    if image < high and image + size > low:
+                        total += min(image + size, high) - max(image, low)
+            self._stays[mask] = total
         return self._stays[mask]
 
     def contains_fraction(self, position: int) -> Fraction:
@@ -208,8 +283,8 @@ class FolnerSet:
 
     Every kind provides ``size``, ``shifts()`` (the shift range when the
     set is a shift range times a support family, else None),
-    ``balance(position)``, ``left_intersection(g)`` and
-    ``right_intersection(g)``.  ``elements`` holds the materialized
+    ``balance(position)``, ``left_share(g)`` and ``right_share(g)``
+    (|gF & F|/|F| and |Fg & F|/|F|).  ``elements`` holds the materialized
     elements or None; the rate and box kinds build them on request with
     ``materialize()``, under their size guards.  ``recipe`` is
     serialization metadata only.
@@ -229,13 +304,13 @@ def _sorted_elements(elements: Iterable[GroupElement]) -> tuple[GroupElement, ..
     return tuple(sorted(set(elements), key=lambda g: (g.shift, g.flips)))
 
 
-def _enumerated_intersection(folner: FolnerSet, g: GroupElement, side: str) -> int:
+def _enumerated_share(folner: FolnerSet, g: GroupElement, side: str) -> Fraction:
     elements = set(enumerate_elements(folner))
     if side == "left":
         translated = {compose(g, h) for h in elements}
     else:
         translated = {compose(h, g) for h in elements}
-    return len(elements & translated)
+    return Fraction(len(elements & translated), len(elements))
 
 
 @dataclass(frozen=True)
@@ -259,29 +334,39 @@ class RateFolner(FolnerSet):
     def balance(self, position: int) -> Fraction:
         return self.family.contains_fraction(position)
 
-    def _kept_supports(self, positions: Iterable[int]) -> int:
-        """Window words kept by XOR with the flips at the given positions,
-        times the free positions' 2^(#free) supports."""
+    def _window_mask(self, positions: Iterable[int]) -> int:
+        """The flips at the given positions that land in the window, packed
+        like the words; flips at free positions keep every support."""
         w = 2 * self.n
-        mask = sum(1 << (p + w) for p in positions if abs(p) <= w)
-        return self.family.stay_count(mask) * 2 ** len(self.family.free_positions)
+        return sum(1 << (p + w) for p in positions if abs(p) <= w)
 
-    def left_intersection(self, g: GroupElement) -> int:
-        bound = 2**self.n
-        total = 0
-        for a in range(-bound, bound + 1):
-            shifted = [d + a for d in g.flips]
-            if abs(a + g.shift) <= bound and all(abs(p) <= bound for p in shifted):
-                total += self._kept_supports(shifted)
-        return total
+    def left_share(self, g: GroupElement) -> Fraction:
+        """|gF & F| / |F|, counted in window units: shift a of F keeps
+        stay_count(mask) of its 4^n words, and the 2^(#free) factor cancels.
 
-    def right_intersection(self, g: GroupElement) -> int:
+        The admissible shifts (a + g.shift and every flip d + a inside the
+        bound) form one interval [lo, hi].  Only the shifts that move a
+        flip into the window give a nonzero mask; the rest keep 4^n each.
+        """
+        family, bound, w = self.family, 2**self.n, 2 * self.n
+        whole = family.stay_count(0)  # 4^n; also the counting guard
+        flips = g.flips
+        lo = max(-bound, -bound - g.shift, -bound - min(flips, default=0))
+        hi = min(bound, bound - g.shift, bound - max(flips, default=0))
+        near = {a for d in flips for a in range(max(lo, -w - d), min(hi, w - d) + 1)}
+        kept = max(0, hi - lo + 1 - len(near)) * whole + sum(
+            family.stay_count(self._window_mask(d + a for d in flips)) for a in near
+        )
+        return Fraction(kept, (2 * bound + 1) * whole)
+
+    def right_share(self, g: GroupElement) -> Fraction:
         """Counted for pure flips; a shifted g needs enumeration (guarded)."""
         if g.shift != 0:
-            return _enumerated_intersection(self, g, "right")
+            return _enumerated_share(self, g, "right")
+        whole = self.family.stay_count(0)  # 4^n; also the counting guard
         if any(abs(d) > 2**self.n for d in g.flips):
-            return 0
-        return (2 ** (self.n + 1) + 1) * self._kept_supports(g.flips)
+            return Fraction(0)
+        return Fraction(self.family.stay_count(self._window_mask(g.flips)), whole)
 
     def materialize(self) -> tuple[GroupElement, ...]:
         if self.n > MATERIALIZE_MAX_N:
@@ -308,22 +393,23 @@ class BoxFolner(FolnerSet):
     def balance(self, position: int) -> Fraction:
         return Fraction(1, 2) if position in self.positions else Fraction(0)
 
-    def left_intersection(self, g: GroupElement) -> int:
+    def left_share(self, g: GroupElement) -> Fraction:
         members = set(self.positions)
         good = sum(
             1
             for a in self.positions
             if a + g.shift in members and all(d + a in members for d in g.flips)
         )
-        return good * 2 ** len(members)
+        return Fraction(good, len(members))
 
-    def right_intersection(self, g: GroupElement) -> int:
+    def right_share(self, g: GroupElement) -> Fraction:
         members = set(self.positions)
         shifted = {q + g.shift for q in members}
         if any(d not in members and d not in shifted for d in g.flips):
-            return 0
-        stable = [q for q in self.positions if q + g.shift in members]
-        return len(stable) * 2 ** len(stable)
+            return Fraction(0)
+        stable = sum(q + g.shift in members for q in self.positions)
+        # |Fg & F| = stable 2^stable out of |F| = |box| 2^|box|.
+        return Fraction(stable, len(members) * 2 ** (len(members) - stable))
 
     def materialize(self) -> tuple[GroupElement, ...]:
         box = self.positions
@@ -351,11 +437,11 @@ class ExplicitFolner(FolnerSet):
     def balance(self, position: int) -> Fraction:
         return Fraction(sum(position in g.flips for g in self.elements), len(self.elements))
 
-    def left_intersection(self, g: GroupElement) -> int:
-        return _enumerated_intersection(self, g, "left")
+    def left_share(self, g: GroupElement) -> Fraction:
+        return _enumerated_share(self, g, "left")
 
-    def right_intersection(self, g: GroupElement) -> int:
-        return _enumerated_intersection(self, g, "right")
+    def right_share(self, g: GroupElement) -> Fraction:
+        return _enumerated_share(self, g, "right")
 
 
 def rate_folner(rate: RateSequence, n: int, materialize: bool = False) -> RateFolner:
@@ -391,23 +477,19 @@ def flip_balance(folner: FolnerSet, position: int) -> Fraction:
     return folner.balance(position)
 
 
-def _defect_from_intersection(size: int, intersection: int) -> Fraction:
-    # |gF| = |F|, so |gF \ F| = 2 (|F| - |gF & F|).
-    return Fraction(2 * (size - intersection), size)
-
-
 def left_defect(folner: FolnerSet, g: GroupElement) -> Fraction:
     """Exact |gF \\ F| / |F|."""
     if g == IDENTITY:
         return Fraction(0)
-    return _defect_from_intersection(folner.size, folner.left_intersection(g))
+    # |gF| = |F|, so |gF \ F| / |F| = 2 (1 - |gF & F| / |F|).
+    return 2 * (1 - folner.left_share(g))
 
 
 def right_defect(folner: FolnerSet, g: GroupElement) -> Fraction:
     """Exact |Fg \\ F| / |F|."""
     if g == IDENTITY:
         return Fraction(0)
-    return _defect_from_intersection(folner.size, folner.right_intersection(g))
+    return 2 * (1 - folner.right_share(g))
 
 
 def translate_folner(

@@ -6,7 +6,8 @@ unit-count reference for the counted kernel), transportation by enumerating span
 the bipartite support graph or, onto two atoms, as a fractional knapsack
 (value and plan),
 matching by trying every injection, defects by materializing both sets,
-the rate family's selection words from their Fraction definition,
+the rate family's selection words from their Fraction definition and
+their stay counts by scanning the listed words,
 PL maps by evaluating their breakpoint lists point by point in Fraction,
 the lamplighter metric from its planar embedding, the limit operator by
 integrating against the limit measure, and right-box averages with their
@@ -215,6 +216,12 @@ def word_family(rate, n: int) -> tuple[tuple[int, ...], ...]:
         pad = [(k - 1) >> i & 1 for i in range(2 * n)]
         words.append(tuple(pad[:n]) + selection_word(rate, n, k) + tuple(pad[n:]))
     return tuple(words)
+
+
+def word_stay_count(family, mask: int) -> int:
+    """How many of the family's listed window words stay in it after XOR
+    with mask: one set lookup per word (4^n of them)."""
+    return sum((u ^ mask) in family.words for u in family.words)
 
 
 def pl_value(points, t) -> Fraction:

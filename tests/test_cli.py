@@ -466,3 +466,30 @@ def test_run_experiment_checks_unvalidated_params():
     with pytest.raises(ConfigError) as err:
         run_experiment(ExperimentConfig((ScenarioSpec("rightavg", {"nmax": 0}),)))
     assert any("nmax" in v for v in err.value.violations)
+
+
+def test_folner_defect_counts_past_the_word_listing(capsys):
+    assert run_cli("folner", "defect", "--preset", "r-decay", "--n", "10", "--g", "f s f") == 0
+    assert json.loads(capsys.readouterr().out)["defect"]["exact"] == "13971595/537133056"
+    assert run_cli("folner", "defect", "--preset", "r-decay", "--n", "64", "--g", "f s s f S S f") == 0
+    capsys.readouterr()
+    assert run_cli("folner", "defect", "--preset", "r-decay", "--n", "65") == 3
+    assert "n <= 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["13", "20"])
+def test_folner_build_refuses_sizes_past_the_print_limit(capsys, n):
+    assert run_cli("folner", "build", "--kind", "rate", "--preset", "r-decay", "--n", n) == 3
+    err = capsys.readouterr().err
+    assert "guard violation" in err and "n <= 12" in err
+
+
+def test_folner_build_prints_the_largest_size(capsys):
+    assert run_cli("folner", "build", "--kind", "rate", "--preset", "r-decay", "--n", "12") == 0
+    size = json.loads(capsys.readouterr().out)["size"]
+    assert size == (2**13 + 1) * 4**12 * 2 ** (2 * (2**12 - 24))
+
+
+def test_dynamics_met_guard_exit_code(capsys):
+    assert run_cli("dynamics", "met", "--preset", "r-decay", "--g", "s", "--nmax", "11") == 3
+    assert "8194-atom" in capsys.readouterr().err
