@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Subcommands: folner, transport, dynamics, homeo, experiment.  Exit codes:
-0 ok, 1 usage error, 2 invariant failure, 3 guard violation.
+Subcommands: folner, transport, dynamics, homeo, experiment.  Each
+dynamics action is a one-scenario experiment: it runs the scenario that
+DYNAMICS_ACTIONS names, with its flags as the scenario's parameters,
+checked and written like a config's.  Exit codes: 0 ok, 1 usage error,
+2 invariant failure, 3 guard violation.
 """
 
 from __future__ import annotations
@@ -9,30 +12,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from .dynamics import (
-    average_invariance_defect,
-    averaging_guard,
-    averaging_residual,
-    default_sample,
-    empirical_measure,
-    example_case,
-    genericity_table,
-    limit_measure,
-    seever_residual,
-    translation_gap,
-    verdicts,
-)
 from .errors import ConfigError, GuardViolation, InvariantViolation
 from .exact import exact
 from .experiment import (
     ExperimentConfig,
-    ResultTable,
+    ScenarioSpec,
     guard_violations,
     run_experiment,
     validate_config,
+    violation_message,
     write_outputs,
 )
 from .folner import (
@@ -45,7 +37,6 @@ from .folner import (
     right_defect,
     translate_folner,
 )
-from .functions import ends_separator, random_affine
 from .homeo import (
     HomeoFamily,
     IDENTITY_MAP,
@@ -58,7 +49,7 @@ from .homeo import (
     repelling_element,
     repelling_family,
 )
-from .lamplighter import FLIP, INF_HAT, Point, hat, metric, parse_word
+from .lamplighter import FLIP, Point, metric, parse_word
 from .transport import DiscreteMeasure, cost_matrix, dual_lower_bound, solve_assignment, wasserstein
 
 
@@ -69,14 +60,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _parse_point(raw: str) -> Point:
-    try:
-        component, pos = raw.split(":", 1)
-        return Point.from_dict({"component": component, "pos": pos if pos == "inf" else int(pos)})
-    except ValueError as exc:
-        raise UsageError(f"bad point {raw!r}; expected hat:<int>|check:<int>|hat:inf") from exc
 
 
 def _read_json_list(path: str, keys: tuple[str, ...]) -> list[dict]:
@@ -115,17 +98,16 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
-def _emit_table(table: ResultTable, args) -> None:
-    fmt = getattr(args, "fmt", None) or "csv"
-    text = table.to_csv() if fmt == "csv" else table.to_json()
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _rate_arg(args) -> RateSequence:
-    return RateSequence.from_preset(args.preset)
+def _run(config: ExperimentConfig, args) -> int:
+    """Run the config with the --out, --seed and --format flags laid over
+    it; the results go to stdout unless there is an out directory."""
+    flags = {"out": args.out, "seed": args.seed, "fmt": args.fmt}
+    config = replace(config, **{name: value for name, value in flags.items() if value is not None})
+    table = run_experiment(config)
+    write_outputs(table, config)
+    if config.out is None:
+        sys.stdout.write(table.to_csv() if config.fmt == "csv" else table.to_json())
+    return table.exit_code()
 
 
 def _number(value: Fraction) -> dict:
@@ -135,7 +117,7 @@ def _number(value: Fraction) -> dict:
 # ---------------------------------------------------------------- folner
 
 def _cmd_folner(args) -> int:
-    rate = _rate_arg(args)
+    rate = RateSequence.from_preset(args.preset)
     if args.action == "build":
         if args.kind == "box":
             folner = box_folner(range(args.a_min, args.a_max + 1), materialize=args.materialize)
@@ -215,62 +197,24 @@ def _cmd_transport(args) -> int:
 
 # --------------------------------------------------------------- dynamics
 
-def _cmd_dynamics(args) -> int:
-    import random
+_AVERAGING = ("averaging", {"preset": "rate", "g": "g", "nmax": "nmax"})
 
-    rate = _rate_arg(args)
-    rng = random.Random(args.seed)
-    table = ResultTable()
-    sample = default_sample(8)
-    if args.action == "generic":
-        sets = [rate_folner(rate, n) for n in range(1, args.nmax + 1)]
-        rows, violations = genericity_table(sets, _parse_point(args.x), rate)
-        table.failures.extend(violations)
-        for row in rows:
-            table.add("generic", row.n, args.x, "w-to-limit", row.distance, "closed-form")
-    elif args.action == "rightavg":
-        f = ends_separator()
-        for n in range(1, args.nmax + 1):
-            mu = empirical_measure(box_folner(range(-n, n + 1)), _parse_point(args.x))
-            table.add("rightavg", n, args.x, "average", mu.integrate(f), "closed-form")
-    elif args.action == "seever":
-        worst = Fraction(0)
-        for _ in range(args.pairs):
-            worst = max(
-                worst, seever_residual(rate, random_affine(rng), random_affine(rng), sample)
-            )
-        table.add("seever", None, "random-pairs", "residual", worst, "closed-form")
-        if worst != 0:
-            table.failures.append(f"seever: residual is {worst}, not 0")
-    elif args.action == "averaging":
-        for _ in range(args.pairs):
-            averaging_residual(rate, random_affine(rng), random_affine(rng), hat(rng.randint(-8, 8)))
-        value = averaging_residual(rate, ends_separator(), ends_separator(), hat(0))
-        table.add("averaging", None, "hat:0", "residual", value, "closed-form")
-    elif args.action == "tinv":
-        gap = translation_gap(rate, ends_separator(), parse_word(args.g), sample)
-        table.add("tinv", None, args.g, "translation-gap", gap, "closed-form")
-    elif args.action == "met":
-        averaging_guard(args.nmax)
-        f = ends_separator()
-        for n in range(1, args.nmax + 1):
-            value = average_invariance_defect(
-                rate_folner(rate, n), parse_word(args.g), f, sample
-            )
-            table.add("met", n, args.g, "average-invariance-defect", value, "brute-force-oracle")
-    elif args.action == "thm-example":
-        bundle, name = example_case(args.case), f"thm-example-{args.case}"
-        continuous, pattern = verdicts(bundle.rate, 16)
-        table.add(name, None, "verdict", "continuous", continuous, "closed-form")
-        table.add(name, None, "verdict", "ergodic-everywhere", pattern == "all", "closed-form")
-        for b in range(-8, 9):
-            mu = limit_measure(bundle.rate, hat(b))
-            value, _ = wasserstein(mu, DiscreteMeasure.point_mass(INF_HAT), metric)
-            table.add(name, None, f"hat:{b}", "w-to-hat-end", value, "closed-form")
-    else:
-        raise UsageError(f"unknown dynamics action {args.action!r}")
-    _emit_table(table, args)
-    return table.exit_code()
+#: Each action: the scenario it runs, and the scenario parameter each flag sets.
+DYNAMICS_ACTIONS = {
+    "generic": ("genericity", {"preset": "rate", "nmax": "nmax"}),
+    "rightavg": ("rightavg", {"nmax": "nmax"}),
+    "seever": ("operator-identities", {"preset": "rate", "pairs": "pairs"}),
+    "averaging": _AVERAGING,
+    "tinv": _AVERAGING,
+    "met": _AVERAGING,
+    "thm-example": ("thm-example", {"case": "case"}),
+}
+
+
+def _cmd_dynamics(args) -> int:
+    scenario, flags = DYNAMICS_ACTIONS[args.action]
+    params = {param: getattr(args, flag) for flag, param in flags.items()}
+    return _run(ExperimentConfig((ScenarioSpec(scenario, params),)), args)
 
 
 # ------------------------------------------------------------------ homeo
@@ -318,35 +262,16 @@ def _cmd_homeo(args) -> int:
 # ------------------------------------------------------------- experiment
 
 def _cmd_experiment(args) -> int:
-    if args.config:
-        config = validate_config(Path(args.config).read_text())
-    else:
-        config = ExperimentConfig((), seed=args.seed or 0, fmt=args.fmt or "csv", out=args.out)
-    overrides = {}
-    if args.out:
-        overrides["out"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.fmt:
-        overrides["fmt"] = args.fmt
-    if overrides:
-        config = ExperimentConfig(
-            config.scenarios,
-            seed=overrides.get("seed", config.seed),
-            fmt=overrides.get("fmt", config.fmt),
-            out=overrides.get("out", config.out),
-        )
-    table = run_experiment(config)
-    write_outputs(table, config)
-    if config.out is None:
-        sys.stdout.write(table.to_csv() if config.fmt == "csv" else table.to_json())
-    return table.exit_code()
+    config = validate_config(Path(args.config).read_text()) if args.config else ExperimentConfig(())
+    return _run(config, args)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="folnerlab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="output path (directory for experiment)")
+    common.add_argument(
+        "--out", default=None, help="output file; for dynamics and experiment, a results and manifest directory"
+    )
     common.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
     common.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -373,15 +298,11 @@ def build_parser() -> _Parser:
     transport.set_defaults(func=_cmd_transport)
 
     dynamics = sub.add_parser("dynamics", parents=[common])
-    dynamics.add_argument(
-        "action",
-        choices=("generic", "rightavg", "seever", "averaging", "tinv", "met", "thm-example"),
-    )
+    dynamics.add_argument("action", choices=tuple(DYNAMICS_ACTIONS))
     dynamics.add_argument("--case", choices=("a", "b", "c", "d"), default="d")
     dynamics.add_argument("--preset", default="r-const:0.5")
     dynamics.add_argument("--nmax", type=int, default=3)
     dynamics.add_argument("--pairs", type=int, default=20)
-    dynamics.add_argument("--x", default="hat:0")
     dynamics.add_argument("--g", default="f")
     dynamics.set_defaults(func=_cmd_dynamics)
 
@@ -412,7 +333,7 @@ def main(argv=None) -> int:
         return 1
     except ConfigError as exc:
         for violation in exc.violations:
-            print(f"config error: {violation}", file=sys.stderr)
+            print(violation_message(violation), file=sys.stderr)
         return 3 if guard_violations(exc) else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

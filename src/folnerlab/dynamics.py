@@ -148,6 +148,8 @@ class GenericityRow:
     n: int
     distance: Fraction
     bound: Fraction
+    #: The transported empirical measure's mass on the check component.
+    check_mass: Fraction
 
 
 def _genericity_rows(n: int) -> int:
@@ -183,8 +185,10 @@ def genericity_table(
         genericity_guard(folner.n)
     rows = []
     for folner in sets:
-        value, _ = wasserstein(empirical_measure(folner, x), limit_measure(rate, x), metric)
-        rows.append(GenericityRow(folner.n, value, tau_bound(folner.n)))
+        mu = empirical_measure(folner, x)
+        value, _ = wasserstein(mu, limit_measure(rate, x), metric)
+        check_mass = mu.mass_where(lambda p: p.component == CHECK)
+        rows.append(GenericityRow(folner.n, value, tau_bound(folner.n), check_mass))
     violations = [
         f"distance increased from n={a.n} ({a.distance}) to n={b.n} ({b.distance})"
         for a, b in zip(rows, rows[1:])

@@ -45,11 +45,13 @@ BOX_MATERIALIZE_MAX = 22
 #: O(n^2) integer steps; the CLI ``folner defect --preset r-decay --n 64
 #: --g "f s s f S S f"`` takes about 0.8 s on a 2-core Xeon.
 COUNT_MAX_N = 64
-#: Largest n whose 4^n selection words are listed (``SupportFamily.words``).
-WORDS_MAX_N = 10
 #: Largest n whose rate-set size is built: |F_12| has 2,464 decimal digits,
 #: |F_13| 4,929, past the 4,300 Python converts to a string by default.
 SIZE_MAX_N = 12
+#: Largest n whose rate-set balances are built: a window balance c_l / 4^n
+#: has 4^n as denominator when c_l is odd, and 4^7142 has 4,300 decimal
+#: digits, 4^7143 4,301.
+BALANCE_MAX_N = 7142
 #: Default search horizon (members inspected per family) when interleaving.
 INTERLEAVE_HORIZON = 16
 
@@ -142,11 +144,6 @@ class SupportFamily:
         return range(-2 * self.n, 2 * self.n + 1)
 
     @property
-    def free_positions(self) -> tuple[int, ...]:
-        b, w = self.bound, 2 * self.n
-        return tuple(itertools.chain(range(-b, -w), range(w + 1, b + 1)))
-
-    @property
     def cardinality(self) -> int:
         """4^n window words times 2^(#free), #free = 2(2^n - 2n); guarded at
         n <= SIZE_MAX_N, since |F_n| has about 2^(n+1) bits."""
@@ -177,25 +174,6 @@ class SupportFamily:
                 yield start, end, section
                 start = end
             section ^= bit
-
-    @cached_property
-    def words(self) -> frozenset[int]:
-        """The 4^n window words packed into ints, bit l + 2n for position l.
-
-        Word k carries the threshold bits k-1 < c_l on [-n, n] and the 2n
-        bits of k-1 as padding: the low n below the window section, the
-        high n above it.  Only materialization and the tests list them;
-        counting never does.
-        """
-        n = self.n
-        if n > WORDS_MAX_N:
-            raise GuardViolation(f"selection words are listed only for n <= {WORDS_MAX_N}, got {n}")
-        low, high_shift = (1 << n) - 1, 3 * n + 1
-        return frozenset(
-            (j & low) | (j >> n) << high_shift | section
-            for start, end, section in self._sections()
-            for j in range(start, end)
-        )
 
     @cached_property
     def _tiling(self) -> tuple[dict[int, tuple[int, int]], tuple[tuple[int, tuple], ...]]:
@@ -253,7 +231,13 @@ class SupportFamily:
 
     def contains_fraction(self, position: int) -> Fraction:
         """Exact fraction of supports containing the given position: c_l / 4^n
-        inside [-n, n], one half on the padding and the free positions."""
+        inside [-n, n], one half on the padding and the free positions.
+        Guarded at n <= BALANCE_MAX_N, the largest n whose balances print."""
+        if self.n > BALANCE_MAX_N:
+            raise GuardViolation(
+                f"rate-set balances are built only for n <= {BALANCE_MAX_N} (a balance c/4^n past it "
+                f"can have more than 4,300 digits, the most Python prints), got n={self.n}"
+            )
         if abs(position) <= self.n:
             return Fraction(self.threshold(position), 4**self.n)
         return Fraction(1, 2) if abs(position) <= self.bound else Fraction(0)
@@ -263,12 +247,17 @@ class SupportFamily:
             raise GuardViolation(
                 f"support enumeration is guarded at n <= {MATERIALIZE_MAX_N}, got {self.n}"
             )
-        free = self.free_positions
-        for word in self.words:
-            fixed = [l for l in self.window_positions if word >> (l + 2 * self.n) & 1]
-            for r in range(len(free) + 1):
-                for extra in itertools.combinations(free, r):
-                    yield tuple(sorted(fixed + list(extra)))
+        n, b, w = self.n, self.bound, 2 * self.n
+        free = tuple(itertools.chain(range(-b, -w), range(w + 1, b + 1)))
+        for start, end, section in self._sections():
+            for j in range(start, end):
+                # Word j + 1, packed like a mask: the low n bits of j below
+                # the section, the high n above it.
+                word = (j & (1 << n) - 1) | (j >> n) << 3 * n + 1 | section
+                fixed = [l for l in self.window_positions if word >> (l + w) & 1]
+                for r in range(len(free) + 1):
+                    for extra in itertools.combinations(free, r):
+                        yield tuple(sorted(fixed + list(extra)))
 
 
 def support_family(rate: RateSequence, n: int) -> SupportFamily:

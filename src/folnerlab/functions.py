@@ -4,17 +4,15 @@ Three kinds: affine combinations of the first embedding coordinate and
 the component indicator, metric bumps, and Lipschitz (McShane) envelopes
 of finitely many anchor values.  Every function evaluates exactly (in
 ``Fraction``) at every point including the two infinities, and carries a
-declared Lipschitz constant that the verification helper can check on
-sampled pairs.
+declared Lipschitz constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .errors import LipschitzViolation
 from .exact import exact
 from .lamplighter import CHECK, Point, embedding, metric
 
@@ -80,18 +78,6 @@ def envelope(anchors: Sequence[tuple[Point, object]], lipschitz=1) -> TestFuncti
     return TestFunction("lipschitz-envelope", f"envelope({len(pinned)} anchors)", lipschitz, evaluate)
 
 
-def scaled_to_unit(f: TestFunction) -> TestFunction:
-    """Rescale so the declared Lipschitz constant is at most 1."""
-    if f.lipschitz <= 1:
-        return f
-    factor = 1 / f.lipschitz
-
-    def evaluate(x: Point) -> Fraction:
-        return factor * f(x)
-
-    return TestFunction(f.kind, f"{f.label}/{f.lipschitz}", Fraction(1), evaluate)
-
-
 def canonical_family() -> list[TestFunction]:
     from .lamplighter import INF_CHECK, hat
 
@@ -107,16 +93,3 @@ def canonical_family() -> list[TestFunction]:
 def random_affine(rng) -> TestFunction:
     coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(3)]
     return affine(*coeffs)
-
-
-def verify_lipschitz(f: TestFunction, points: Iterable[Point]) -> None:
-    """Exact pairwise check of the declared constant; raises on violation."""
-    pts = list(points)
-    values = {p: f(p) for p in pts}
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            p, q = pts[a], pts[b]
-            if abs(values[p] - values[q]) > f.lipschitz * metric(p, q):
-                raise LipschitzViolation(
-                    f"{f.label}: |f({p}) - f({q})| exceeds {f.lipschitz} * d"
-                )

@@ -131,10 +131,6 @@ def _sweep(f: IntegerForm, g: IntegerForm) -> Iterator[tuple[int, int, int]]:
             j += 1
 
 
-def invert(f: PLHomeo) -> PLHomeo:
-    return PLHomeo(tuple((y, x) for x, y in f.breakpoints))
-
-
 def compose_maps(outer: PLHomeo, inner: PLHomeo) -> PLHomeo:
     """outer . inner, with breakpoints at the inner grid joined with the
     preimages of the outer grid: one sweep of the inner y-grid against the

@@ -24,7 +24,7 @@ Python ``int`` and divide back at exit, so results stay exact and no
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
@@ -69,10 +69,10 @@ class DiscreteMeasure:
             if m < 0:
                 raise ValueError(f"negative mass {mass!r}")
             if m > 0:
-                merged[point] = merged.get(point, Fraction(0)) + m
+                merged[point] = merged[point] + m if point in merged else m
         if not merged:
             raise ValueError("a measure needs at least one atom of positive mass")
-        total = sum(merged.values())
+        total = _total(merged.values())
         if total != 1:
             raise ValueError(f"masses sum to {total}, not 1")
         return DiscreteMeasure(tuple(merged.items()))
@@ -93,7 +93,7 @@ class DiscreteMeasure:
         return tuple(point for point, _ in self.atoms)
 
     def mass_where(self, predicate: Callable[[Hashable], bool]) -> Fraction:
-        return sum((mass for point, mass in self.atoms if predicate(point)), Fraction(0))
+        return _total(mass for point, mass in self.atoms if predicate(point))
 
 
 @dataclass(frozen=True)
@@ -101,21 +101,6 @@ class TransportPlan:
     """Flows (source index, target index, mass) between two atom lists."""
 
     flows: tuple[tuple[int, int, Fraction], ...]
-
-    def validate(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
-        row = defaultdict(Fraction)
-        col = defaultdict(Fraction)
-        for i, j, mass in self.flows:
-            if mass < 0:
-                raise ValueError("negative flow")
-            row[i] += mass
-            col[j] += mass
-        for i, (_, mass) in enumerate(mu.atoms):
-            if row[i] != mass:
-                raise ValueError(f"row marginal {i} is {row[i]}, expected {mass}")
-        for j, (_, mass) in enumerate(nu.atoms):
-            if col[j] != mass:
-                raise ValueError(f"column marginal {j} is {col[j]}, expected {mass}")
 
     def cost(self, costs: Sequence[Sequence[Fraction]]) -> Fraction:
         return sum((mass * costs[i][j] for i, j, mass in self.flows), Fraction(0))
@@ -127,6 +112,13 @@ def _integer_scaled(values) -> tuple[list[int], int]:
     fractions = [x if isinstance(x, Fraction) else Fraction(x) for x in values]
     scale = math.lcm(*(x.denominator for x in fractions))
     return [x.numerator * (scale // x.denominator) for x in fractions], scale
+
+
+def _total(values) -> Fraction:
+    """The exact sum of rationals, added as integers over their common
+    denominator rather than one Fraction at a time."""
+    numerators, scale = _integer_scaled(values)
+    return Fraction(sum(numerators), scale)
 
 
 def _integer_costs(costs) -> tuple[list[list[int]], int]:

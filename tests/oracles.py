@@ -8,18 +8,23 @@ the bipartite support graph or, onto two atoms, as a fractional knapsack
 matching by trying every injection, defects by materializing both sets,
 the rate family's selection words from their Fraction definition and
 their stay counts by scanning the listed words,
-PL maps by evaluating their breakpoint lists point by point in Fraction,
+PL maps by evaluating their breakpoint lists point by point in Fraction
+(and inverting them by swapping coordinates),
 the lamplighter metric from its planar embedding, the limit operator by
 integrating against the limit measure, and right-box averages with their
-tail bound.
+tail bound.  Test-only checks live here too: the marginals of a transport
+plan and the declared Lipschitz constant of a test function.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from folnerlab.errors import LipschitzViolation
 from folnerlab.folner import FolnerSet, box_folner, enumerate_elements
 from folnerlab.dynamics import folner_average, limit_measure
-from folnerlab.homeo import repelling_element, squash_margin
+from folnerlab.functions import TestFunction
+from folnerlab.homeo import PLHomeo, repelling_element, squash_margin
 from folnerlab.transport import _integer_costs
 from folnerlab.lamplighter import INF_HAT, GroupElement, act, compose, embedding, hat, metric
 
@@ -218,10 +223,23 @@ def word_family(rate, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(words)
 
 
+def packed_words(family) -> frozenset:
+    """The family's 4^n window words packed into ints, bit l + 2n for
+    position l: word j + 1 is its section over [-n, n] with the low n bits
+    of j below it and the high n above it."""
+    n = family.n
+    return frozenset(
+        (j & (1 << n) - 1) | (j >> n) << 3 * n + 1 | section
+        for start, end, section in family._sections()
+        for j in range(start, end)
+    )
+
+
 def word_stay_count(family, mask: int) -> int:
     """How many of the family's listed window words stay in it after XOR
     with mask: one set lookup per word (4^n of them)."""
-    return sum((u ^ mask) in family.words for u in family.words)
+    words = packed_words(family)
+    return sum((u ^ mask) in words for u in words)
 
 
 def pl_value(points, t) -> Fraction:
@@ -238,6 +256,10 @@ def pl_value(points, t) -> Fraction:
     if t == x0:
         return y0
     return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+
+
+def invert(f: PLHomeo) -> PLHomeo:
+    return PLHomeo(tuple((y, x) for x, y in f.breakpoints))
 
 
 def pl_sup_distance(f, g) -> Fraction:
@@ -296,3 +318,46 @@ def box_average_tail_bound(box, x, f) -> Fraction:
     positions = sorted(set(box))
     total = sum(metric(hat(x.pos - a), INF_HAT) for a in positions)
     return f.lipschitz * Fraction(total, len(positions))
+
+
+def validate_plan(plan, mu, nu) -> None:
+    """Raise ValueError unless the plan's flows are nonnegative and its
+    marginals are exactly mu's and nu's masses."""
+    row = defaultdict(Fraction)
+    col = defaultdict(Fraction)
+    for i, j, mass in plan.flows:
+        if mass < 0:
+            raise ValueError("negative flow")
+        row[i] += mass
+        col[j] += mass
+    for i, (_, mass) in enumerate(mu.atoms):
+        if row[i] != mass:
+            raise ValueError(f"row marginal {i} is {row[i]}, expected {mass}")
+    for j, (_, mass) in enumerate(nu.atoms):
+        if col[j] != mass:
+            raise ValueError(f"column marginal {j} is {col[j]}, expected {mass}")
+
+
+def scaled_to_unit(f: TestFunction) -> TestFunction:
+    """Rescale so the declared Lipschitz constant is at most 1."""
+    if f.lipschitz <= 1:
+        return f
+    factor = 1 / f.lipschitz
+
+    def evaluate(x) -> Fraction:
+        return factor * f(x)
+
+    return TestFunction(f.kind, f"{f.label}/{f.lipschitz}", Fraction(1), evaluate)
+
+
+def verify_lipschitz(f: TestFunction, points) -> None:
+    """Exact pairwise check of the declared constant; raises on violation."""
+    pts = list(points)
+    values = {p: f(p) for p in pts}
+    for a in range(len(pts)):
+        for b in range(a + 1, len(pts)):
+            p, q = pts[a], pts[b]
+            if abs(values[p] - values[q]) > f.lipschitz * metric(p, q):
+                raise LipschitzViolation(
+                    f"{f.label}: |f({p}) - f({q})| exceeds {f.lipschitz} * d"
+                )

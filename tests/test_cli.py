@@ -2,12 +2,13 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from oracles import two_atom_transport
 
 from folnerlab import experiment
-from folnerlab.cli import main
+from folnerlab.cli import DYNAMICS_ACTIONS, main
 from folnerlab.dynamics import empirical_measure, limit_measure
 from folnerlab.errors import ConfigError
 from folnerlab.experiment import (
@@ -208,7 +209,7 @@ def test_dynamics_generic_csv(capsys):
     assert run_cli("dynamics", "generic", "--preset", "r-const:0.5", "--nmax", "2") == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "experiment,n,subject,quantity,value,provenance"
-    assert len(lines) == 3
+    assert len(lines) == 7
 
 
 def test_dynamics_seever(capsys):
@@ -352,7 +353,6 @@ def test_validate_config_unknown_scenario():
 
 def test_any_nonzero_seever_residual_fails(tmp_path, capsys, monkeypatch):
     tiny = lambda *args: Fraction(1, 10**13)  # noqa: E731
-    monkeypatch.setattr("folnerlab.cli.seever_residual", tiny)
     monkeypatch.setattr("folnerlab.experiment.seever_residual", tiny)
     assert run_cli("dynamics", "seever", "--pairs", "2") == 2
     config = ExperimentConfig((ScenarioSpec("operator-identities", {"rate": "r-decay", "pairs": 2}),), seed=1)
@@ -448,7 +448,7 @@ def test_dynamics_generic_runs_past_the_old_guard(capsys):
         [m for _, m in target.atoms],
         cost_matrix(source.support(), target.support(), metric),
     )
-    assert f"generic,8,hat:0,w-to-limit,{float(expected)!r},closed-form" in rows
+    assert f"genericity,8,hat:0,w-to-limit,{float(expected)!r},closed-form" in rows
 
 
 def test_folner_defect_params_checked_with_the_config():
@@ -493,3 +493,64 @@ def test_folner_build_prints_the_largest_size(capsys):
 def test_dynamics_met_guard_exit_code(capsys):
     assert run_cli("dynamics", "met", "--preset", "r-decay", "--g", "s", "--nmax", "11") == 3
     assert "8194-atom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generic", "--nmax", "0"),
+        ("generic", "--nmax", "-2"),
+        ("rightavg", "--nmax", "11"),
+        ("seever", "--pairs", "0"),
+    ],
+)
+def test_dynamics_flags_out_of_range_exit_one(capsys, argv):
+    assert run_cli("dynamics", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
+def test_guard_violations_print_as_guards(tmp_path, capsys):
+    over = tmp_path / "over.json"
+    over.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 11}}]}))
+    assert run_cli("experiment", "--config", str(over)) == 3
+    assert capsys.readouterr().err.startswith(
+        "guard violation: scenarios[0].params.nmax: n = 11 needs a 8194x2 transportation simplex"
+    )
+    assert run_cli("dynamics", "met", "--nmax", "11") == 3
+    assert capsys.readouterr().err == (
+        "guard violation: averaging.params.nmax: n = 11 averages over 8194-atom empirical measures; "
+        "the guard allows n <= 10 (4098 atoms), got 11\n"
+    )
+
+
+def test_folner_balance_stops_at_the_print_limit(capsys):
+    assert run_cli("folner", "balance", "--preset", "r-decay", "--n", "7142", "--b", "1") == 0
+    assert json.loads(capsys.readouterr().out)["balance"]["float"] == pytest.approx(1 / 3)
+    assert run_cli("folner", "balance", "--preset", "r-decay", "--n", "7143", "--b", "1") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("guard violation: ") and "n <= 7142" in err
+
+
+def test_dynamics_out_names_a_results_directory(tmp_path, capsys):
+    out = tmp_path / "res"
+    assert run_cli("dynamics", "rightavg", "--nmax", "2", "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert (out / "results.csv").read_text().splitlines()[1] == "rightavg,1,hat:0,check-mass,0.5,closed-form"
+    assert json.loads((out / "manifest.json").read_text())["failures"] == []
+
+
+#: The stdout of each ``dynamics`` action at fixed flags, recorded from a
+#: run of that action once every action ran its registry scenario.
+DYNAMICS_GOLDEN = json.loads((Path(__file__).parent / "cli_dynamics_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", DYNAMICS_GOLDEN, ids=[case["argv"][0] for case in DYNAMICS_GOLDEN])
+def test_dynamics_output_is_byte_identical(capsys, case):
+    assert run_cli("dynamics", *case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
+def test_every_dynamics_action_is_pinned():
+    assert sorted(case["argv"][0] for case in DYNAMICS_GOLDEN) == sorted(DYNAMICS_ACTIONS)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import brute_defect, word_stay_count
+from oracles import brute_defect, packed_words, word_stay_count
 from test_folner import _rates
 
 from folnerlab.errors import GuardViolation
@@ -31,7 +31,7 @@ def test_stay_count_matches_the_word_scan(rate, n, data):
     masks = data.draw(st.lists(st.integers(0, 2 ** (4 * n + 1) - 1), min_size=1, max_size=4))
     # Differences of two words keep at least one word each, so the
     # interval-to-interval overlaps are exercised, not only empty targets.
-    words = sorted(family.words)
+    words = sorted(packed_words(family))
     word = st.sampled_from(words)
     pairs = data.draw(st.lists(st.tuples(word, word), max_size=4))
     for mask in masks + [u ^ v for u, v in pairs]:
@@ -85,7 +85,7 @@ def test_counting_never_lists_the_words(monkeypatch):
     def refuse(self):
         raise AssertionError("counting listed the selection words")
 
-    monkeypatch.setattr(SupportFamily, "words", property(refuse))
+    monkeypatch.setattr(SupportFamily, "tuples", refuse)
     # The counting workload's words: generators, a word and its inverse, and a product.
     g, h = parse_word("f s S f s"), parse_word("S f f s")
     elements = [SIGMA, SIGMA_INV, FLIP, g, inverse(g), h, parse_word("S f f s f s S f s")]

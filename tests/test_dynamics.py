@@ -33,7 +33,6 @@ from folnerlab.functions import (
     ends_separator,
     envelope,
     random_affine,
-    verify_lipschitz,
 )
 from folnerlab.lamplighter import (
     CHECK,
@@ -52,7 +51,7 @@ from folnerlab.lamplighter import (
     metric,
 )
 from folnerlab.transport import DiscreteMeasure, wasserstein
-from oracles import box_average_tail_bound, limit_apply_by_measure, right_box_averages
+from oracles import box_average_tail_bound, limit_apply_by_measure, right_box_averages, verify_lipschitz
 
 HALF = RateSequence.constant(Fraction(1, 2))
 ZERO = RateSequence.constant(0)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_defect, selection_word, word_family
+from oracles import brute_defect, packed_words, selection_word, word_family
 
 from folnerlab.errors import GuardViolation, HorizonExhausted
 from folnerlab.folner import (
@@ -353,7 +353,7 @@ _rates = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(_rates, st.integers(1, 4))
 def test_integer_words_match_the_fraction_definition(rate, n):
-    words = support_family(rate, n).words
+    words = packed_words(support_family(rate, n))
     assert len(words) == 4**n
     assert words == {_packed(w) for w in word_family(rate, n)}
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     brute_matching,
+    invert,
     pl_compose_breakpoints,
     pl_sup_distance,
     pl_value,
@@ -28,7 +29,6 @@ from folnerlab.homeo import (
     endpoint_fractions,
     interval_distance,
     interval_empirical,
-    invert,
     is_repelling,
     matching_number,
     pl_homeo,

@@ -12,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     brute_assignment,
     brute_assignment_distance,
+    scaled_to_unit,
     two_atom_plan,
     two_atom_transport,
     unit_hungarian,
+    validate_plan,
     vertex_enumeration_transport,
 )
 
@@ -27,7 +29,7 @@ from folnerlab.dynamics import (
 from folnerlab.errors import GuardViolation, LipschitzViolation, MetricOracleError
 from folnerlab.exact import exact
 from folnerlab.folner import RateSequence, explicit_folner, rate_folner
-from folnerlab.functions import ends_separator, scaled_to_unit, affine
+from folnerlab.functions import ends_separator, affine
 from folnerlab.lamplighter import (
     INF_CHECK,
     INF_HAT,
@@ -109,7 +111,7 @@ def test_transport_matches_vertex_oracle_random():
             [m for _, m in mu.atoms], [m for _, m in nu.atoms], costs
         )
         assert value == oracle
-        plan.validate(mu, nu)
+        validate_plan(plan, mu, nu)
         assert plan.cost(costs) == value
 
 
@@ -119,7 +121,7 @@ def test_plan_feasibility_and_value():
         mu, nu = random_measure(rng), random_measure(rng)
         costs = [[metric(p, q) for q, _ in nu.atoms] for p, _ in mu.atoms]
         value, plan = wasserstein(mu, nu, metric)
-        plan.validate(mu, nu)
+        validate_plan(plan, mu, nu)
         assert plan.cost(costs) == value
         assert all(q > 0 for _, _, q in plan.flows)
 
@@ -142,9 +144,9 @@ def test_masses_and_marginals_are_checked_exactly():
         DiscreteMeasure.from_pairs([(hat(0), Fraction(1, 2)), (hat(1), near)])
     mu = DiscreteMeasure.from_pairs([(hat(0), Fraction(1, 2)), (hat(1), Fraction(1, 2))])
     nu = DiscreteMeasure.point_mass(hat(0))
-    TransportPlan(((0, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2)))).validate(mu, nu)
+    validate_plan(TransportPlan(((0, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2)))), mu, nu)
     with pytest.raises(ValueError, match="row marginal 1"):
-        TransportPlan(((0, 0, Fraction(1, 2)), (1, 0, near))).validate(mu, nu)
+        validate_plan(TransportPlan(((0, 0, Fraction(1, 2)), (1, 0, near))), mu, nu)
 
 
 def test_outside_numbers_convert_exactly():
