@@ -157,7 +157,6 @@ def _cmd_folner(args) -> int:
         translated = translate_folner(sets, [parse_word(w) for w in words])
         _emit([dict(f.recipe) | {"size": f.size} for f in translated], args)
         return 0
-    raise UsageError(f"unknown folner action {args.action!r}")
 
 
 # -------------------------------------------------------------- transport
@@ -192,7 +191,6 @@ def _cmd_transport(args) -> int:
         primal, _ = wasserstein(mu, nu, dist)
         _emit({"lower_bound": _number(value), "primal": _number(primal)}, args)
         return 0
-    raise UsageError(f"unknown transport action {args.action!r}")
 
 
 # --------------------------------------------------------------- dynamics
@@ -211,9 +209,18 @@ DYNAMICS_ACTIONS = {
 }
 
 
+#: Every dynamics flag with its default.  The parser leaves a flag None
+#: unless it is given, so a flag the action does not map is a usage error.
+DYNAMICS_DEFAULTS = {"case": "d", "preset": "r-const:0.5", "nmax": 3, "pairs": 20, "g": "f"}
+
+
 def _cmd_dynamics(args) -> int:
     scenario, flags = DYNAMICS_ACTIONS[args.action]
-    params = {param: getattr(args, flag) for flag, param in flags.items()}
+    given = {flag: getattr(args, flag) for flag in DYNAMICS_DEFAULTS if getattr(args, flag) is not None}
+    stray = [f"--{flag}" for flag in given if flag not in flags]
+    if stray:
+        raise UsageError(f"dynamics {args.action} does not take {', '.join(stray)}")
+    params = {param: given.get(flag, DYNAMICS_DEFAULTS[flag]) for flag, param in flags.items()}
     return _run(ExperimentConfig((ScenarioSpec(scenario, params),)), args)
 
 
@@ -256,7 +263,6 @@ def _cmd_homeo(args) -> int:
             args,
         )
         return 0
-    raise UsageError(f"unknown homeo action {args.action!r}")
 
 
 # ------------------------------------------------------------- experiment
@@ -299,11 +305,11 @@ def build_parser() -> _Parser:
 
     dynamics = sub.add_parser("dynamics", parents=[common])
     dynamics.add_argument("action", choices=tuple(DYNAMICS_ACTIONS))
-    dynamics.add_argument("--case", choices=("a", "b", "c", "d"), default="d")
-    dynamics.add_argument("--preset", default="r-const:0.5")
-    dynamics.add_argument("--nmax", type=int, default=3)
-    dynamics.add_argument("--pairs", type=int, default=20)
-    dynamics.add_argument("--g", default="f")
+    dynamics.add_argument("--case", choices=("a", "b", "c", "d"))
+    dynamics.add_argument("--preset")
+    dynamics.add_argument("--nmax", type=int)
+    dynamics.add_argument("--pairs", type=int)
+    dynamics.add_argument("--g")
     dynamics.set_defaults(func=_cmd_dynamics)
 
     homeo = sub.add_parser("homeo", parents=[common])

@@ -2,18 +2,21 @@
 
 The Wasserstein distance between two finitely supported probability
 measures is computed as an exact minimum-cost transportation plan
-(simplex on the transportation polytope with Bland pivoting, which onto
-two target atoms starts at the optimal fractional-knapsack fill).  Its
-integer flows are checked against the scaled marginals before they are
-divided back.  The permutation form over a finite group set is solved
-by one counted assignment kernel: shortest augmenting paths with dual
-potentials on the distinct orbit points, each row and column carrying
-how many elements of F send x or y there.  With unit counts it picks
-the assignment of the classical Hungarian solve; ``solve_assignment``
-exposes it.  At every finite size the permutation form and the transport
-distance agree (Birkhoff), which the test suite checks against a
-factorial brute force, the expanded Hungarian solve and a
-basis-enumeration oracle.
+(simplex on the transportation polytope with Bland pivoting).  Onto two
+target atoms it starts at the optimal fractional-knapsack fill; onto
+three or more it starts from the least-cost tree, which fills the cells
+by increasing cost, ties by row and then column, and leaves few pivots
+(none for ``wf_estimate`` on ``decay``, hat(0) against hat(3), at
+n <= 6).  Its integer flows are checked against the scaled marginals
+before they are divided back.  The permutation form over a finite group
+set is solved by one counted assignment kernel: shortest augmenting
+paths with dual potentials on the distinct orbit points, each row and
+column carrying how many elements of F send x or y there.  With unit
+counts it picks the assignment of the classical Hungarian solve;
+``solve_assignment`` exposes it.  At every finite size the permutation
+form and the transport distance agree (Birkhoff), which the test suite
+checks against a factorial brute force, the expanded Hungarian solve
+and a basis-enumeration oracle.
 
 Both kernels scale their rational inputs to integers at entry (costs by
 the lcm of their denominators, masses by the lcm of theirs), run on
@@ -44,7 +47,7 @@ def _checked_cost(dist, x, y) -> Fraction:
         cost = exact(value)
     except ValueError as exc:
         raise MetricOracleError(f"metric returned {value!r} at ({x!r}, {y!r})") from exc
-    if cost < 0:
+    if cost.numerator < 0:
         raise MetricOracleError(f"metric returned negative value {value!r}")
     return cost
 
@@ -141,11 +144,23 @@ def _entering_cell(cost, pot, m):
 
 
 def _start_basis(rs, rd, cost) -> dict[tuple[int, int], int]:
-    """The north-west corner start tree as {cell: flow}, m + n - 1 cells,
-    some maybe 0.  With two columns the corner walks the rows by
-    (c_i0 - c_i1, i): the knapsack fill, optimal because the row that
-    closes column 0 and opens column 1 has a difference between theirs."""
+    """A feasible start tree as {cell: flow}, m + n - 1 cells, some maybe 0.
+
+    With three or more columns (and two or more rows) it is the least-cost
+    start: the cells are visited by increasing cost, ties by row and then
+    column, and each takes min(remaining supply, remaining demand) while
+    both are positive.  Every allocation closes its row or its column, so
+    these cells form a forest; zero-flow cells, visited in the same order,
+    complete it to a spanning tree wherever they join two components.
+
+    Otherwise it is the north-west corner, which onto two columns walks the
+    rows by (c_i0 - c_i1, i): the knapsack fill, optimal because the row
+    that closes column 0 and opens column 1 has a difference between
+    theirs.  A single row or column has one feasible plan, which the corner
+    finds without sorting."""
     m, n = len(rs), len(rd)
+    if m > 1 and n > 2:
+        return _least_cost_start(rs, rd, cost)
     rows = sorted(range(m), key=lambda i: (cost[i][0] - cost[i][1], i)) if n == 2 else range(m)
     flow: dict[tuple[int, int], int] = {}
     k = j = 0
@@ -161,6 +176,47 @@ def _start_basis(rs, rd, cost) -> dict[tuple[int, int], int]:
             k += 1
         else:
             j += 1
+
+
+def _least_cost_start(rs, rd, cost) -> dict[tuple[int, int], int]:
+    """The least-cost start tree of ``_start_basis``.  A stable sort of the
+    row-major cell indices by cost gives the visiting order."""
+    m, n = len(rs), len(rd)
+    flat = [c for row in cost for c in row]
+    order = sorted(range(m * n), key=flat.__getitem__)
+    flow: dict[tuple[int, int], int] = {}
+    left = sum(rs)
+    for k in order:
+        if not left:
+            break
+        i, j = divmod(k, n)
+        q = min(rs[i], rd[j])
+        if q > 0:
+            flow[i, j] = q
+            rs[i] -= q
+            rd[j] -= q
+            left -= q
+    root = list(range(m + n))  # union-find over rows 0..m-1, columns m..m+n-1
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for i, j in flow:
+        root[find(i)] = find(m + j)
+    missing = m + n - 1 - len(flow)
+    for k in order:
+        if not missing:
+            break
+        i, j = divmod(k, n)
+        a, b = find(i), find(m + j)
+        if a != b:
+            root[a] = b
+            flow[i, j] = 0
+            missing -= 1
+    return flow
 
 
 def _check_marginals(flow: dict[tuple[int, int], int], supplies, demands) -> None:
@@ -184,6 +240,9 @@ def transportation_plan(supplies, demands, costs):
     pivots with Bland's rule (first negative reduced cost enters, smallest
     tied minus-cell leaves).  Returns (value, flows dict).  Two columns
     start at the knapsack fill, ties by row index, so no pivot runs.
+    Three or more columns start from the least-cost tree (cells by
+    increasing cost, ties by row and then column, completed by zero-flow
+    cells in the same order), so the pivots only finish what it leaves.
 
     The solve runs on integer-scaled costs and masses; positive scaling
     keeps every comparison, so the pivots are those of the rational

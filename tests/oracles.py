@@ -140,6 +140,9 @@ def vertex_enumeration_transport(supplies, demands, costs) -> Fraction:
     all_cells = [(i, j) for i in range(m) for j in range(n)]
     best = None
     for cells in combinations(all_cells, m + n - 1):
+        # a spanning tree meets every row and every column
+        if len({i for i, _ in cells}) < m or len({j for _, j in cells}) < n:
+            continue
         flows = _solve_tree_flows(cells, supplies, demands)
         if flows is None:
             continue

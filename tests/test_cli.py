@@ -251,7 +251,7 @@ def test_dynamics_other_actions(capsys):
     assert run_cli("dynamics", "tinv", "--preset", "r-zero", "--g", "f") == 0
     out = capsys.readouterr().out
     assert "translation-gap,1.0" in out
-    assert run_cli("dynamics", "averaging", "--preset", "r-const:0.5", "--pairs", "3") == 0
+    assert run_cli("dynamics", "averaging", "--preset", "r-const:0.5") == 0
     out = capsys.readouterr().out
     assert "residual,0.25" in out
 
@@ -509,6 +509,20 @@ def test_dynamics_flags_out_of_range_exit_one(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("averaging", "--pairs", "3"), "--pairs"),
+        (("thm-example", "--preset", "nope"), "--preset"),
+    ],
+)
+def test_dynamics_flag_the_action_does_not_map_is_a_usage_error(capsys, argv, flag):
+    assert run_cli("dynamics", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: dynamics {argv[0]} does not take {flag}\n"
 
 
 def test_guard_violations_print_as_guards(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exact transport: plans, duals, assignment, and their cross-checks."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -274,11 +275,19 @@ def test_measure_validation():
 #: Instances with mixed cost denominators, degenerate (equal-part) masses and
 #: tied costs, with the value, flows and assignments recorded from the
 #: all-Fraction kernels the integer ones replaced.  The last eight transports
-#: have tied optima on which another leaving tie-break or entering rule
-#: returns a different plan, so they pin the pivot rules themselves; the
-#: 5x2 one among them is a tied knapsack whose flows are recorded from the
-#: two-column start (rows by c_i0 - c_i1, ties by row index).
+#: have tied optima, so their flows pin the start rule together with the
+#: pivot rules: the 6x2 and 5x2 ones are tied knapsacks recorded from the
+#: two-column start (rows by c_i0 - c_i1, ties by row index); the six with
+#: three or more columns start from the least-cost tree (cells by cost,
+#: ties by row and then column), four of them already at the optimum.
+#: The six plans of RERECORDED changed when problems with three or more
+#: columns moved from the north-west corner to the least-cost start; they
+#: were recorded again from that rule, with the same values.
 GOLDEN = json.loads((Path(__file__).parent / "transport_golden.json").read_text())
+
+#: Indices into GOLDEN["transport"] of the 5x5, 2x9, 6x6, 2x4, second 3x3
+#: and first 2x6 cases.
+RERECORDED = [3, 6, 8, 12, 13, 15]
 
 
 def _fractions(values):
@@ -292,6 +301,29 @@ def test_transportation_plan_golden(case):
     )
     assert value == Fraction(case["value"])
     assert flows == {(i, j): Fraction(q) for i, j, q in case["flows"]}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [GOLDEN["transport"][k] for k in RERECORDED],
+    ids=lambda case: f"{len(case['supplies'])}x{len(case['demands'])}",
+)
+def test_rerecorded_golden_plans_are_optimal(case):
+    """Each re-recorded plan meets the marginals exactly and reaches the
+    oracle's value: the basis enumeration, or on the uniform square cases
+    too large for it the permutation brute force (Birkhoff)."""
+    supplies, demands = _fractions(case["supplies"]), _fractions(case["demands"])
+    costs = [_fractions(r) for r in case["costs"]]
+    flows = {(i, j): Fraction(q) for i, j, q in case["flows"]}
+    assert _feasible(flows, supplies, demands)
+    value = sum(q * costs[i][j] for (i, j), q in flows.items())
+    assert value == Fraction(case["value"])
+    m, n = len(supplies), len(demands)
+    if math.comb(m * n, m + n - 1) <= 50_000:
+        assert value == vertex_enumeration_transport(supplies, demands, costs)
+    else:
+        assert m == n and set(supplies + demands) == {Fraction(1, n)}
+        assert value == brute_assignment(costs) / n
 
 
 @pytest.mark.parametrize("case", GOLDEN["assignment"], ids=lambda case: f"n{len(case['costs'])}")
@@ -398,6 +430,82 @@ def test_two_column_start_is_the_knapsack_plan_and_needs_no_pivot(problem):
     if len(supplies) <= 4:
         assert value == vertex_enumeration_transport(supplies, demands, costs)
 
+
+@st.composite
+def wide_problems(draw):
+    """Up to 4 rows onto 3 to 5 columns, with zero masses on either side
+    and few distinct costs."""
+    supplies = _masses(draw(st.lists(st.integers(0, 6), min_size=1, max_size=4).filter(any)))
+    demands = _masses(draw(st.lists(st.integers(0, 6), min_size=3, max_size=5).filter(any)))
+    costs = [[draw(st.one_of(TIED_COSTS, COSTS)) for _ in demands] for _ in supplies]
+    return supplies, demands, costs
+
+
+def _is_spanning_tree(cells, m, n):
+    root = list(range(m + n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for i, j in cells:
+        a, b = find(i), find(m + j)
+        if a == b:
+            return False
+        root[a] = b
+    return len(cells) == m + n - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_problems())
+def test_least_cost_start_is_a_feasible_spanning_tree_and_the_value_is_optimal(problem):
+    supplies, demands, costs = problem
+    m, n = len(supplies), len(demands)
+    starts = []
+    start_basis = transport._start_basis
+
+    def recorded(rs, rd, cost):
+        scaled = list(rs), list(rd)
+        flow = start_basis(rs, rd, cost)
+        starts.append((scaled, dict(flow)))
+        return flow
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_start_basis", recorded)
+        value, flows = transportation_plan(supplies, demands, costs)
+    [((rs, rd), start)] = starts
+    assert _is_spanning_tree(list(start), m, n)
+    assert all(q >= 0 for q in start.values())
+    assert [sum(q for (i, _), q in start.items() if i == r) for r in range(m)] == rs
+    assert [sum(q for (_, j), q in start.items() if j == c) for c in range(n)] == rd
+    assert _feasible(flows, supplies, demands)
+    assert sum(q * costs[i][j] for (i, j), q in flows.items()) == value
+    if m * n <= 12:
+        assert value == vertex_enumeration_transport(supplies, demands, costs)
+
+
+def test_wide_wf_transport_starts_at_its_optimum():
+    """decay, hat(0) against hat(3), at n = 4: a 66x66 transport that took
+    2,317 pricing passes from the north-west corner prices once from the
+    least-cost start."""
+    passes = []
+    entering_cell = transport._entering_cell
+    folner = rate_folner(RateSequence.from_preset("decay"), 4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_entering_cell", lambda *a: passes.append(a) or entering_cell(*a))
+        [value] = wf_estimate([folner], hat(0), hat(3))
+    assert len(passes) == 1
+    assert value == Fraction(292489905781, 983315773440)
+
+
+def test_wf_at_n5_on_decay_is_exact():
+    """The 130x130 transport of decay, hat(0) against hat(3), at n = 5; the
+    value is the one the north-west corner with Bland pivots reached."""
+    folner = rate_folner(RateSequence.from_preset("decay"), 5)
+    assert wf_estimate([folner], hat(0), hat(3)) == [
+        Fraction(13190725487917507, 43988560551936000)
+    ]
 
 
 # ------------------------------------------------------ counted assignment
