@@ -249,12 +249,12 @@ def translation_gap(
 def average_invariance_defect(
     folner: FolnerSet, g: GroupElement, f: Callable, sample: Iterable[Point]
 ) -> Fraction:
-    """max over the sample of |S_n(g.f - f)(x)| where (g.f)(x) = f(gx)."""
+    """max over the sample of |S_n(g.f - f)(x)| where (g.f)(x) = f(gx);
+    both functions are integrated against one empirical measure per x."""
     worst = Fraction(0)
     for x in sample:
-        shifted = folner_average(folner, lambda p: f(act(g, p)), x)
-        plain = folner_average(folner, f, x)
-        worst = max(worst, abs(shifted - plain))
+        mu = empirical_measure(folner, x)
+        worst = max(worst, abs(mu.integrate(lambda p: f(act(g, p))) - mu.integrate(f)))
     return worst
 
 

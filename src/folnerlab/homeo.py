@@ -1,33 +1,38 @@
 """Piecewise-linear order homeomorphisms of [0, 1] and matching diagnostics.
 
-A map is stored as matched breakpoint lists with both coordinates
-strictly increasing from (0,0) to (1,1).  Each map also computes, once,
-its integer form: the common denominator D of its coordinates and its
-breakpoints scaled by D to ``int``.  One exact merge-sweep kernel walks
-two such breakpoint lists together and gives, at every point of the
-merged grid, both maps' values as integer numerators over one integer
-denominator, by cross-multiplication only.  The uniform distance is the
-largest difference over that sweep (the sup of a piecewise-linear
-difference is attained on the merged breakpoint grid), and composition
-is the same sweep of the inner map's y-grid against the outer map's
-x-grid; point evaluation interpolates on the same integer form.  The
-matching number of two finite families counts how many members of the
-first can be injected into the second moving each by less than a given
-uniform radius.  Its adjacency stops each sweep at the first grid point
-where the difference reaches the radius, and its augmenting-path search
-keeps an explicit stack, so long augmenting paths never recurse.  It is
+A map is its integer form (xs, ys, D): the breakpoints, both coordinates
+strictly increasing from (0, 0) to (1, 1), scaled to ``int`` by their
+least common denominator D.  Equality and hashing read that form, and
+the Fraction breakpoints are built only when read.  One exact
+merge-sweep kernel walks two integer forms together and gives, at every
+point of the merged grid, both maps' values as integer numerators over
+one integer denominator, by cross-multiplication only.  The uniform
+distance is the largest difference over that sweep (the sup of a
+piecewise-linear difference is attained on the merged breakpoint grid),
+and composition is the same sweep of the inner map's y-grid against the
+outer map's x-grid, reduced to one integer form by one lcm and one gcd;
+point evaluation, and evaluation of the inverse on the swapped form
+(ys, xs, D), interpolate on the same integers.  The matching number of
+two finite families counts how many members of the first can be
+injected into the second moving each by less than a given uniform
+radius.  Its adjacency stops each sweep at the first grid point where
+the difference reaches the radius, and its augmenting-path search keeps
+an explicit stack, so long augmenting paths never recurse.  It is
 invariant under right composition, which makes it a useful Folner
 diagnostic for this non-locally-compact group.  Repelling elements
 squash everything left of x - eps below eps and everything right of
 x + eps above 1 - eps; spreading them over a grid of x values yields
 families whose orbit measures at y approach (1-y) delta_0 + y delta_1.
+The squash margin that lets a base family ride along is exact: half the
+closed-form supremum min over g of min(g^-1(t), 1 - g^-1(1 - t)).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -38,45 +43,53 @@ from .transport import DiscreteMeasure
 #: Largest base family accepted when building repelling families.
 BASE_FAMILY_GUARD = 64
 
-_BISECTION_TOL = Fraction(1, 10**12)
-
-#: A map's integer form: keys and values scaled by one common denominator.
+#: A map's integer form: keys and values scaled by their least common denominator.
 IntegerForm = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PLHomeo:
-    """Orientation-preserving piecewise-linear homeomorphism of [0, 1]."""
+    """Orientation-preserving piecewise-linear homeomorphism of [0, 1].
+    Equality and hashing read its integer form alone."""
 
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    #: (xs, ys, D): the breakpoints times their common denominator D.
-    integer_form: IntegerForm = field(init=False, repr=False, compare=False)
+    #: (xs, ys, D): the breakpoints times their least common denominator D.
+    integer_form: IntegerForm
 
-    def __post_init__(self):
-        pts = self.breakpoints
-        if len(pts) < 2 or pts[0][0] != 0 or pts[0][1] != 0:
-            raise ValueError("first breakpoint must be (0, 0)")
-        if pts[-1][0] != 1 or pts[-1][1] != 1:
-            raise ValueError("last breakpoint must be (1, 1)")
+    def __init__(self, breakpoints: Iterable[tuple[Fraction, Fraction]]):
+        pts = tuple(breakpoints)
         scale = math.lcm(*(c.denominator for pt in pts for c in pt))
         xs = tuple(x.numerator * (scale // x.denominator) for x, _ in pts)
         ys = tuple(y.numerator * (scale // y.denominator) for _, y in pts)
+        self._set_form(xs, ys, scale)
+
+    @classmethod
+    def _from_integer_form(cls, xs: tuple[int, ...], ys: tuple[int, ...], scale: int) -> "PLHomeo":
+        """The map with this integer form; ``scale`` must be the least
+        common denominator, so that equal maps have equal forms."""
+        self = cls.__new__(cls)
+        self._set_form(xs, ys, scale)
+        return self
+
+    def _set_form(self, xs: tuple[int, ...], ys: tuple[int, ...], scale: int) -> None:
+        if len(xs) < 2 or xs[0] != 0 or ys[0] != 0:
+            raise ValueError("first breakpoint must be (0, 0)")
+        if xs[-1] != scale or ys[-1] != scale:
+            raise ValueError("last breakpoint must be (1, 1)")
         for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
             if not (x0 < x1 and y0 < y1):
                 raise ValueError("breakpoints must increase strictly in both coordinates")
         object.__setattr__(self, "integer_form", (xs, ys, scale))
 
+    @cached_property
+    def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        xs, ys, scale = self.integer_form
+        return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in zip(xs, ys))
+
     def __call__(self, t) -> Fraction:
         t = exact(t)
-        if not 0 <= t <= 1:
+        if not 0 <= t.numerator <= t.denominator:
             raise ValueError(f"argument {t} outside [0, 1]")
-        xs, ys, scale = self.integer_form
-        at, per = t.numerator * scale, t.denominator
-        k = bisect_right(xs, at, key=lambda x: x * per) - 1
-        if xs[k] * per == at:
-            return self.breakpoints[k][1]
-        value, width = _interpolate(xs, ys, k, at, per)
-        return Fraction(value, scale * per * width)
+        return _evaluate(self.integer_form, t)
 
     def xs(self) -> tuple[Fraction, ...]:
         return tuple(x for x, _ in self.breakpoints)
@@ -101,6 +114,18 @@ def _interpolate(xs, ys, k: int, key: int, per: int) -> tuple[int, int]:
     over per * width, with the segment's width xs[k + 1] - xs[k]."""
     width = xs[k + 1] - xs[k]
     return ys[k] * per * width + (ys[k + 1] - ys[k]) * (key - xs[k] * per), width
+
+
+def _evaluate(form: IntegerForm, t: Fraction) -> Fraction:
+    """The map with this integer form at t in [0, 1]; on the swapped form
+    (ys, xs, D) it is the inverse map."""
+    xs, ys, scale = form
+    at, per = t.numerator * scale, t.denominator
+    k = bisect_right(xs, at, key=lambda x: x * per) - 1
+    if xs[k] * per == at:
+        return Fraction(ys[k], scale)
+    value, width = _interpolate(xs, ys, k, at, per)
+    return Fraction(value, scale * per * width)
 
 
 def _sweep(f: IntegerForm, g: IntegerForm) -> Iterator[tuple[int, int, int]]:
@@ -134,13 +159,17 @@ def _sweep(f: IntegerForm, g: IntegerForm) -> Iterator[tuple[int, int, int]]:
 def compose_maps(outer: PLHomeo, inner: PLHomeo) -> PLHomeo:
     """outer . inner, with breakpoints at the inner grid joined with the
     preimages of the outer grid: one sweep of the inner y-grid against the
-    outer x-grid gives inner^-1(u) and outer(u) at each merged point u."""
+    outer x-grid gives inner^-1(u) and outer(u) at each merged point u.
+    The sweep's denominators are brought to one by their lcm, and the gcd
+    of that and every numerator reduces it to the least one."""
     xs, ys, scale = inner.integer_form
-    return PLHomeo(
-        tuple(
-            (Fraction(t, den), Fraction(value, den))
-            for t, value, den in _sweep((ys, xs, scale), outer.integer_form)
-        )
+    keys, values, dens = zip(*_sweep((ys, xs, scale), outer.integer_form))
+    common = math.lcm(*dens)
+    keys = [key * (common // den) for key, den in zip(keys, dens)]
+    values = [value * (common // den) for value, den in zip(values, dens)]
+    shrink = math.gcd(common, *keys, *values)
+    return PLHomeo._from_integer_form(
+        tuple(key // shrink for key in keys), tuple(value // shrink for value in values), common // shrink
     )
 
 
@@ -159,10 +188,10 @@ def _closer_than(f: PLHomeo, g: PLHomeo, radius: Fraction) -> bool:
     """sup_distance(f, g) < radius, stopping at the first grid point
     where |f - g| reaches the radius."""
     p, q = radius.numerator, radius.denominator
-    return all(
-        abs(f_value - g_value) * q < p * den
-        for f_value, g_value, den in _sweep(f.integer_form, g.integer_form)
-    )
+    for f_value, g_value, den in _sweep(f.integer_form, g.integer_form):
+        if abs(f_value - g_value) * q >= p * den:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -248,25 +277,24 @@ def is_repelling(f: PLHomeo, x, eps) -> bool:
     return low_ok and high_ok
 
 
-def squash_margin(base: Sequence[PLHomeo], threshold: Fraction) -> Fraction:
-    """Largest delta (up to 1e-12, certified valid) with g(delta) < threshold
-    and g(1 - delta) > 1 - threshold for every g in the base, by bisection."""
+def squash_margin(base: Sequence[PLHomeo], threshold) -> Fraction:
+    """The exact margin delta = delta*/2, where
+    delta* = min over g in the base of min(g^-1(t), 1 - g^-1(1 - t)) and t
+    is the threshold in (0, 1); then g(delta) < t and g(1 - delta) > 1 - t
+    for every g.
 
-    def good(d: Fraction) -> bool:
-        return all(g(d) < threshold and g(1 - d) > 1 - threshold for g in base)
-
-    lo, hi = Fraction(0), Fraction(1)
-    if not good(lo):
-        raise InvariantViolation("base family violates the endpoint conditions")
-    while hi - lo > _BISECTION_TOL:
-        mid = (lo + hi) / 2
-        if good(mid):
-            lo = mid
-        else:
-            hi = mid
-    if lo == 0:
-        raise InvariantViolation("no positive squash margin found")
-    return lo
+    Proof: each g is a strictly increasing bijection of [0, 1] fixing 0
+    and 1, and so is g^-1, read here from the swapped integer form
+    (ys, xs, D).  As 0 < t < 1, g^-1(t) > 0 and g^-1(1 - t) < 1, so
+    delta* > 0.  Then delta < delta* <= g^-1(t) gives g(delta) < t, and
+    1 - delta > 1 - delta* >= g^-1(1 - t) gives g(1 - delta) > 1 - t.
+    delta* is the supremum of such margins, and not one itself: at
+    delta* some g reaches t or 1 - t exactly."""
+    t = exact(threshold)
+    if not 0 < t < 1:
+        raise InvariantViolation(f"squash threshold {t} lies outside (0, 1)")
+    inverses = [(ys, xs, scale) for xs, ys, scale in (g.integer_form for g in base)]
+    return min(min(_evaluate(inv, t), 1 - _evaluate(inv, 1 - t)) for inv in inverses) / 2
 
 
 def repelling_family(base: HomeoFamily, n: int) -> HomeoFamily:

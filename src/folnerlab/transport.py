@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .errors import GuardViolation, LipschitzViolation, MetricOracleError
+from .errors import GuardViolation, InvariantViolation, LipschitzViolation, MetricOracleError
 from .exact import exact
 from . import lamplighter
 from .folner import FolnerSet, enumerate_elements
@@ -247,7 +247,8 @@ def transportation_plan(supplies, demands, costs):
     The solve runs on integer-scaled costs and masses; positive scaling
     keeps every comparison, so the pivots are those of the rational
     problem.  The basis is a spanning tree on rows 0..m-1 and columns
-    m..m+n-1, hung from row 0 with parent links and depths.  Each pivot
+    m..m+n-1, hung from row 0 with parent links and depths; a start that
+    is not one raises ``InvariantViolation`` before any pivot.  Each pivot
     re-hangs only the subtree the leaving cell cuts off from row 0; its
     potentials, recomputed from the tree equations, shift by the entering
     cell's reduced cost, and no other potential moves.
@@ -264,6 +265,23 @@ def transportation_plan(supplies, demands, costs):
     pot = [0] * (m + n)  # u_i at node i, v_j at node m + j
     parent = [-1] * (m + n)
     depth = [0] * (m + n)
+    # Hang the start from row 0, marking each node as it is reached.  Its
+    # cells form a spanning tree only if there are m + n - 1 of them and
+    # they reach every node; any other start would leave the re-hanging
+    # and the cycle walks below unbounded.
+    reached = [0]
+    for x in reached:
+        for y in adj[x]:
+            if parent[y] < 0 and y:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                pot[y] = (cost[y][x - m] if y < m else cost[x][y - m]) - pot[x]
+                reached.append(y)
+    if len(flow) != m + n - 1 or len(reached) != m + n:
+        raise InvariantViolation(
+            f"start basis is not a spanning tree: {len(flow)} cells reach {len(reached)} "
+            f"of {m + n} nodes from row 0"
+        )
 
     def hang(node: int, above: int) -> None:
         """Hang the component of ``node`` (apart from ``above``) below
@@ -279,9 +297,6 @@ def transportation_plan(supplies, demands, costs):
                 if y != p:
                     parent[y] = x
                     stack.append(y)
-
-    for y in adj[0]:
-        hang(y, 0)
 
     def cell(x: int) -> tuple[int, int]:
         """The basic cell joining node x to its parent."""
@@ -391,9 +406,10 @@ def dual_lower_bound(
 
 
 def _counted_assignment(cost, supply, demand) -> tuple[int, list[dict[int, int]]]:
-    """Minimum-cost integer flow on an integer cost matrix in which row i
-    sends ``supply[i]`` units and column j takes ``demand[j]`` (equal
-    totals); returns (total cost, flows), ``flows[j]`` being {row: units}.
+    """Minimum-cost integer flow on a nonnegative integer cost matrix in
+    which row i sends ``supply[i]`` units and column j takes ``demand[j]``
+    (equal totals); returns (total cost, flows), ``flows[j]`` being
+    {row: units}.
 
     Rows are routed in index order by shortest augmenting paths with dual
     potentials (Edmonds & Karp 1972; Jonker & Volgenant 1987): a Dijkstra
@@ -408,13 +424,20 @@ def _counted_assignment(cost, supply, demand) -> tuple[int, list[dict[int, int]]
     of the classical Hungarian solve.
     """
     n = len(demand)
-    INF = float("inf")
+    top = max((c for row in cost for c in row), default=0)
     u = [0] * len(supply)
     v = [0] * n
     room = list(demand)
     flows: list[dict[int, int]] = [{} for _ in range(n)]
     for r, left in enumerate(supply):
         while left:
+            # The sentinel exceeds every distance of this search.  u only
+            # rises and v only falls (each moves by d minus a distance at
+            # most d), so u >= 0 >= v.  While left > 0 some column j has
+            # room, and a column with room is never used, so
+            # d <= dist[j] <= c_rj - u_r - v_j <= top - min(v) throughout;
+            # a tentative d + c_ij - u_i - v_j is at most 2(top - min(v)).
+            INF = 2 * (top - min(v)) + 1
             dist = [INF] * n  # tentative distance of column j from row r
             used = [False] * n
             way = [r] * n  # the frontier row that last lowered dist[j]

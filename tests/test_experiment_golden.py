@@ -6,7 +6,10 @@ benchmark's experiment config (``bench/cli_workload.config``) at seeds 1
 and 2, and a JSON-format config that runs every scenario once.  Their
 results and ``table.metadata`` were recorded from the implementation
 that built selection words from Fractions and validated each scenario
-with its own code.
+with its own code.  The ``homeo-empirical`` ``w-to-end-mixture`` rows (12
+in each bench-seed case, 2 in ``json-format``) were re-recorded when the
+squash margin became the exact delta*/2 in place of a bisection to
+1e-12; every other row, the endpoint fractions included, kept its value.
 """
 
 import json

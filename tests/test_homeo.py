@@ -15,7 +15,7 @@ from oracles import (
     repelling_breakpoints,
 )
 
-from folnerlab.errors import GuardViolation
+from folnerlab.errors import GuardViolation, InvariantViolation
 from folnerlab.homeo import (
     _closer_than,
     _max_matching,
@@ -209,6 +209,13 @@ def test_squash_margin_certified():
     assert all(g(delta) < threshold and g(1 - delta) > 1 - threshold for g in base)
 
 
+def test_squash_margin_on_the_identity_base_is_exact():
+    assert squash_margin([IDENTITY_MAP], Fraction(1, 64)) == Fraction(1, 128)
+    for outside in (0, 1):
+        with pytest.raises(InvariantViolation, match="outside"):
+            squash_margin([IDENTITY_MAP], outside)
+
+
 def test_interval_empirical_endpoints():
     family = repelling_family(HomeoFamily((IDENTITY_MAP,), "id"), 4)
     assert dict(interval_empirical(family, 0).atoms) == {Fraction(0): Fraction(1)}
@@ -293,7 +300,44 @@ def test_early_exit_predicate_matches_reference(f, g, extra):
 @settings(max_examples=100, deadline=None)
 @given(pl_maps(), pl_maps())
 def test_compose_matches_pointwise_formula(outer, inner):
-    assert compose_maps(outer, inner).breakpoints == pl_compose_breakpoints(outer, inner)
+    composed = compose_maps(outer, inner)
+    reference = PLHomeo(pl_compose_breakpoints(outer, inner))
+    assert composed.breakpoints == reference.breakpoints
+    # the lcm-gcd reduction yields the canonical form, so equality and hashing agree
+    assert composed.integer_form == reference.integer_form and hash(composed) == hash(reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pl_maps())
+def test_serialization_roundtrip_property(f):
+    again = PLHomeo.from_dict(f.to_dict())
+    assert again == f and again.breakpoints == f.breakpoints
+    assert again.integer_form == f.integer_form
+
+
+@settings(max_examples=200, deadline=None)
+@given(pl_maps(1), pl_maps(1))
+def test_equality_and_hashing_follow_the_breakpoints(f, g):
+    assert (f == g) == (f.breakpoints == g.breakpoints)
+    if f == g:
+        assert hash(f) == hash(g)
+    # composing with the identity runs the sweep and its lcm-gcd reduction
+    for same in (compose_maps(f, IDENTITY_MAP), compose_maps(IDENTITY_MAP, f), PLHomeo(f.breakpoints)):
+        assert same == f and hash(same) == hash(f) and same.integer_form == f.integer_form
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(pl_maps(), min_size=1, max_size=4),
+    st.fractions(min_value=0, max_value=1, max_denominator=200).filter(lambda t: 0 < t < 1),
+)
+def test_squash_margin_is_half_the_inverse_supremum_and_strict(base, t):
+    reach = min(min(invert(g)(t), 1 - invert(g)(1 - t)) for g in base)
+    delta = squash_margin(base, t)
+    assert delta == reach / 2
+    assert all(g(delta) < t and g(1 - delta) > 1 - t for g in base)
+    # the supremum itself is not a margin
+    assert not all(g(reach) < t and g(1 - reach) > 1 - t for g in base)
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,7 +27,7 @@ from folnerlab.dynamics import (
     limit_measure,
     wf_estimate,
 )
-from folnerlab.errors import GuardViolation, LipschitzViolation, MetricOracleError
+from folnerlab.errors import GuardViolation, InvariantViolation, LipschitzViolation, MetricOracleError
 from folnerlab.exact import exact
 from folnerlab.folner import RateSequence, explicit_folner, rate_folner
 from folnerlab.functions import ends_separator, affine
@@ -547,6 +547,23 @@ def test_counted_kernel_equals_the_expanded_hungarian(problem):
     assert total == sum(q * costs[i][j] for j, column in enumerate(flows) for i, q in column.items())
 
 
+ZERO_COSTS = [[Fraction(0)] * 4 for _ in range(4)]
+DOMINANT_COSTS = [[Fraction(10**30) if (i, j) == (2, 1) else Fraction(1, 3) for j in range(5)] for i in range(5)]
+
+
+@pytest.mark.parametrize("costs", [ZERO_COSTS, DOMINANT_COSTS], ids=["all-zero", "one-dominant"])
+def test_integer_sentinel_on_zero_and_dominant_costs(costs):
+    assert solve_assignment(costs) == unit_hungarian(costs)
+    cost, _ = transport._integer_costs(costs)
+    supply, demand = [2, 0, 1, 3, 1][: len(cost)], [1, 3, 2, 0, 1][: len(cost)]
+    demand[-1] += sum(supply) - sum(demand)
+    total, _ = transport._counted_assignment(cost, supply, demand)
+    rows = [i for i, count in enumerate(supply) for _ in range(count)]
+    cols = [j for j, count in enumerate(demand) for _ in range(count)]
+    expanded, _ = unit_hungarian([[Fraction(cost[i][j]) for j in cols] for i in rows])
+    assert total == expanded
+
+
 def test_assignment_on_a_materialized_rate_set_equals_the_expanded_solve():
     folner = rate_folner(RateSequence.from_preset("decay"), 2, materialize=True)
     elements = folner.elements
@@ -636,3 +653,46 @@ def test_dual_error_order_and_exact_bound():
     over = lambda z: metric(z, hat(0)) * (1 + Fraction(1, 10**9))
     with pytest.raises(LipschitzViolation, match="1-Lipschitz bound on"):
         dual_lower_bound(mu, nu, [over], metric)
+
+
+def _drop_one_zero_cell(start):
+    def short(rs, rd, cost):
+        flow = start(rs, rd, cost)
+        del flow[next(cell for cell, q in flow.items() if q == 0)]
+        return flow
+
+    return short
+
+
+def _one_cell_too_many(start):
+    def extra(rs, rd, cost):
+        flow = start(rs, rd, cost)
+        flow[next((i, j) for i in range(len(rs)) for j in range(len(rd)) if (i, j) not in flow)] = 0
+        return flow
+
+    return extra
+
+
+def _cycle_instead_of_a_cell(start):
+    def cyclic(rs, rd, cost):  # rows 0, 1 and columns 0, 1 close a cycle; row 2 is cut off
+        return {(0, 0): 1, (1, 1): 1, (2, 2): 1, (0, 1): 0, (1, 0): 0}
+
+    return cyclic
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [_drop_one_zero_cell, _one_cell_too_many, _cycle_instead_of_a_cell],
+    ids=["one-short", "one-extra", "cycle"],
+)
+def test_start_that_is_not_a_spanning_tree_raises(broken):
+    """A degenerate 3x3 problem: the least-cost start fills the diagonal and
+    adds two zero-flow cells.  Without a spanning tree the cycle walk would
+    never end, so the solve must refuse it."""
+    third = [Fraction(1, 3)] * 3
+    costs = [[Fraction(int(i != j)) for j in range(3)] for i in range(3)]
+    assert transportation_plan(third, third, costs)[0] == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_least_cost_start", broken(transport._least_cost_start))
+        with pytest.raises(InvariantViolation, match="not a spanning tree"):
+            transportation_plan(third, third, costs)
