@@ -226,14 +226,14 @@ def _cmd_dynamics(args) -> int:
 
 # ------------------------------------------------------------------ homeo
 
-def _load_family(path: str | None, n: int | None = None) -> HomeoFamily:
+def _load_family(path: str | None) -> HomeoFamily:
     if path is None:
-        return HomeoFamily((IDENTITY_MAP,), "identity", n)
+        return HomeoFamily((IDENTITY_MAP,), "identity")
     entries = _read_json_list(path, ("breakpoints",))
     for points in (entry["breakpoints"] for entry in entries):
         if not isinstance(points, list) or any(not isinstance(p, list) or len(p) != 2 for p in points):
             raise ValueError(f"{path}: breakpoints must be a list of [x, y] pairs, got {points!r}")
-    return HomeoFamily(tuple(PLHomeo.from_dict(entry) for entry in entries), path, n)
+    return HomeoFamily(tuple(PLHomeo.from_dict(entry) for entry in entries), path)
 
 
 def _cmd_homeo(args) -> int:

@@ -212,7 +212,7 @@ def seever_residual(
     """max over the sample of |S(f * Sh)(x) - S(Sf * Sh)(x)|."""
     sf = limit_apply(rate, f)
     sh = limit_apply(rate, h)
-    lhs = limit_apply(rate, lambda p: Fraction(f(p)) * sh(p))
+    lhs = limit_apply(rate, lambda p: exact(f(p)) * sh(p))
     rhs = limit_apply(rate, lambda p: sf(p) * sh(p))
     return max((abs(lhs(x) - rhs(x)) for x in sample), default=Fraction(0))
 
@@ -225,10 +225,10 @@ def averaging_residual(rate: RateSequence, f: Callable, h: Callable, x: Point) -
         raise ValueError("averaging residual is defined at finite points")
     sh = limit_apply(rate, h)
     sf = limit_apply(rate, f)
-    direct = limit_apply(rate, lambda p: Fraction(f(p)) * sh(p))(x) - sf(x) * sh(x)
+    direct = limit_apply(rate, lambda p: exact(f(p)) * sh(p))(x) - sf(x) * sh(x)
     r = rate.value(x.pos)
-    gap_f = Fraction(f(INF_HAT)) - Fraction(f(INF_CHECK))
-    gap_h = Fraction(h(INF_HAT)) - Fraction(h(INF_CHECK))
+    gap_f = exact(f(INF_HAT)) - exact(f(INF_CHECK))
+    gap_h = exact(h(INF_HAT)) - exact(h(INF_CHECK))
     predicted = r * (1 - r) * gap_f * gap_h
     if direct != predicted:
         raise InvariantViolation(
@@ -258,15 +258,12 @@ def average_invariance_defect(
     return worst
 
 
-def invariance_gap(
-    mu: DiscreteMeasure,
-    generators: Sequence[GroupElement] = GENERATORS,
-    functions: Sequence[Callable] | None = None,
-) -> Fraction:
-    """max over generators g and test functions of |(g_* mu)(f) - mu(f)|."""
-    functions = list(functions) if functions is not None else canonical_family()
+def invariance_gap(mu: DiscreteMeasure) -> Fraction:
+    """max over the generators g and the canonical test functions f of
+    |(g_* mu)(f) - mu(f)|."""
+    functions = canonical_family()
     worst = Fraction(0)
-    for g in generators:
+    for g in GENERATORS:
         pushed = DiscreteMeasure.from_pairs((act(g, p), m) for p, m in mu.atoms)
         for f in functions:
             worst = max(worst, abs(pushed.integrate(f) - mu.integrate(f)))

@@ -449,11 +449,11 @@ def box_folner(positions: Iterable[int], materialize: bool = False) -> BoxFolner
     return replace(out, elements=out.materialize()) if materialize else out
 
 
-def explicit_folner(elements: Iterable[GroupElement], note: str = "explicit") -> ExplicitFolner:
+def explicit_folner(elements: Iterable[GroupElement]) -> ExplicitFolner:
     elems = _sorted_elements(elements)
     if not elems:
         raise ValueError("a Folner set must be non-empty")
-    return ExplicitFolner(elements=elems, recipe=(("kind", note),))
+    return ExplicitFolner(elements=elems, recipe=(("kind", "explicit"),))
 
 
 def enumerate_elements(folner: FolnerSet) -> tuple[GroupElement, ...]:
@@ -490,7 +490,7 @@ def translate_folner(
     out = []
     for folner, g in zip(sets, translations):
         elems = tuple(compose(h, g) for h in enumerate_elements(folner))
-        translated = explicit_folner(elems, note="translated")
+        translated = explicit_folner(elems)
         if len(elems) != folner.size:
             raise AssertionError("translation must preserve cardinality")
         out.append(

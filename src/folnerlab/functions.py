@@ -55,7 +55,7 @@ def ends_separator() -> TestFunction:
 
 def bump(center: Point, radius) -> TestFunction:
     """max(0, 1 - d(x, center)/radius); Lipschitz constant 1/radius."""
-    radius = Fraction(radius)
+    radius = exact(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
 
@@ -67,8 +67,8 @@ def bump(center: Point, radius) -> TestFunction:
 
 def envelope(anchors: Sequence[tuple[Point, object]], lipschitz=1) -> TestFunction:
     """McShane envelope min_i (v_i + L d(x, p_i)): L-Lipschitz by construction."""
-    lipschitz = Fraction(lipschitz)
-    pinned = tuple((p, Fraction(v)) for p, v in anchors)
+    lipschitz = exact(lipschitz)
+    pinned = tuple((p, exact(v)) for p, v in anchors)
     if not pinned:
         raise ValueError("need at least one anchor")
 

@@ -8,20 +8,21 @@ three or more it starts from the least-cost tree, which fills the cells
 by increasing cost, ties by row and then column, and leaves few pivots
 (none for ``wf_estimate`` on ``decay``, hat(0) against hat(3), at
 n <= 6).  Its integer flows are checked against the scaled marginals
-before they are divided back.  The permutation form over a finite group
-set is solved by one counted assignment kernel: shortest augmenting
-paths with dual potentials on the distinct orbit points, each row and
-column carrying how many elements of F send x or y there.  With unit
-counts it picks the assignment of the classical Hungarian solve;
-``solve_assignment`` exposes it.  At every finite size the permutation
-form and the transport distance agree (Birkhoff), which the test suite
-checks against a factorial brute force, the expanded Hungarian solve
-and a basis-enumeration oracle.
+before they are divided back.
 
-Both kernels scale their rational inputs to integers at entry (costs by
-the lcm of their denominators, masses by the lcm of theirs), run on
-Python ``int`` and divide back at exit, so results stay exact and no
-``Fraction`` is built inside a pivot or augmenting loop.
+The same simplex is the one kernel of the permutation form over a finite
+group set: ``assignment_distance`` runs it on the distinct orbit points
+with their counts as integer masses, and ``solve_assignment`` with unit
+masses.  Integer marginals make every basic flow integral, so the plan
+is a permutation up to relabelling equal points.  At every finite size
+the permutation form and the transport distance agree (Birkhoff), which
+the test suite checks against a factorial brute force, the expanded
+Hungarian solve and a basis-enumeration oracle.
+
+The simplex scales its rational inputs to integers at entry (costs by
+the lcm of their denominators, masses by the lcm of theirs), runs on
+Python ``int`` and divides back at exit, so results stay exact and no
+``Fraction`` is built inside a pivot.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from .exact import exact
 from . import lamplighter
 from .folner import FolnerSet, enumerate_elements
 
-#: Largest group set accepted by the assignment solver.
+#: Largest group set accepted by ``assignment_distance``.  The simplex runs
+#: on the distinct orbit points, but a set whose orbit points are all
+#: distinct is a full |F| x |F| transport, so the guard counts |F|.
 ASSIGNMENT_GUARD = 4096
 
 
@@ -112,7 +115,7 @@ class TransportPlan:
 def _integer_scaled(values) -> tuple[list[int], int]:
     """Integers proportional to the rationals in ``values``, and the common
     denominator (their lcm) that divides them back."""
-    fractions = [x if isinstance(x, Fraction) else Fraction(x) for x in values]
+    fractions = [x if isinstance(x, Fraction) else exact(x) for x in values]
     scale = math.lcm(*(x.denominator for x in fractions))
     return [x.numerator * (scale // x.denominator) for x in fractions], scale
 
@@ -405,134 +408,34 @@ def dual_lower_bound(
     return best
 
 
-def _counted_assignment(cost, supply, demand) -> tuple[int, list[dict[int, int]]]:
-    """Minimum-cost integer flow on a nonnegative integer cost matrix in
-    which row i sends ``supply[i]`` units and column j takes ``demand[j]``
-    (equal totals); returns (total cost, flows), ``flows[j]`` being
-    {row: units}.
-
-    Rows are routed in index order by shortest augmenting paths with dual
-    potentials (Edmonds & Karp 1972; Jonker & Volgenant 1987): a Dijkstra
-    search on reduced costs c_ij - u_i - v_j from the row, in which a full
-    column, once reached, brings every row holding flow in it into the
-    frontier at the column's distance.  The path ends at the first column
-    with room left and carries its bottleneck: what the row still has to
-    send, the column's room and the flows it moves backward.  Distances
-    are kept absolute, so each step is one pass over the columns (the scan
-    of the last joined row also picks the next column) and the potentials
-    move once per path.  With all counts 1 it picks the columns and paths
-    of the classical Hungarian solve.
-    """
-    n = len(demand)
-    top = max((c for row in cost for c in row), default=0)
-    u = [0] * len(supply)
-    v = [0] * n
-    room = list(demand)
-    flows: list[dict[int, int]] = [{} for _ in range(n)]
-    for r, left in enumerate(supply):
-        while left:
-            # The sentinel exceeds every distance of this search.  u only
-            # rises and v only falls (each moves by d minus a distance at
-            # most d), so u >= 0 >= v.  While left > 0 some column j has
-            # room, and a column with room is never used, so
-            # d <= dist[j] <= c_rj - u_r - v_j <= top - min(v) throughout;
-            # a tentative d + c_ij - u_i - v_j is at most 2(top - min(v)).
-            INF = 2 * (top - min(v)) + 1
-            dist = [INF] * n  # tentative distance of column j from row r
-            used = [False] * n
-            way = [r] * n  # the frontier row that last lowered dist[j]
-            via = {r: -1}  # frontier row -> the full column it joined through
-            used_columns: list[int] = []
-            joined, d = [r], 0
-            while True:
-                # the last joined row's pass sees the final dist, so its
-                # argmin is the next column
-                for i in joined:
-                    row, base = cost[i], d - u[i]
-                    best, j1 = INF, -1
-                    for j in range(n):
-                        if not used[j]:
-                            cur = base + row[j] - v[j]
-                            if cur < dist[j]:
-                                dist[j] = cur
-                                way[j] = i
-                            else:
-                                cur = dist[j]
-                            if cur < best:
-                                best, j1 = cur, j
-                if not joined:
-                    best, j1 = min((dist[j], j) for j in range(n) if not used[j])
-                d = best
-                if room[j1]:
-                    break
-                used[j1] = True
-                used_columns.append(j1)
-                joined = [i for i in flows[j1] if i not in via]
-                for i in joined:
-                    via[i] = j1
-            for i, j in via.items():
-                u[i] += d - (dist[j] if j >= 0 else 0)
-            for j in used_columns:
-                v[j] -= d - dist[j]
-            theta = min(left, room[j1])
-            i = way[j1]
-            while i != r:
-                j = via[i]
-                theta = min(theta, flows[j][i])
-                i = way[j]
-            j = j1
-            while True:
-                i = way[j]
-                flows[j][i] = flows[j].get(i, 0) + theta
-                if i == r:
-                    break
-                j = via[i]
-                flows[j][i] -= theta
-                if not flows[j][i]:
-                    del flows[j][i]
-            room[j1] -= theta
-            left -= theta
-    total = sum(q * cost[i][j] for j, column in enumerate(flows) for i, q in column.items())
-    return total, flows
-
-
 def solve_assignment(costs: Sequence[Sequence[Fraction]]) -> tuple[Fraction, list[int]]:
-    """Exact square assignment: the counted kernel ``_counted_assignment``
-    with every row and column count 1, i.e. the Hungarian method by
-    shortest augmenting paths with dual potentials.  Returns (total cost,
-    column assigned to each row).  The costs are scaled to integers by the
-    lcm of their denominators, so the potentials and slacks are ``int``."""
+    """Exact square assignment: ``transportation_plan`` with every row and
+    column mass 1.  Returns (total cost, column assigned to each row).  With
+    integer marginals every basic flow is integral, so each row has exactly
+    one positive cell, and it carries the whole unit."""
     n = len(costs)
-    cost, scale = _integer_costs(costs)
-    total, flows = _counted_assignment(cost, [1] * n, [1] * n)
+    total, flows = transportation_plan([1] * n, [1] * n, costs)
     assignment = [0] * n
-    for j, column in enumerate(flows):
-        for i in column:
-            assignment[i] = j
-    return Fraction(total, scale), assignment
+    for i, j in flows:
+        assignment[i] = j
+    return total, assignment
 
 
-def assignment_distance(
-    folner: FolnerSet,
-    x: "lamplighter.Point",
-    y: "lamplighter.Point",
-    act: Callable = lamplighter.act,
-    dist: Callable = lamplighter.metric,
-) -> Fraction:
+def assignment_distance(folner: FolnerSet, x: "lamplighter.Point", y: "lamplighter.Point") -> Fraction:
     """min over permutations p of F of the average of d(gx, p(g)y).
 
-    The orbit points F.x and F.y are counted, and the counted kernel runs
-    on the distinct pairs only: an integer flow with these counts is a
-    permutation of F up to relabelling equal points, so the minimum is the
-    same as on the |F| x |F| problem.  The guard still counts |F|, since a
-    set whose orbit points are all distinct is that full problem."""
+    The orbit points F.x and F.y are counted, and the transportation simplex
+    runs on the distinct points with these counts as integer masses: an
+    integral flow is a permutation of F up to relabelling equal points, and
+    every basic flow is integral, so the minimum is the one of the
+    |F| x |F| problem."""
     elements = enumerate_elements(folner)
     if len(elements) > ASSIGNMENT_GUARD:
         raise GuardViolation(
             f"assignment guard: |F| = {len(elements)} exceeds {ASSIGNMENT_GUARD}"
         )
-    xs = Counter(act(g, x) for g in elements)
-    ys = Counter(act(g, y) for g in elements)
-    cost, scale = _integer_costs(cost_matrix(list(xs), list(ys), dist))
-    total, _ = _counted_assignment(cost, list(xs.values()), list(ys.values()))
-    return Fraction(total, scale * len(elements))
+    xs = Counter(lamplighter.act(g, x) for g in elements)
+    ys = Counter(lamplighter.act(g, y) for g in elements)
+    costs = cost_matrix(list(xs), list(ys), lamplighter.metric)
+    total, _ = transportation_plan(list(xs.values()), list(ys.values()), costs)
+    return total / len(elements)

@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's solver code paths: assignment by
 factorial enumeration and by the classical square Hungarian solve (the
-unit-count reference for the counted kernel), transportation by enumerating spanning bases of
+reference for the simplex on unit and counted assignments), transportation by enumerating spanning bases of
 the bipartite support graph or, onto two atoms, as a fractional knapsack
 (value and plan),
 matching by trying every injection, defects by materializing both sets,
@@ -43,7 +43,7 @@ def brute_assignment(costs) -> Fraction:
 def unit_hungarian(costs) -> tuple[Fraction, list[int]]:
     """The classical square Hungarian solve by shortest augmenting paths
     with dual potentials, on integer-scaled costs; returns (total cost,
-    column assigned to each row).  The reference for the counted kernel."""
+    column assigned to each row).  The reference for the assignment kernel."""
     n = len(costs)
     cost, scale = _integer_costs(costs)
     INF = float("inf")

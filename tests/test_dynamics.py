@@ -400,3 +400,27 @@ def test_envelope_interpolates_anchors():
     assert f(hat(0)) == 0
     # the anchor value plus the Lipschitz cone caps the other anchor
     assert f(INF_HAT) == min(Fraction(1, 8), metric(INF_HAT, hat(0)))
+
+
+def _tenth_on_check(p):
+    """A float-valued function: 0.1 on the check component, 0.0 on hat."""
+    return 0.1 if p.component == CHECK else 0.0
+
+
+def test_float_values_are_read_by_their_repr():
+    """0.1 is read as 1/10 wherever a function value enters, so the Seever
+    residual vanishes and the averaging closed form holds exactly."""
+    separator = ends_separator()
+    assert seever_residual(HALF, _tenth_on_check, separator, default_sample(4)) == 0
+    assert seever_residual(HALF, _tenth_on_check, _tenth_on_check, default_sample(4)) == 0
+    assert averaging_residual(HALF, _tenth_on_check, separator, hat(0)) == Fraction(1, 40)
+    assert averaging_residual(HALF, _tenth_on_check, _tenth_on_check, hat(0)) == Fraction(1, 400)
+
+
+def test_function_parameters_are_read_by_their_repr():
+    assert bump(hat(0), 0.1).lipschitz == 10
+    assert bump(hat(0), 0.1)(hat(0)) == 1
+    f = envelope([(hat(0), 0.1), (check(0), 0.2)], lipschitz=0.5)
+    assert f.lipschitz == Fraction(1, 2)
+    assert f(hat(0)) == Fraction(1, 10)
+    assert f(check(0)) == Fraction(1, 5)

@@ -244,6 +244,12 @@ def test_assignment_guard():
         assignment_distance(folner, hat(0), hat(1))
 
 
+def test_float_masses_are_read_by_their_repr():
+    value, flows = transportation_plan([0.1, 0.2, 0.7], [1], [[1], [1], [1]])
+    assert value == 1
+    assert flows == {(0, 0): Fraction(1, 10), (1, 0): Fraction(1, 5), (2, 0): Fraction(7, 10)}
+
+
 def test_solve_assignment_small():
     costs = [[Fraction(4), Fraction(1)], [Fraction(2), Fraction(3)]]
     value, assignment = solve_assignment(costs)
@@ -513,8 +519,11 @@ def test_wf_at_n5_on_decay_is_exact():
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda n: st.lists(st.lists(TIED_COSTS, min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_solve_assignment_is_the_unit_hungarian_on_tied_costs(costs):
-    assert solve_assignment(costs) == unit_hungarian(costs)
+def test_solve_assignment_on_tied_costs_is_an_optimal_permutation(costs):
+    value, assignment = solve_assignment(costs)
+    assert value == unit_hungarian(costs)[0]
+    assert sorted(assignment) == list(range(len(costs)))
+    assert sum(costs[i][j] for i, j in enumerate(assignment)) == value
 
 
 @st.composite
@@ -535,33 +544,32 @@ def counted_problems(draw):
 @settings(max_examples=200, deadline=None)
 @given(counted_problems())
 def test_counted_kernel_equals_the_expanded_hungarian(problem):
+    """The simplex on integer counts (zeros allowed) against the Hungarian
+    solve of the problem expanded to one row and column per unit."""
     costs, supply, demand = problem
-    total, flows = transport._counted_assignment(costs, supply, demand)
+    total, flows = transportation_plan(supply, demand, costs)
     rows = [i for i, count in enumerate(supply) for _ in range(count)]
     cols = [j for j, count in enumerate(demand) for _ in range(count)]
     expanded, _ = unit_hungarian([[Fraction(costs[i][j]) for j in cols] for i in rows])
     assert total == expanded
-    assert [sum(column.values()) for column in flows] == demand
-    assert [sum(column.get(i, 0) for column in flows) for i in range(len(supply))] == supply
-    assert all(q >= 0 for column in flows for q in column.values())
-    assert total == sum(q * costs[i][j] for j, column in enumerate(flows) for i, q in column.items())
+    assert all(q > 0 and q.denominator == 1 for q in flows.values())
+    assert [sum(q for (_, j), q in flows.items() if j == c) for c in range(len(demand))] == demand
+    assert [sum(q for (i, _), q in flows.items() if i == r) for r in range(len(supply))] == supply
+    assert total == sum(q * costs[i][j] for (i, j), q in flows.items())
 
 
 ZERO_COSTS = [[Fraction(0)] * 4 for _ in range(4)]
 DOMINANT_COSTS = [[Fraction(10**30) if (i, j) == (2, 1) else Fraction(1, 3) for j in range(5)] for i in range(5)]
 
 
-@pytest.mark.parametrize("costs", [ZERO_COSTS, DOMINANT_COSTS], ids=["all-zero", "one-dominant"])
-def test_integer_sentinel_on_zero_and_dominant_costs(costs):
-    assert solve_assignment(costs) == unit_hungarian(costs)
-    cost, _ = transport._integer_costs(costs)
-    supply, demand = [2, 0, 1, 3, 1][: len(cost)], [1, 3, 2, 0, 1][: len(cost)]
-    demand[-1] += sum(supply) - sum(demand)
-    total, _ = transport._counted_assignment(cost, supply, demand)
-    rows = [i for i, count in enumerate(supply) for _ in range(count)]
-    cols = [j for j, count in enumerate(demand) for _ in range(count)]
-    expanded, _ = unit_hungarian([[Fraction(cost[i][j]) for j in cols] for i in rows])
-    assert total == expanded
+@pytest.mark.parametrize(
+    "costs, value",
+    [(ZERO_COSTS, 0), (DOMINANT_COSTS, Fraction(5, 3))],
+    ids=["all-zero", "one-dominant"],
+)
+def test_assignment_on_zero_and_dominant_costs_is_the_identity(costs, value):
+    assert solve_assignment(costs) == (value, list(range(len(costs))))
+    assert unit_hungarian(costs)[0] == value
 
 
 def test_assignment_on_a_materialized_rate_set_equals_the_expanded_solve():
@@ -579,8 +587,8 @@ def test_assignment_on_a_materialized_rate_set_equals_the_expanded_solve():
 
 def test_assignment_at_the_guard_with_few_distinct_orbit_points():
     """4096 elements, but 8 shifts move x and y to at most 16 distinct
-    points each, so the kernel solves a small counted problem.  The guard's
-    worst case, 4096 distinct points (a 4096^3 solve), is not run."""
+    points each, so the simplex solves a small counted problem.  The guard's
+    worst case, 4096 distinct points (a 4096 x 4096 transport), is not run."""
     lamps = range(-4, 5)
     elements = [
         GroupElement(a, flips)
@@ -593,6 +601,27 @@ def test_assignment_at_the_guard_with_few_distinct_orbit_points():
     x, y = hat(1), check(-2)
     value, _ = wasserstein(empirical_measure(folner, x), empirical_measure(folner, y), metric)
     assert assignment_distance(folner, x, y) == value
+
+
+ELEMENTS = st.builds(
+    GroupElement,
+    st.integers(-2, 2),
+    st.lists(st.integers(-3, 3), max_size=3, unique=True).map(sorted).map(tuple),
+)
+FINITE_POINTS = st.builds(lambda hatted, pos: (hat if hatted else check)(pos), st.booleans(), st.integers(-3, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(ELEMENTS, min_size=1, max_size=64), FINITE_POINTS, FINITE_POINTS)
+def test_assignment_with_repeated_orbit_points_equals_the_expanded_hungarian(elements, x, y):
+    """Five shifts and two components leave at most 10 distinct orbit
+    points, so sets of up to 64 elements repeat them.  The counted solve
+    must match the Hungarian solve of the full |F| x |F| problem, which
+    runs no simplex code."""
+    folner = explicit_folner(elements)
+    members = folner.elements
+    expanded, _ = unit_hungarian(cost_matrix([act(g, x) for g in members], [act(g, y) for g in members], metric))
+    assert assignment_distance(folner, x, y) == expanded / len(members)
 
 
 def test_corrupted_flow_makes_wasserstein_raise():
