@@ -120,10 +120,13 @@ def _cmd_folner(args) -> int:
     rate = RateSequence.from_preset(args.preset)
     if args.action == "build":
         if args.kind == "box":
-            folner = box_folner(range(args.a_min, args.a_max + 1), materialize=args.materialize)
+            folner = box_folner(range(args.a_min, args.a_max + 1))
         else:
-            folner = rate_folner(rate, args.n, materialize=args.materialize)
-        _emit(folner.to_dict(), args)
+            folner = rate_folner(rate, args.n)
+        payload = folner.to_dict()
+        if args.materialize:
+            payload["elements"] = [g.to_dict() for g in folner.materialize()]
+        _emit(payload, args)
         return 0
     if args.action == "defect":
         folner = rate_folner(rate, args.n)
@@ -150,7 +153,7 @@ def _cmd_folner(args) -> int:
         _emit([dict(f.recipe) for f in chosen], args)
         return 0
     if args.action == "translate":
-        sets = [rate_folner(rate, n, materialize=True) for n in range(1, args.n + 1)]
+        sets = [rate_folner(rate, n) for n in range(1, args.n + 1)]
         words = args.g.split(",")
         if len(words) == 1:
             words = words * len(sets)
@@ -209,18 +212,17 @@ DYNAMICS_ACTIONS = {
 }
 
 
-#: Every dynamics flag with its default.  The parser leaves a flag None
-#: unless it is given, so a flag the action does not map is a usage error.
-DYNAMICS_DEFAULTS = {"case": "d", "preset": "r-const:0.5", "nmax": 3, "pairs": 20, "g": "f"}
-
-
 def _cmd_dynamics(args) -> int:
+    """The parser leaves a flag None unless it is given, so a flag the
+    action does not map is a usage error, and a flag left out takes the
+    scenario's default."""
     scenario, flags = DYNAMICS_ACTIONS[args.action]
-    given = {flag: getattr(args, flag) for flag in DYNAMICS_DEFAULTS if getattr(args, flag) is not None}
+    every = dict.fromkeys(flag for _, mapped in DYNAMICS_ACTIONS.values() for flag in mapped)
+    given = {flag: getattr(args, flag) for flag in every if getattr(args, flag) is not None}
     stray = [f"--{flag}" for flag in given if flag not in flags]
     if stray:
         raise UsageError(f"dynamics {args.action} does not take {', '.join(stray)}")
-    params = {param: given.get(flag, DYNAMICS_DEFAULTS[flag]) for flag, param in flags.items()}
+    params = {param: given[flag] for flag, param in flags.items() if flag in given}
     return _run(ExperimentConfig((ScenarioSpec(scenario, params),)), args)
 
 
@@ -278,8 +280,9 @@ def build_parser() -> _Parser:
     common.add_argument(
         "--out", default=None, help="output file; for dynamics and experiment, a results and manifest directory"
     )
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+    runs = argparse.ArgumentParser(add_help=False, parents=[common])
+    runs.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
+    runs.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     folner = sub.add_parser("folner", parents=[common])
@@ -303,7 +306,7 @@ def build_parser() -> _Parser:
     transport.add_argument("--nu", required=True)
     transport.set_defaults(func=_cmd_transport)
 
-    dynamics = sub.add_parser("dynamics", parents=[common])
+    dynamics = sub.add_parser("dynamics", parents=[runs])
     dynamics.add_argument("action", choices=tuple(DYNAMICS_ACTIONS))
     dynamics.add_argument("--case", choices=("a", "b", "c", "d"))
     dynamics.add_argument("--preset")
@@ -323,7 +326,7 @@ def build_parser() -> _Parser:
     homeo.add_argument("--other", default=None)
     homeo.set_defaults(func=_cmd_homeo)
 
-    experiment = sub.add_parser("experiment", parents=[common])
+    experiment = sub.add_parser("experiment", parents=[runs])
     experiment.add_argument("--config", default=None)
     experiment.set_defaults(func=_cmd_experiment)
     return parser

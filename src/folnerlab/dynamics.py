@@ -22,13 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import GuardViolation, InvariantViolation
 from .exact import exact
-from .folner import (
-    FolnerSet,
-    RateFolner,
-    RateSequence,
-    enumerate_elements,
-    flip_balance,
-)
+from .folner import FolnerSet, RateFolner, RateSequence, flip_balance
 from .functions import canonical_family
 from .lamplighter import (
     CHECK,
@@ -84,7 +78,7 @@ def empirical_measure(folner: FolnerSet, x: Point) -> DiscreteMeasure:
             if toggled > 0:
                 pairs.append((Point(_other(x.component), x.pos - a), toggled * weight))
         return DiscreteMeasure.from_pairs(pairs)
-    elements = enumerate_elements(folner)
+    elements = folner.materialize()
     weight = Fraction(1, len(elements))
     return DiscreteMeasure.from_pairs((act(g, x), weight) for g in elements)
 

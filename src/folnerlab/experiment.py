@@ -156,8 +156,13 @@ class Scenario:
 
     def resolve(self, raw: dict, where: str) -> tuple[dict, list[str]]:
         """The runner's values, defaults filled in, and every violation
-        (guard violations are prefixed so the CLI can exit 3)."""
-        values, violations = {}, []
+        (guard violations are prefixed so the CLI can exit 3).  A key that
+        names no parameter is a violation too."""
+        values = {}
+        violations = [
+            f"{where}.params.{name}: unknown parameter; accepted: {', '.join(self.params)}"
+            for name in sorted(set(raw) - set(self.params))
+        ]
         for name, param in self.params.items():
             try:
                 values[name] = param.parse(raw.get(name, param.default))

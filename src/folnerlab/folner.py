@@ -13,16 +13,17 @@ one finite interval; it balances every in-box flip position exactly at 1/2.
 Rate, box and explicit sets share one protocol (``FolnerSet``): ``size``,
 ``shifts()``, ``balance(position)``, ``left_share(g)`` and
 ``right_share(g)`` (the kept shares |gF & F|/|F| and |Fg & F|/|F| as
-exact fractions), ``elements`` and ``to_dict()``.  The module-level
-``left_defect``, ``right_defect``, ``flip_balance`` and
-``enumerate_elements`` work on any kind through it.  Sets of interesting
-size are never materialized, and a rate set's defects never build its
-2^(#free) free-position factor or its 4^n selection words: the kept
-share is counted in window units, one stay count per XOR mask, each a
-sum over the threshold intervals of the selection section and the
-aligned dyadic blocks that tile them (see ``SupportFamily.stay_count``).
-Enumeration paths exist below the size guards and must agree with the
-counting paths exactly.
+exact fractions), ``materialize()`` and ``to_dict()``.  Only an explicit
+set holds its ``elements``; the rate and box kinds build theirs in
+``materialize()``, under their size guards.  The module-level
+``left_defect``, ``right_defect`` and ``flip_balance`` work on any kind
+through the protocol.  Sets of interesting size are never materialized,
+and a rate set's defects never build its 2^(#free) free-position factor
+or its 4^n selection words: the kept share is counted in window units,
+one stay count per XOR mask, each a sum over the threshold intervals of
+the selection section and the aligned dyadic blocks that tile them (see
+``RateFolner.stay_count``).  Enumeration paths exist below the size
+guards and must agree with the counting paths exactly.
 """
 
 from __future__ import annotations
@@ -124,11 +125,47 @@ class RateSequence:
 
 
 @dataclass(frozen=True)
-class SupportFamily:
-    """The implicit family of flip supports for the rate construction:
-    strictly increasing tuples in [-2^n, 2^n] whose window restriction
-    matches one of the selection-padded words; positions outside the
-    window are free."""
+class FolnerSet:
+    """A finite set of group elements with a provenance recipe.
+
+    Every kind provides ``size``, ``shifts()`` (the shift range when the
+    set is a shift range times a support family, else None),
+    ``balance(position)``, ``left_share(g)`` and ``right_share(g)``
+    (|gF & F|/|F| and |Fg & F|/|F|) and ``materialize()``, its elements
+    (guarded for the rate and box kinds).  ``recipe`` is serialization
+    metadata only.
+    """
+
+    recipe: tuple[tuple[str, str], ...] = field(default=(), kw_only=True)
+
+    def to_dict(self) -> dict:
+        return {"recipe": dict(self.recipe), "size": self.size}
+
+
+def _sorted_elements(elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
+    return tuple(sorted(set(elements), key=lambda g: (g.shift, g.flips)))
+
+
+def _enumerated_share(folner: FolnerSet, g: GroupElement, side: str) -> Fraction:
+    elements = set(folner.materialize())
+    if side == "left":
+        translated = {compose(g, h) for h in elements}
+    else:
+        translated = {compose(h, g) for h in elements}
+    return Fraction(len(elements & translated), len(elements))
+
+
+@dataclass(frozen=True)
+class RateFolner(FolnerSet):
+    """The n-th rate set: shifts in [-2^n, 2^n] times the flip supports,
+    the strictly increasing tuples in [-2^n, 2^n] whose restriction to the
+    window [-2n, 2n] is one of the 4^n selection-padded words; positions
+    outside the window are free.
+
+    Window words and flip masks are packed into ints, bit l + 2n for
+    position l: word j + 1 is its section over [-n, n] with the low n bits
+    of j below it and the high n above it.
+    """
 
     rate: RateSequence
     n: int
@@ -136,23 +173,23 @@ class SupportFamily:
     _stays: dict[int, int] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
-    def bound(self) -> int:
-        return 2**self.n
-
-    @property
-    def window_positions(self) -> range:
-        return range(-2 * self.n, 2 * self.n + 1)
-
-    @property
     def cardinality(self) -> int:
-        """4^n window words times 2^(#free), #free = 2(2^n - 2n); guarded at
-        n <= SIZE_MAX_N, since |F_n| has about 2^(n+1) bits."""
+        """The number of flip supports: 4^n window words times 2^(#free),
+        #free = 2(2^n - 2n); guarded at n <= SIZE_MAX_N, since it has
+        about 2^(n+1) bits."""
         if self.n > SIZE_MAX_N:
             raise GuardViolation(
                 f"rate-set sizes are built only for n <= {SIZE_MAX_N} (|F_{SIZE_MAX_N}| has "
                 f"2,464 digits; |F_n| has about 2^(n+1) bits), got n={self.n}"
             )
-        return 4**self.n * 2 ** (2 * (self.bound - 2 * self.n))
+        return 4**self.n * 2 ** (2 * (2**self.n - 2 * self.n))
+
+    @property
+    def size(self) -> int:
+        return (2 ** (self.n + 1) + 1) * self.cardinality
+
+    def shifts(self) -> tuple[int, ...]:
+        return tuple(range(-(2**self.n), 2**self.n + 1))
 
     def threshold(self, position: int) -> int:
         """c_l = ceil(r_l 4^n): word k sets window bit l (|l| <= n) iff k-1 < c_l."""
@@ -229,7 +266,7 @@ class SupportFamily:
             self._stays[mask] = total
         return self._stays[mask]
 
-    def contains_fraction(self, position: int) -> Fraction:
+    def balance(self, position: int) -> Fraction:
         """Exact fraction of supports containing the given position: c_l / 4^n
         inside [-n, n], one half on the padding and the free positions.
         Guarded at n <= BALANCE_MAX_N, the largest n whose balances print."""
@@ -240,88 +277,7 @@ class SupportFamily:
             )
         if abs(position) <= self.n:
             return Fraction(self.threshold(position), 4**self.n)
-        return Fraction(1, 2) if abs(position) <= self.bound else Fraction(0)
-
-    def tuples(self) -> Iterator[tuple[int, ...]]:
-        if self.n > MATERIALIZE_MAX_N:
-            raise GuardViolation(
-                f"support enumeration is guarded at n <= {MATERIALIZE_MAX_N}, got {self.n}"
-            )
-        n, b, w = self.n, self.bound, 2 * self.n
-        free = tuple(itertools.chain(range(-b, -w), range(w + 1, b + 1)))
-        for start, end, section in self._sections():
-            for j in range(start, end):
-                # Word j + 1, packed like a mask: the low n bits of j below
-                # the section, the high n above it.
-                word = (j & (1 << n) - 1) | (j >> n) << 3 * n + 1 | section
-                fixed = [l for l in self.window_positions if word >> (l + w) & 1]
-                for r in range(len(free) + 1):
-                    for extra in itertools.combinations(free, r):
-                        yield tuple(sorted(fixed + list(extra)))
-
-
-def support_family(rate: RateSequence, n: int) -> SupportFamily:
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return SupportFamily(rate, n)
-
-
-@dataclass(frozen=True)
-class FolnerSet:
-    """A finite set of group elements with a provenance recipe.
-
-    Every kind provides ``size``, ``shifts()`` (the shift range when the
-    set is a shift range times a support family, else None),
-    ``balance(position)``, ``left_share(g)`` and ``right_share(g)``
-    (|gF & F|/|F| and |Fg & F|/|F|).  ``elements`` holds the materialized
-    elements or None; the rate and box kinds build them on request with
-    ``materialize()``, under their size guards.  ``recipe`` is
-    serialization metadata only.
-    """
-
-    elements: tuple[GroupElement, ...] | None = field(default=None, kw_only=True)
-    recipe: tuple[tuple[str, str], ...] = field(default=(), kw_only=True)
-
-    def to_dict(self) -> dict:
-        out = {"recipe": dict(self.recipe), "size": self.size}
-        if self.elements is not None:
-            out["elements"] = [g.to_dict() for g in self.elements]
-        return out
-
-
-def _sorted_elements(elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
-    return tuple(sorted(set(elements), key=lambda g: (g.shift, g.flips)))
-
-
-def _enumerated_share(folner: FolnerSet, g: GroupElement, side: str) -> Fraction:
-    elements = set(enumerate_elements(folner))
-    if side == "left":
-        translated = {compose(g, h) for h in elements}
-    else:
-        translated = {compose(h, g) for h in elements}
-    return Fraction(len(elements & translated), len(elements))
-
-
-@dataclass(frozen=True)
-class RateFolner(FolnerSet):
-    """The n-th rate set: shifts in [-2^n, 2^n], supports from the family."""
-
-    rate: RateSequence
-    n: int
-    family: SupportFamily = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "family", support_family(self.rate, self.n))
-
-    @property
-    def size(self) -> int:
-        return (2 ** (self.n + 1) + 1) * self.family.cardinality
-
-    def shifts(self) -> tuple[int, ...]:
-        return tuple(range(-(2**self.n), 2**self.n + 1))
-
-    def balance(self, position: int) -> Fraction:
-        return self.family.contains_fraction(position)
+        return Fraction(1, 2) if abs(position) <= 2**self.n else Fraction(0)
 
     def _window_mask(self, positions: Iterable[int]) -> int:
         """The flips at the given positions that land in the window, packed
@@ -337,14 +293,14 @@ class RateFolner(FolnerSet):
         bound) form one interval [lo, hi].  Only the shifts that move a
         flip into the window give a nonzero mask; the rest keep 4^n each.
         """
-        family, bound, w = self.family, 2**self.n, 2 * self.n
-        whole = family.stay_count(0)  # 4^n; also the counting guard
+        bound, w = 2**self.n, 2 * self.n
+        whole = self.stay_count(0)  # 4^n; also the counting guard
         flips = g.flips
         lo = max(-bound, -bound - g.shift, -bound - min(flips, default=0))
         hi = min(bound, bound - g.shift, bound - max(flips, default=0))
         near = {a for d in flips for a in range(max(lo, -w - d), min(hi, w - d) + 1)}
         kept = max(0, hi - lo + 1 - len(near)) * whole + sum(
-            family.stay_count(self._window_mask(d + a for d in flips)) for a in near
+            self.stay_count(self._window_mask(d + a for d in flips)) for a in near
         )
         return Fraction(kept, (2 * bound + 1) * whole)
 
@@ -352,18 +308,31 @@ class RateFolner(FolnerSet):
         """Counted for pure flips; a shifted g needs enumeration (guarded)."""
         if g.shift != 0:
             return _enumerated_share(self, g, "right")
-        whole = self.family.stay_count(0)  # 4^n; also the counting guard
+        whole = self.stay_count(0)  # 4^n; also the counting guard
         if any(abs(d) > 2**self.n for d in g.flips):
             return Fraction(0)
-        return Fraction(self.family.stay_count(self._window_mask(g.flips)), whole)
+        return Fraction(self.stay_count(self._window_mask(g.flips)), whole)
 
     def materialize(self) -> tuple[GroupElement, ...]:
-        if self.n > MATERIALIZE_MAX_N:
-            raise GuardViolation(
-                f"rate sets materialize only for n <= {MATERIALIZE_MAX_N}, got n={self.n}"
-            )
+        """Every element: each window word with every subset of the free
+        positions as a support, at every shift."""
+        n, b, w = self.n, 2**self.n, 2 * self.n
+        if n > MATERIALIZE_MAX_N:
+            raise GuardViolation(f"rate sets materialize only for n <= {MATERIALIZE_MAX_N}, got n={n}")
+        free = tuple(itertools.chain(range(-b, -w), range(w + 1, b + 1)))
+        words = (
+            (j & (1 << n) - 1) | (j >> n) << 3 * n + 1 | section
+            for start, end, section in self._sections()
+            for j in range(start, end)
+        )
+        supports = [
+            tuple(sorted([l for l in range(-w, w + 1) if word >> (l + w) & 1] + list(extra)))
+            for word in words
+            for r in range(len(free) + 1)
+            for extra in itertools.combinations(free, r)
+        ]
         shifts = self.shifts()
-        return _sorted_elements(GroupElement(a, b) for b in self.family.tuples() for a in shifts)
+        return _sorted_elements(GroupElement(a, flips) for flips in supports for a in shifts)
 
 
 @dataclass(frozen=True)
@@ -416,6 +385,8 @@ class BoxFolner(FolnerSet):
 class ExplicitFolner(FolnerSet):
     """A set given by its elements; every count enumerates them."""
 
+    elements: tuple[GroupElement, ...]
+
     @property
     def size(self) -> int:
         return len(self.elements)
@@ -432,33 +403,33 @@ class ExplicitFolner(FolnerSet):
     def right_share(self, g: GroupElement) -> Fraction:
         return _enumerated_share(self, g, "right")
 
+    def materialize(self) -> tuple[GroupElement, ...]:
+        return self.elements
 
-def rate_folner(rate: RateSequence, n: int, materialize: bool = False) -> RateFolner:
+    def to_dict(self) -> dict:
+        return super().to_dict() | {"elements": [g.to_dict() for g in self.elements]}
+
+
+def rate_folner(rate: RateSequence, n: int) -> RateFolner:
     """The n-th rate set: shifts in [-2^n, 2^n], supports from the family."""
-    recipe = (("kind", "rate"), ("n", str(n)), ("rate", repr(rate.to_dict())))
-    out = RateFolner(rate, n, recipe=recipe)
-    return replace(out, elements=out.materialize()) if materialize else out
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    return RateFolner(rate, n, recipe=(("kind", "rate"), ("n", str(n)), ("rate", repr(rate.to_dict()))))
 
 
-def box_folner(positions: Iterable[int], materialize: bool = False) -> BoxFolner:
+def box_folner(positions: Iterable[int]) -> BoxFolner:
     """All elements whose shift and flip support live inside one finite set."""
     box = tuple(sorted(set(int(p) for p in positions)))
     if not box:
         raise ValueError("box must be non-empty")
-    out = BoxFolner(box, recipe=(("kind", "box"), ("positions", repr(list(box)))))
-    return replace(out, elements=out.materialize()) if materialize else out
+    return BoxFolner(box, recipe=(("kind", "box"), ("positions", repr(list(box)))))
 
 
 def explicit_folner(elements: Iterable[GroupElement]) -> ExplicitFolner:
     elems = _sorted_elements(elements)
     if not elems:
         raise ValueError("a Folner set must be non-empty")
-    return ExplicitFolner(elements=elems, recipe=(("kind", "explicit"),))
-
-
-def enumerate_elements(folner: FolnerSet) -> tuple[GroupElement, ...]:
-    """Materialize the elements (guarded for the implicit kinds)."""
-    return folner.elements if folner.elements is not None else folner.materialize()
+    return ExplicitFolner(elems, recipe=(("kind", "explicit"),))
 
 
 def flip_balance(folner: FolnerSet, position: int) -> Fraction:
@@ -489,7 +460,7 @@ def translate_folner(
         raise ValueError("need one translation per set")
     out = []
     for folner, g in zip(sets, translations):
-        elems = tuple(compose(h, g) for h in enumerate_elements(folner))
+        elems = tuple(compose(h, g) for h in folner.materialize())
         translated = explicit_folner(elems)
         if len(elems) != folner.size:
             raise AssertionError("translation must preserve cardinality")

@@ -52,7 +52,7 @@ class Point:
         pos = raw["pos"]
         if pos == "inf":
             pos = INF
-        elif not isinstance(pos, int):
+        elif not isinstance(pos, int) or isinstance(pos, bool):  # bool is an int subclass
             raise ValueError(f"position must be an integer or 'inf', got {pos!r}")
         return Point(raw["component"], pos)
 

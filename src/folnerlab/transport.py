@@ -36,12 +36,13 @@ from typing import Callable, Hashable, Iterable, Sequence
 from .errors import GuardViolation, InvariantViolation, LipschitzViolation, MetricOracleError
 from .exact import exact
 from . import lamplighter
-from .folner import FolnerSet, enumerate_elements
+from .folner import FolnerSet
 
-#: Largest group set accepted by ``assignment_distance``.  The simplex runs
-#: on the distinct orbit points, but a set whose orbit points are all
-#: distinct is a full |F| x |F| transport, so the guard counts |F|.
-ASSIGNMENT_GUARD = 4096
+#: Largest transport ``assignment_distance`` solves, in cells |F.x| x |F.y|
+#: over the distinct orbit points.  A set whose orbit points are all
+#: distinct is the costly case: on a 2-core Xeon one such set took 1.2 s at
+#: 300 x 300 points (90,000 cells), 3.3 s at 400 x 400 and 42 s at 1000 x 1000.
+ASSIGNMENT_GUARD = 90_000
 
 
 def _checked_cost(dist, x, y) -> Fraction:
@@ -429,13 +430,14 @@ def assignment_distance(folner: FolnerSet, x: "lamplighter.Point", y: "lamplight
     integral flow is a permutation of F up to relabelling equal points, and
     every basic flow is integral, so the minimum is the one of the
     |F| x |F| problem."""
-    elements = enumerate_elements(folner)
-    if len(elements) > ASSIGNMENT_GUARD:
-        raise GuardViolation(
-            f"assignment guard: |F| = {len(elements)} exceeds {ASSIGNMENT_GUARD}"
-        )
+    elements = folner.materialize()
     xs = Counter(lamplighter.act(g, x) for g in elements)
     ys = Counter(lamplighter.act(g, y) for g in elements)
+    if len(xs) * len(ys) > ASSIGNMENT_GUARD:
+        raise GuardViolation(
+            f"assignment guard: {len(xs)} x {len(ys)} distinct orbit points exceed "
+            f"{ASSIGNMENT_GUARD} cells"
+        )
     costs = cost_matrix(list(xs), list(ys), lamplighter.metric)
     total, _ = transportation_plan(list(xs.values()), list(ys.values()), costs)
     return total / len(elements)

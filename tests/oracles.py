@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from folnerlab.errors import LipschitzViolation
-from folnerlab.folner import FolnerSet, box_folner, enumerate_elements
+from folnerlab.folner import FolnerSet, box_folner
 from folnerlab.dynamics import folner_average, limit_measure
 from folnerlab.functions import TestFunction
 from folnerlab.homeo import PLHomeo, repelling_element, squash_margin
@@ -90,7 +90,7 @@ def unit_hungarian(costs) -> tuple[Fraction, list[int]]:
 
 
 def brute_assignment_distance(folner: FolnerSet, x, y) -> Fraction:
-    elements = enumerate_elements(folner)
+    elements = folner.materialize()
     xs = [act(g, x) for g in elements]
     ys = [act(g, y) for g in elements]
     costs = [[metric(p, q) for q in ys] for p in xs]
@@ -202,7 +202,7 @@ def brute_matching(adjacency, size_left, size_right) -> int:
 
 def brute_defect(folner: FolnerSet, g: GroupElement, side: str) -> Fraction:
     """|gF Δ F| / |F| (or right-sided) from materialized elements."""
-    elements = set(enumerate_elements(folner))
+    elements = set(folner.materialize())
     moved = {compose(g, h) if side == "left" else compose(h, g) for h in elements}
     return Fraction(len(elements ^ moved), len(elements))
 
@@ -226,22 +226,22 @@ def word_family(rate, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(words)
 
 
-def packed_words(family) -> frozenset:
-    """The family's 4^n window words packed into ints, bit l + 2n for
+def packed_words(folner) -> frozenset:
+    """A rate set's 4^n window words packed into ints, bit l + 2n for
     position l: word j + 1 is its section over [-n, n] with the low n bits
     of j below it and the high n above it."""
-    n = family.n
+    n = folner.n
     return frozenset(
         (j & (1 << n) - 1) | (j >> n) << 3 * n + 1 | section
-        for start, end, section in family._sections()
+        for start, end, section in folner._sections()
         for j in range(start, end)
     )
 
 
-def word_stay_count(family, mask: int) -> int:
-    """How many of the family's listed window words stay in it after XOR
-    with mask: one set lookup per word (4^n of them)."""
-    words = packed_words(family)
+def word_stay_count(folner, mask: int) -> int:
+    """How many of a rate set's listed window words stay in its family
+    after XOR with mask: one set lookup per word (4^n of them)."""
+    words = packed_words(folner)
     return sum((u ^ mask) in words for u in words)
 
 

@@ -32,7 +32,6 @@ from folnerlab.folner import (
     flip_balance,
     left_defect,
     rate_folner,
-    support_family,
 )
 from folnerlab.functions import bump, constant, ends_separator, random_affine
 from folnerlab.homeo import (
@@ -99,9 +98,9 @@ def test_acceptance_1_selection_ratio_bound():
     start = time.monotonic()
     for name, rate in PRESETS.items():
         for n in (1, 2, 3):
-            family = support_family(rate, n)
+            folner = rate_folner(rate, n)
             for l0 in range(-n, n + 1):
-                gap = abs(family.contains_fraction(l0) - rate.value(l0))
+                gap = abs(folner.balance(l0) - rate.value(l0))
                 assert gap <= Fraction(1, 4**n), (name, n, l0)
     elapsed = time.monotonic() - start
     assert elapsed < 10
@@ -118,13 +117,13 @@ def test_acceptance_2_genericity_at_the_origin():
         assert rows[0].distance >= rows[1].distance >= rows[2].distance
         # the check-component mass equals the support containment ratio,
         # verified on the fully enumerated sets (n = 3 has 17408 elements)
-        for n in (1, 2, 3):
-            materialized = rate_folner(rate, n, materialize=True)
-            assert materialized.size == (2 ** (n + 1) + 1) * support_family(rate, n).cardinality
+        for folner in sets:
+            materialized = explicit_folner(folner.materialize())
+            assert materialized.size == (2 ** (folner.n + 1) + 1) * folner.cardinality
             mass = empirical_measure(materialized, hat(0)).mass_where(
                 lambda p: p.component == CHECK
             )
-            assert mass == flip_balance(materialized, 0), (name, n)
+            assert mass == flip_balance(materialized, 0) == flip_balance(folner, 0), (name, folner.n)
     elapsed = time.monotonic() - start
     assert elapsed < 60
     _report(2, f"empirical-to-limit distances non-increasing, check mass exact ({elapsed:.2f}s)")

@@ -63,6 +63,23 @@ def test_folner_bad_word_exit_code(capsys):
     assert run_cli("folner", "defect", "--g", "s q") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("folner", "defect", "--n", "2"),
+        ("transport", "wasserstein", "--mu", "mu.json", "--nu", "nu.json"),
+        ("homeo", "repel"),
+    ],
+    ids=["folner", "transport", "homeo"],
+)
+@pytest.mark.parametrize("flag", [("--format", "csv"), ("--seed", "5")], ids=["format", "seed"])
+def test_seed_and_format_are_usage_errors_where_they_do_not_act(capsys, argv, flag):
+    assert run_cli(*argv, *flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: unrecognized arguments: " + flag[0])
+
+
 def test_transport_commands(tmp_path, capsys):
     mu = tmp_path / "mu.json"
     nu = tmp_path / "nu.json"
@@ -187,6 +204,17 @@ def test_unreadable_config_and_unwritable_output_exit_one(tmp_path, capsys):
     assert run_cli("experiment", "--config", str(tmp_path)) == 1
     assert run_cli("folner", "build", "--out", str(tmp_path)) == 1
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_transport_refuses_boolean_positions(tmp_path, capsys):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps([{"point": {"component": "hat", "pos": True}, "mass": 1}]))
+    nu = tmp_path / "nu.json"
+    nu.write_text(json.dumps([{"point": {"component": "hat", "pos": 1}, "mass": 1}]))
+    assert run_cli("transport", "wasserstein", "--mu", str(mu), "--nu", str(nu)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: position must be an integer or 'inf', got True\n"
 
 
 def test_transport_refuses_mixed_measure_kinds(tmp_path, capsys):
@@ -457,9 +485,14 @@ def test_folner_defect_params_checked_with_the_config():
         validate_config(json.dumps(bad_word))
     assert any(".params.generators:" in v for v in err.value.violations)
     assert not guard_violations(err.value)
-    # materialize is no parameter of the scenario, so it trips no guard
+    # materialize is no parameter of the scenario: a config error, not a guard
     flagged = {"scenarios": [{"id": "folner-defect", "params": {"nmax": 5, "materialize": True}}]}
-    assert validate_config(json.dumps(flagged)).scenarios[0].params["materialize"] is True
+    with pytest.raises(ConfigError) as err:
+        validate_config(json.dumps(flagged))
+    assert err.value.violations == [
+        "scenarios[0].params.materialize: unknown parameter; accepted: rate, nmax, generators"
+    ]
+    assert not guard_violations(err.value)
 
 
 def test_run_experiment_checks_unvalidated_params():
@@ -545,6 +578,17 @@ def test_folner_balance_stops_at_the_print_limit(capsys):
     assert run_cli("folner", "balance", "--preset", "r-decay", "--n", "7143", "--b", "1") == 3
     err = capsys.readouterr().err
     assert err.startswith("guard violation: ") and "n <= 7142" in err
+
+
+def test_dynamics_flags_left_out_take_the_scenario_defaults(tmp_path, capsys):
+    assert run_cli("dynamics", "rightavg") == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[-1] == "rightavg,8,rate-zero,flip-balance,0.0,paper-bound"
+    out = tmp_path / "res"
+    assert run_cli("dynamics", "generic", "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    default = ExperimentConfig((ScenarioSpec("genericity", {}),), out=str(out))
+    assert manifest["config_hash"] == experiment.config_hash(default)
 
 
 def test_dynamics_out_names_a_results_directory(tmp_path, capsys):

@@ -11,13 +11,12 @@ from test_folner import _rates
 from folnerlab.errors import GuardViolation
 from folnerlab.folner import (
     COUNT_MAX_N,
+    RateFolner,
     RateSequence,
-    SupportFamily,
     flip_balance,
     left_defect,
     rate_folner,
     right_defect,
-    support_family,
 )
 from folnerlab.lamplighter import FLIP, SIGMA, SIGMA_INV, GroupElement, inverse, parse_word
 
@@ -27,15 +26,15 @@ DECAY, SPLIT = RateSequence.decay(), RateSequence.split()
 @settings(max_examples=60, deadline=None)
 @given(_rates, st.integers(1, 5), st.data())
 def test_stay_count_matches_the_word_scan(rate, n, data):
-    family = support_family(rate, n)
+    folner = rate_folner(rate, n)
     masks = data.draw(st.lists(st.integers(0, 2 ** (4 * n + 1) - 1), min_size=1, max_size=4))
     # Differences of two words keep at least one word each, so the
     # interval-to-interval overlaps are exercised, not only empty targets.
-    words = sorted(packed_words(family))
+    words = sorted(packed_words(folner))
     word = st.sampled_from(words)
     pairs = data.draw(st.lists(st.tuples(word, word), max_size=4))
     for mask in masks + [u ^ v for u, v in pairs]:
-        assert family.stay_count(mask) == word_stay_count(family, mask)
+        assert folner.stay_count(mask) == word_stay_count(folner, mask)
 
 
 _elements = st.builds(
@@ -48,10 +47,9 @@ _elements = st.builds(
 @settings(max_examples=40, deadline=None)
 @given(_rates, st.integers(1, 2), _elements)
 def test_defects_match_the_materialized_sets(rate, n, g):
-    counted = rate_folner(rate, n)
-    materialized = rate_folner(rate, n, materialize=True)
-    assert left_defect(counted, g) == brute_defect(materialized, g, "left")
-    assert right_defect(counted, g) == brute_defect(materialized, g, "right")
+    folner = rate_folner(rate, n)
+    assert left_defect(folner, g) == brute_defect(folner, g, "left")
+    assert right_defect(folner, g) == brute_defect(folner, g, "right")
 
 
 @pytest.mark.parametrize(
@@ -85,7 +83,7 @@ def test_counting_never_lists_the_words(monkeypatch):
     def refuse(self):
         raise AssertionError("counting listed the selection words")
 
-    monkeypatch.setattr(SupportFamily, "tuples", refuse)
+    monkeypatch.setattr(RateFolner, "materialize", refuse)
     # The counting workload's words: generators, a word and its inverse, and a product.
     g, h = parse_word("f s S f s"), parse_word("S f f s")
     elements = [SIGMA, SIGMA_INV, FLIP, g, inverse(g), h, parse_word("S f f s f s S f s")]

@@ -25,7 +25,7 @@ from folnerlab.dynamics import (
     translation_gap,
     verdicts,
 )
-from folnerlab.folner import RateSequence, box_folner, rate_folner, translate_folner
+from folnerlab.folner import RateSequence, box_folner, explicit_folner, rate_folner, translate_folner
 from folnerlab.functions import (
     affine,
     bump,
@@ -68,13 +68,13 @@ def test_empirical_counting_matches_enumeration():
     for rate in PRESETS.values():
         for n in (1, 2):
             virtual = rate_folner(rate, n)
-            materialized = rate_folner(rate, n, materialize=True)
+            materialized = explicit_folner(virtual.materialize())
             for x in (hat(0), check(1), hat(-2)):
                 counted = dict(empirical_measure(virtual, x).atoms)
                 enumerated = dict(empirical_measure(materialized, x).atoms)
                 assert counted == enumerated
     box_virtual = box_folner(range(-2, 3))
-    box_materialized = box_folner(range(-2, 3), materialize=True)
+    box_materialized = explicit_folner(box_virtual.materialize())
     for x in (hat(0), check(2), hat(5)):
         assert dict(empirical_measure(box_virtual, x).atoms) == dict(
             empirical_measure(box_materialized, x).atoms
@@ -99,13 +99,13 @@ def test_full_rate_toggles_everything():
 
 def test_average_two_evaluation_orders_agree():
     f = affine(1, Fraction(1, 2), Fraction(-1, 3))
-    for folner in (rate_folner(HALF, 1, materialize=True), box_folner(range(-1, 2), materialize=True)):
+    for folner in (rate_folner(HALF, 1), box_folner(range(-1, 2))):
+        elements = folner.materialize()
         for x in (hat(0), check(1), INF_CHECK):
             via_measure = empirical_measure(folner, x).integrate(f)
-            direct = sum(
-                (Fraction(f(act(g, x))) for g in folner.elements), Fraction(0)
-            ) / len(folner.elements)
-            assert via_measure == direct
+            via_elements = empirical_measure(explicit_folner(elements), x).integrate(f)
+            direct = sum((Fraction(f(act(g, x))) for g in elements), Fraction(0)) / len(elements)
+            assert via_measure == via_elements == direct
 
 
 def test_average_of_constant():
@@ -166,7 +166,7 @@ def test_genericity_bound_off_origin():
 def test_genericity_translated_sequence():
     # right-translating by f_n . sigma^(-n) drags the hat origin to check n,
     # whose zero-rate limit is the check end
-    sets = [rate_folner(ZERO, n, materialize=True) for n in (1, 2, 3)]
+    sets = [rate_folner(ZERO, n) for n in (1, 2, 3)]
     translations = [compose(GroupElement(0, (n,)), GroupElement(-n, ())) for n in (1, 2, 3)]
     translated = translate_folner(sets, translations)
     target = DiscreteMeasure.point_mass(INF_CHECK)

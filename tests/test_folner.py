@@ -13,14 +13,12 @@ from folnerlab.errors import GuardViolation, HorizonExhausted
 from folnerlab.folner import (
     RateSequence,
     box_folner,
-    enumerate_elements,
     explicit_folner,
     flip_balance,
     interleave_folner,
     left_defect,
     rate_folner,
     right_defect,
-    support_family,
     translate_folner,
 )
 from folnerlab.lamplighter import (
@@ -67,77 +65,78 @@ def test_word_family_zero_rate_structure():
     assert {(w[0], w[4]) for w in words} == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+def _supports(folner) -> set:
+    return {g.flips for g in folner.materialize()}
+
+
 def test_support_family_cardinalities():
     for rate in PRESETS:
         family = {1: 4, 2: 16, 3: 1024}
         for n, expected in family.items():
-            fam = support_family(rate, n)
-            assert fam.cardinality == expected
-            enumerated = list(fam.tuples())
-            assert len(enumerated) == expected
-            assert len(set(enumerated)) == expected
+            folner = rate_folner(rate, n)
+            assert folner.cardinality == expected
+            elements = folner.materialize()
+            assert len(elements) == folner.size
+            assert len({g.flips for g in elements}) == expected
 
 
 def test_support_extends_defining_property():
-    fam = support_family(HALF, 1)
     words = set(word_family(HALF, 1))
-    for entry in fam.tuples():
+    for entry in _supports(rate_folner(HALF, 1)):
         restricted = tuple(int(l in entry) for l in range(-2, 3))
         assert restricted in words
 
 
 def test_support_contains_example():
-    fam = support_family(HALF, 1)
-    containing = [b for b in fam.tuples() if 0 in b]
+    folner = rate_folner(HALF, 1)
+    containing = [b for b in _supports(folner) if 0 in b]
     assert len(containing) == 2
-    assert fam.contains_fraction(0) == Fraction(1, 2)
+    assert folner.balance(0) == Fraction(1, 2)
 
 
 def test_contains_fraction_matches_enumeration():
     for rate in PRESETS:
         for n in (1, 2, 3):
-            fam = support_family(rate, n)
-            entries = list(fam.tuples())
+            folner = rate_folner(rate, n)
+            entries = _supports(folner)
             for position in range(-(2**n), 2**n + 1):
                 counted = sum(position in b for b in entries)
-                assert fam.contains_fraction(position) == Fraction(counted, len(entries))
+                assert folner.balance(position) == Fraction(counted, len(entries))
 
 
 def test_selection_ratio_bound():
     # |fraction of supports containing l0 - r_l0| <= 2^(-2n), exactly
     for rate in PRESETS:
         for n in (1, 2, 3):
-            fam = support_family(rate, n)
+            folner = rate_folner(rate, n)
             for l0 in range(-n, n + 1):
-                gap = abs(fam.contains_fraction(l0) - rate.value(l0))
+                gap = abs(folner.balance(l0) - rate.value(l0))
                 assert gap <= Fraction(1, 4**n)
 
 
 def test_rate_folner_sizes():
     assert rate_folner(HALF, 1).size == 20
     assert rate_folner(HALF, 3).size == 17 * 1024
-    elements = enumerate_elements(rate_folner(HALF, 1))
+    elements = rate_folner(HALF, 1).materialize()
     assert len(elements) == 20
     assert all(abs(g.shift) <= 2 and all(abs(b) <= 2 for b in g.flips) for g in elements)
 
 
 def test_rate_folner_materialize_guard():
     with pytest.raises(GuardViolation):
-        enumerate_elements(rate_folner(HALF, 4))
+        rate_folner(HALF, 4).materialize()
 
 
 def test_box_materialize_guard():
     with pytest.raises(GuardViolation):
-        enumerate_elements(box_folner(range(23)))
+        box_folner(range(23)).materialize()
 
 
 def test_box_folner_examples():
-    tiny = box_folner([0], materialize=True)
-    assert set(tiny.elements) == {GroupElement(0, ()), GroupElement(0, (0,))}
+    assert set(box_folner([0]).materialize()) == {GroupElement(0, ()), GroupElement(0, (0,))}
     assert box_folner(range(-2, 3)).size == 5 * 32
     for positions in ([0, 1], [-1, 1], [2, 5, 7]):
-        folner = box_folner(positions, materialize=True)
-        assert (IDENTITY in folner.elements) == (0 in positions)
+        assert (IDENTITY in box_folner(positions).materialize()) == (0 in positions)
 
 
 def test_left_defect_sigma_closed_form():
@@ -157,7 +156,7 @@ def test_left_defect_flip_against_enumeration():
     # brute-force symmetric difference is the oracle for the counting path
     for rate in PRESETS:
         for n in (1, 2):
-            folner = rate_folner(rate, n, materialize=True)
+            folner = rate_folner(rate, n)
             for g in (FLIP, SIGMA, flip_at(2), parse_word("s f"), parse_word("S f s")):
                 assert left_defect(folner, g) == brute_defect(folner, g, "left")
                 assert right_defect(folner, g) == brute_defect(folner, g, "right")
@@ -171,26 +170,24 @@ def test_counting_fuzz_random_rates():
         window = {rng.randint(-6, 6): Fraction(rng.randint(0, 8), 8) for _ in range(rng.randint(0, 8))}
         rate = RateSequence.make(Fraction(rng.randint(0, 4), 4), window)
         n = rng.randint(1, 2)
-        materialized = rate_folner(rate, n, materialize=True)
+        folner = rate_folner(rate, n)
         flips = tuple(sorted(rng.sample(range(-(2**n) - 2, 2**n + 3), rng.randint(0, 3))))
         g = GroupElement(rng.randint(-(2**n) - 2, 2**n + 2), flips)
-        assert left_defect(rate_folner(rate, n), g) == brute_defect(materialized, g, "left")
+        assert left_defect(folner, g) == brute_defect(folner, g, "left")
         if g.shift == 0:
-            assert right_defect(rate_folner(rate, n), g) == brute_defect(materialized, g, "right")
-        fam = support_family(rate, n)
+            assert right_defect(folner, g) == brute_defect(folner, g, "right")
         position = rng.randint(-(2**n) - 1, 2**n + 1)
-        entries = list(fam.tuples())
-        assert fam.contains_fraction(position) == Fraction(
+        entries = _supports(folner)
+        assert folner.balance(position) == Fraction(
             sum(position in b for b in entries), len(entries)
         )
 
 
 def test_counting_matches_enumeration_n3():
     folner = rate_folner(HALF, 3)
-    materialized = rate_folner(HALF, 3, materialize=True)
     for g in (SIGMA, FLIP, flip_at(7)):
-        assert left_defect(folner, g) == brute_defect(materialized, g, "left")
-    assert right_defect(folner, FLIP) == brute_defect(materialized, FLIP, "right")
+        assert left_defect(folner, g) == brute_defect(folner, g, "left")
+    assert right_defect(folner, FLIP) == brute_defect(folner, FLIP, "right")
 
 
 def test_left_defect_nonincreasing_for_generators():
@@ -217,7 +214,7 @@ def test_right_defect_out_of_bounds_flip():
 
 def test_box_defect_formulas_against_enumeration():
     for positions in ([0], [-1, 0, 1], [0, 2, 3]):
-        folner = box_folner(positions, materialize=True)
+        folner = box_folner(positions)
         for g in (SIGMA, FLIP, flip_at(1), parse_word("s f"), parse_word("S S f")):
             assert left_defect(folner, g) == brute_defect(folner, g, "left")
             assert right_defect(folner, g) == brute_defect(folner, g, "right")
@@ -289,15 +286,15 @@ def test_interleave_callable_errors_propagate():
 
 
 def test_translate_identity_keeps_sets():
-    sets = [rate_folner(HALF, n, materialize=True) for n in (1, 2)]
+    sets = [rate_folner(HALF, n) for n in (1, 2)]
     translated = translate_folner(sets, [IDENTITY, IDENTITY])
     for before, after in zip(sets, translated):
-        assert set(before.elements) == set(after.elements)
+        assert set(before.materialize()) == set(after.elements)
 
 
 def test_translate_preserves_left_defects():
     rng = random.Random(3)
-    sets = [rate_folner(HALF, n, materialize=True) for n in (1, 2)]
+    sets = [rate_folner(HALF, n) for n in (1, 2)]
     translations = [GroupElement(1, (0,)), GroupElement(-2, (1, 3))]
     translated = translate_folner(sets, translations)
     for before, after in zip(sets, translated):
@@ -330,12 +327,11 @@ def test_rate_presets():
 
 
 def test_folner_serialization():
-    folner = rate_folner(HALF, 1, materialize=True)
-    payload = folner.to_dict()
+    folner = rate_folner(HALF, 1)
+    assert folner.to_dict() == {"recipe": dict(folner.recipe), "size": 20}
+    payload = explicit_folner(folner.materialize()).to_dict()
     assert payload["size"] == 20
     assert len(payload["elements"]) == 20
-    virtual = rate_folner(HALF, 2)
-    assert "elements" not in virtual.to_dict()
 
 
 def _packed(word) -> int:
@@ -353,7 +349,7 @@ _rates = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(_rates, st.integers(1, 4))
 def test_integer_words_match_the_fraction_definition(rate, n):
-    words = packed_words(support_family(rate, n))
+    words = packed_words(rate_folner(rate, n))
     assert len(words) == 4**n
     assert words == {_packed(w) for w in word_family(rate, n)}
 

@@ -205,7 +205,7 @@ def test_dual_rejects_bad_witness():
 
 
 def test_assignment_same_point_is_zero():
-    folner = rate_folner(HALF, 1, materialize=True)
+    folner = rate_folner(HALF, 1)
     assert assignment_distance(folner, hat(3), hat(3)) == 0
 
 
@@ -237,11 +237,20 @@ def test_assignment_equals_wasserstein_of_empirical():
         assert assigned == value
 
 
-def test_assignment_guard():
-    elements = [GroupElement(a, ()) for a in range(ASSIGNMENT_GUARD + 1)]
-    folner = explicit_folner(elements)
-    with pytest.raises(GuardViolation):
-        assignment_distance(folner, hat(0), hat(1))
+def test_assignment_guard(monkeypatch):
+    """One shift more than the guard's square side sends x and y to that
+    many distinct points each, just past the guard: refused before any cost
+    or solve."""
+    side = math.isqrt(ASSIGNMENT_GUARD) + 1
+    folner = explicit_folner(GroupElement(a, ()) for a in range(side))
+
+    def refuse(*args):
+        raise AssertionError("the guard let the transport run")
+
+    monkeypatch.setattr(transport, "cost_matrix", refuse)
+    monkeypatch.setattr(transport, "transportation_plan", refuse)
+    with pytest.raises(GuardViolation, match=f"{side} x {side} distinct orbit points"):
+        assignment_distance(folner, hat(0), hat(3))
 
 
 def test_float_masses_are_read_by_their_repr():
@@ -573,8 +582,8 @@ def test_assignment_on_zero_and_dominant_costs_is_the_identity(costs, value):
 
 
 def test_assignment_on_a_materialized_rate_set_equals_the_expanded_solve():
-    folner = rate_folner(RateSequence.from_preset("decay"), 2, materialize=True)
-    elements = folner.elements
+    folner = rate_folner(RateSequence.from_preset("decay"), 2)
+    elements = folner.materialize()
     for x, y in [(hat(0), check(2)), (hat(-1), hat(3)), (INF_HAT, check(0))]:
         assigned = assignment_distance(folner, x, y)
         xs = [act(g, x) for g in elements]
@@ -587,8 +596,8 @@ def test_assignment_on_a_materialized_rate_set_equals_the_expanded_solve():
 
 def test_assignment_at_the_guard_with_few_distinct_orbit_points():
     """4096 elements, but 8 shifts move x and y to at most 16 distinct
-    points each, so the simplex solves a small counted problem.  The guard's
-    worst case, 4096 distinct points (a 4096 x 4096 transport), is not run."""
+    points each, so the simplex solves a small counted problem, far inside
+    the guard on distinct-point cells."""
     lamps = range(-4, 5)
     elements = [
         GroupElement(a, flips)
@@ -596,7 +605,7 @@ def test_assignment_at_the_guard_with_few_distinct_orbit_points():
         for size in range(len(lamps) + 1)
         for flips in combinations(lamps, size)
     ]
-    assert len(elements) == ASSIGNMENT_GUARD
+    assert len(elements) == 4096
     folner = explicit_folner(elements)
     x, y = hat(1), check(-2)
     value, _ = wasserstein(empirical_measure(folner, x), empirical_measure(folner, y), metric)
