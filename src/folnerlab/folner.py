@@ -438,15 +438,15 @@ def flip_balance(folner: FolnerSet, position: int) -> Fraction:
 
 
 def left_defect(folner: FolnerSet, g: GroupElement) -> Fraction:
-    """Exact |gF \\ F| / |F|."""
+    """Exact |gF ^ F| / |F| = 2 |gF \\ F| / |F|, ^ the symmetric difference."""
     if g == IDENTITY:
         return Fraction(0)
-    # |gF| = |F|, so |gF \ F| / |F| = 2 (1 - |gF & F| / |F|).
+    # |gF| = |F|, so |gF ^ F| / |F| = 2 |gF \ F| / |F| = 2 (1 - |gF & F| / |F|).
     return 2 * (1 - folner.left_share(g))
 
 
 def right_defect(folner: FolnerSet, g: GroupElement) -> Fraction:
-    """Exact |Fg \\ F| / |F|."""
+    """Exact |Fg ^ F| / |F| = 2 |Fg \\ F| / |F|, ^ the symmetric difference."""
     if g == IDENTITY:
         return Fraction(0)
     return 2 * (1 - folner.right_share(g))

@@ -12,19 +12,23 @@ piecewise-linear difference is attained on the merged breakpoint grid),
 and composition is the same sweep of the inner map's y-grid against the
 outer map's x-grid, reduced to one integer form by one lcm and one gcd;
 point evaluation, and evaluation of the inverse on the swapped form
-(ys, xs, D), interpolate on the same integers.  The matching number of
-two finite families counts how many members of the first can be
+(ys, xs, D), interpolate on the same integers to an unreduced integer
+pair, which the repelling check and the endpoint counts compare by
+cross-multiplication, with no Fraction per member.  The matching number
+of two finite families counts how many members of the first can be
 injected into the second moving each by less than a given uniform
-radius.  Its adjacency stops each sweep at the first grid point where
-the difference reaches the radius, and its augmenting-path search keeps
-an explicit stack, so long augmenting paths never recurse.  It is
-invariant under right composition, which makes it a useful Folner
-diagnostic for this non-locally-compact group.  Repelling elements
-squash everything left of x - eps below eps and everything right of
-x + eps above 1 - eps; spreading them over a grid of x values yields
-families whose orbit measures at y approach (1-y) delta_0 + y delta_1.
-The squash margin that lets a base family ride along is exact: half the
-closed-form supremum min over g of min(g^-1(t), 1 - g^-1(1 - t)).
+radius.  Its adjacency walks each pair's sweep in one inlined loop that
+stops at the first grid point where the difference reaches the radius,
+and its augmenting-path search keeps an explicit stack, so long
+augmenting paths never recurse.  It is invariant under right
+composition, which makes it a useful Folner diagnostic for this
+non-locally-compact group.  Repelling elements squash everything left
+of x - eps below eps and everything right of x + eps above 1 - eps,
+their integer forms read off x and eps over one denominator; spreading
+them over a grid of x values yields families whose orbit measures at y
+approach (1-y) delta_0 + y delta_1.  The squash margin that lets a base
+family ride along is exact: half the closed-form supremum
+min over g of min(g^-1(t), 1 - g^-1(1 - t)).
 """
 
 from __future__ import annotations
@@ -91,9 +95,6 @@ class PLHomeo:
             raise ValueError(f"argument {t} outside [0, 1]")
         return _evaluate(self.integer_form, t)
 
-    def xs(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.breakpoints)
-
     def to_dict(self) -> dict:
         return {"breakpoints": [[str(x), str(y)] for x, y in self.breakpoints]}
 
@@ -116,16 +117,22 @@ def _interpolate(xs, ys, k: int, key: int, per: int) -> tuple[int, int]:
     return ys[k] * per * width + (ys[k + 1] - ys[k]) * (key - xs[k] * per), width
 
 
-def _evaluate(form: IntegerForm, t: Fraction) -> Fraction:
-    """The map with this integer form at t in [0, 1]; on the swapped form
+def _value_at(form: IntegerForm, num: int, per: int) -> tuple[int, int]:
+    """The map with this integer form at num / per in [0, 1] (per > 0), as
+    an unreduced pair (numerator, denominator > 0); on the swapped form
     (ys, xs, D) it is the inverse map."""
     xs, ys, scale = form
-    at, per = t.numerator * scale, t.denominator
-    k = bisect_right(xs, at, key=lambda x: x * per) - 1
+    at = num * scale
+    k = bisect_right(xs, at // per) - 1  # the last key with xs[k] * per <= at
     if xs[k] * per == at:
-        return Fraction(ys[k], scale)
+        return ys[k], scale
     value, width = _interpolate(xs, ys, k, at, per)
-    return Fraction(value, scale * per * width)
+    return value, scale * per * width
+
+
+def _evaluate(form: IntegerForm, t: Fraction) -> Fraction:
+    """The map with this integer form at t in [0, 1], reduced."""
+    return Fraction(*_value_at(form, t.numerator, t.denominator))
 
 
 def _sweep(f: IntegerForm, g: IntegerForm) -> Iterator[tuple[int, int, int]]:
@@ -186,10 +193,32 @@ def sup_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
 
 def _closer_than(f: PLHomeo, g: PLHomeo, radius: Fraction) -> bool:
     """sup_distance(f, g) < radius, stopping at the first grid point
-    where |f - g| reaches the radius."""
+    where |f - g| reaches the radius.  It is `_sweep` inlined, from past
+    the shared origin (where |f - g| = 0 reaches any radius <= 0) to
+    before the shared end, each gap over fd * gd * width."""
     p, q = radius.numerator, radius.denominator
-    for f_value, g_value, den in _sweep(f.integer_form, g.integer_form):
-        if abs(f_value - g_value) * q >= p * den:
+    if p <= 0:
+        return False
+    fx, fy, fd = f.integer_form
+    gx, gy, gd = g.integer_form
+    f_end, g_end = len(fx) - 1, len(gx) - 1
+    reach = p * fd * gd
+    i = j = 1
+    while i < f_end or j < g_end:
+        f_key, g_key = fx[i] * gd, gx[j] * fd
+        if f_key == g_key:
+            gap, width = fy[i] * gd - gy[j] * fd, 1
+            i += 1
+            j += 1
+        elif f_key < g_key:  # g interpolated at f's key, as in _interpolate
+            width = gx[j] - gx[j - 1]
+            gap = (fy[i] * gd - gy[j - 1] * fd) * width - (gy[j] - gy[j - 1]) * (f_key - gx[j - 1] * fd)
+            i += 1
+        else:  # f interpolated at g's key
+            width = fx[i] - fx[i - 1]
+            gap = (fy[i - 1] * gd - gy[j] * fd) * width + (fy[i] - fy[i - 1]) * (g_key - fx[i - 1] * gd)
+            j += 1
+        if abs(gap) * q >= reach * width:
             return False
     return True
 
@@ -250,31 +279,53 @@ def compose_family(family: HomeoFamily, g: PLHomeo) -> HomeoFamily:
     )
 
 
+def _scaled(x, eps) -> tuple[int, int, int]:
+    """x in [0, 1] and eps in (0, 1/2) over their least common denominator
+    den, as (x * den, eps * den, den); ValueError outside those ranges."""
+    x, eps = exact(x), exact(eps)
+    den = math.lcm(x.denominator, eps.denominator)
+    a, e = x.numerator * (den // x.denominator), eps.numerator * (den // eps.denominator)
+    if not 0 <= a <= den:
+        raise ValueError("x must lie in [0, 1]")
+    if not 0 < 2 * e < den:
+        raise ValueError("eps must lie in (0, 1/2)")
+    return a, e, den
+
+
 def repelling_element(x, eps) -> PLHomeo:
     """The minimal-breakpoint map pushing [0, x - eps) below eps and
     (x + eps, 1] above 1 - eps; interior breakpoints whose first coordinate
-    leaves (0, 1) are dropped."""
-    x, eps = exact(x), exact(eps)
-    if not 0 <= x <= 1:
-        raise ValueError("x must lie in [0, 1]")
-    if not 0 < eps < Fraction(1, 2):
-        raise ValueError("eps must lie in (0, 1/2)")
-    pts: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
-    if 0 < x - eps:
-        pts.append((x - eps, eps))
-    if x + eps < 1:
-        pts.append((x + eps, 1 - eps))
-    pts.append((Fraction(1), Fraction(1)))
-    return PLHomeo(tuple(pts))
+    leaves (0, 1) are dropped.  Its integer form is read off x and eps over
+    their least common denominator, already the least one: as eps < 1/2 an
+    interior breakpoint is kept, and its coordinates give back x and eps."""
+    a, e, den = _scaled(x, eps)
+    xs, ys = [0], [0]
+    if a > e:
+        xs.append(a - e)
+        ys.append(e)
+    if a + e < den:
+        xs.append(a + e)
+        ys.append(den - e)
+    xs.append(den)
+    ys.append(den)
+    return PLHomeo._from_integer_form(tuple(xs), tuple(ys), den)
 
 
 def is_repelling(f: PLHomeo, x, eps) -> bool:
-    """Exact check of the repelling inequalities (via monotonicity they
-    reduce to the two cut points)."""
-    x, eps = exact(x), exact(eps)
-    low_ok = x - eps <= 0 or f(x - eps) <= eps
-    high_ok = x + eps >= 1 or f(x + eps) >= 1 - eps
-    return low_ok and high_ok
+    """Exact check, for x in [0, 1] and eps in (0, 1/2), of the repelling
+    inequalities f(x - eps) <= eps and f(x + eps) >= 1 - eps where the cut
+    point lies in (0, 1) (via monotonicity they cover the two intervals),
+    by cross-multiplication."""
+    a, e, den = _scaled(x, eps)
+    if a > e:
+        value, per = _value_at(f.integer_form, a - e, den)
+        if value * den > e * per:
+            return False
+    if a + e < den:
+        value, per = _value_at(f.integer_form, a + e, den)
+        if value * den < (den - e) * per:
+            return False
+    return True
 
 
 def squash_margin(base: Sequence[PLHomeo], threshold) -> Fraction:
@@ -326,17 +377,23 @@ def interval_empirical(family: HomeoFamily, y) -> DiscreteMeasure:
 
 
 def endpoint_fractions(family: HomeoFamily, y) -> tuple[Fraction, Fraction]:
-    """Fractions of members sending y below 1/n^2 and above 1 - 1/n^2;
-    requires the family to carry its n tag."""
+    """Fractions of members sending y in [0, 1] to at most 1/n^2 and to at
+    least 1 - 1/n^2, counted by cross-multiplication; requires the family
+    to carry its n tag."""
     if family.n is None:
         raise ValueError("endpoint fractions need a family with an n tag")
-    threshold = Fraction(1, family.n**2)
     y = exact(y)
-    values = [g(y) for g in family.members]
-    total = len(values)
-    low = Fraction(sum(v <= threshold for v in values), total)
-    high = Fraction(sum(v >= 1 - threshold for v in values), total)
-    return low, high
+    num, per = y.numerator, y.denominator
+    if not 0 <= num <= per:
+        raise ValueError(f"argument {y} outside [0, 1]")
+    square = family.n**2
+    low = high = 0
+    for g in family.members:
+        value, den = _value_at(g.integer_form, num, per)
+        low += value * square <= den
+        high += value * square >= den * (square - 1)
+    total = len(family.members)
+    return Fraction(low, total), Fraction(high, total)
 
 
 def interval_distance(a, b) -> Fraction:

@@ -89,7 +89,14 @@ class GroupElement:
 
     @staticmethod
     def from_dict(raw: dict) -> "GroupElement":
-        return GroupElement(raw["shift"], tuple(raw["flips"]))
+        if "shift" not in raw or "flips" not in raw:
+            raise ValueError(f"an element needs 'shift' and 'flips', got {raw!r}")
+        shift, flips = raw["shift"], raw["flips"]
+        if not isinstance(flips, (list, tuple)) or any(
+            not isinstance(v, int) or isinstance(v, bool) for v in (shift, *flips)  # bool is an int subclass
+        ):
+            raise ValueError(f"shift and flips must be integers, got {raw!r}")
+        return GroupElement(shift, tuple(flips))
 
 
 IDENTITY = GroupElement(0, ())

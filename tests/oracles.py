@@ -9,7 +9,8 @@ matching by trying every injection, defects by materializing both sets,
 the rate family's selection words from their Fraction definition and
 their stay counts by scanning the listed words,
 PL maps by evaluating their breakpoint lists point by point in Fraction
-(and inverting them by swapping coordinates),
+(and inverting them by swapping coordinates), repelling elements,
+repelling checks and endpoint counts from their Fraction definitions,
 the lamplighter metric from its planar embedding, the limit operator by
 integrating against the limit measure, and right-box averages with their
 tail bound.  Test-only checks live here too: the marginals of a transport
@@ -24,7 +25,7 @@ from folnerlab.errors import LipschitzViolation
 from folnerlab.folner import FolnerSet, box_folner
 from folnerlab.dynamics import folner_average, limit_measure
 from folnerlab.functions import TestFunction
-from folnerlab.homeo import PLHomeo, repelling_element, squash_margin
+from folnerlab.homeo import PLHomeo, squash_margin
 from folnerlab.transport import _integer_costs
 from folnerlab.lamplighter import INF_HAT, GroupElement, act, compose, embedding, hat, metric
 
@@ -261,13 +262,18 @@ def pl_value(points, t) -> Fraction:
     return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
 
 
+def breakpoint_xs(f: PLHomeo) -> tuple[Fraction, ...]:
+    """The first coordinates of a PL map's breakpoints."""
+    return tuple(x for x, _ in f.breakpoints)
+
+
 def invert(f: PLHomeo) -> PLHomeo:
     return PLHomeo(tuple((y, x) for x, y in f.breakpoints))
 
 
 def pl_sup_distance(f, g) -> Fraction:
     """max |f - g| evaluated point by point over the merged breakpoint grid."""
-    grid = sorted({x for x, _ in f.breakpoints} | {x for x, _ in g.breakpoints})
+    grid = sorted({*breakpoint_xs(f), *breakpoint_xs(g)})
     return max(abs(pl_value(f.breakpoints, t) - pl_value(g.breakpoints, t)) for t in grid)
 
 
@@ -279,6 +285,36 @@ def pl_compose_breakpoints(outer, inner) -> tuple:
     return tuple((t, pl_value(outer.breakpoints, pl_value(inner.breakpoints, t))) for t in grid)
 
 
+def repelling_points(x, eps) -> tuple:
+    """Fraction breakpoints of the repelling element at x: (x - eps, eps)
+    if x - eps > 0 and (x + eps, 1 - eps) if x + eps < 1, between (0, 0)
+    and (1, 1)."""
+    points = [(Fraction(0), Fraction(0))]
+    if x - eps > 0:
+        points.append((x - eps, eps))
+    if x + eps < 1:
+        points.append((x + eps, 1 - eps))
+    return (*points, (Fraction(1), Fraction(1)))
+
+
+def pl_is_repelling(points, x, eps) -> bool:
+    """f(x - eps) <= eps if x - eps > 0, and f(x + eps) >= 1 - eps if
+    x + eps < 1, each evaluated in Fraction."""
+    low_ok = x - eps <= 0 or pl_value(points, x - eps) <= eps
+    high_ok = x + eps >= 1 or pl_value(points, x + eps) >= 1 - eps
+    return low_ok and high_ok
+
+
+def pl_endpoint_fractions(maps, n: int, y) -> tuple[Fraction, Fraction]:
+    """Fractions of the maps' Fraction values at y that are at most 1/n^2
+    and at least 1 - 1/n^2."""
+    threshold = Fraction(1, n * n)
+    values = [pl_value(f.breakpoints, y) for f in maps]
+    low = sum(v <= threshold for v in values)
+    high = sum(v >= 1 - threshold for v in values)
+    return Fraction(low, len(values)), Fraction(high, len(values))
+
+
 def repelling_breakpoints(base, n: int) -> list:
     """Breakpoints of the repelling family's members in order: base maps
     composed point by point with the grid's repelling elements, duplicates
@@ -287,7 +323,7 @@ def repelling_breakpoints(base, n: int) -> list:
     eps = min(squash_margin(base.members, threshold), threshold)
     members = []
     for k in range(n + 1):
-        mover = repelling_element(Fraction(k, n), eps)
+        mover = PLHomeo(repelling_points(Fraction(k, n), eps))
         for g in base.members:
             points = pl_compose_breakpoints(g, mover)
             if points not in members:

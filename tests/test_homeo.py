@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    breakpoint_xs,
     brute_matching,
     invert,
     pl_compose_breakpoints,
+    pl_endpoint_fractions,
+    pl_is_repelling,
     pl_sup_distance,
     pl_value,
     repelling_breakpoints,
+    repelling_points,
 )
 
 from folnerlab.errors import GuardViolation, InvariantViolation
@@ -148,8 +152,11 @@ def test_repelling_element_examples():
     degenerate = repelling_element(0, Fraction(1, 8))
     assert len(degenerate.breakpoints) == 3
     assert degenerate(Fraction(1, 4)) > Fraction(7, 8)
-    with pytest.raises(ValueError):
-        repelling_element(Fraction(1, 2), Fraction(1, 2))
+    for x, eps in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(1, 8)), (-1, Fraction(1, 8))):
+        with pytest.raises(ValueError):
+            repelling_element(x, eps)
+        with pytest.raises(ValueError):
+            is_repelling(g, x, eps)
 
 
 def test_repelling_grid_property():
@@ -277,7 +284,7 @@ def pl_maps(draw, max_breaks=4):
 @settings(max_examples=100, deadline=None)
 @given(pl_maps(), pl_maps(), st.lists(st.fractions(min_value=0, max_value=1, max_denominator=50), max_size=6))
 def test_evaluation_matches_pointwise_reference(f, g, sample):
-    for t in [*sample, *g.xs(), *f.xs()]:
+    for t in [*sample, *breakpoint_xs(g), *breakpoint_xs(f)]:
         assert f(t) == pl_value(f.breakpoints, t)
 
 
@@ -291,7 +298,7 @@ def test_sweep_sup_distance_matches_pointwise_maximum(f, g):
 @given(pl_maps(), pl_maps(), st.fractions(min_value=-1, max_value=2, max_denominator=60))
 def test_early_exit_predicate_matches_reference(f, g, extra):
     reference = pl_sup_distance(f, g)
-    grid = set(f.xs()) | set(g.xs())
+    grid = {*breakpoint_xs(f), *breakpoint_xs(g)}
     gaps = {abs(pl_value(f.breakpoints, t) - pl_value(g.breakpoints, t)) for t in grid}
     for radius in gaps | {extra, reference, reference + Fraction(1, 10**9)}:
         assert _closer_than(f, g, radius) == (reference < radius)
@@ -360,6 +367,53 @@ def test_repelling_family_members_and_order_match_reference(maps, n):
     base = HomeoFamily((*maps, maps[0]))  # a repeated base map yields duplicate members
     members = repelling_family(base, n).members
     assert [m.breakpoints for m in members] == repelling_breakpoints(base, n)
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=40)
+EPS = st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=40).filter(lambda e: 0 < e < Fraction(1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pl_maps(), UNIT, EPS)
+def test_is_repelling_matches_reference(f, x, eps):
+    # x itself, and the x that put a cut point exactly on 0 or on 1
+    for at in (x, eps, 1 - eps, Fraction(0), Fraction(1)):
+        assert is_repelling(f, at, eps) == pl_is_repelling(f.breakpoints, at, eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pl_maps(), UNIT.filter(lambda t: 0 < t < 1))
+def test_is_repelling_at_exact_ties(f, t):
+    # eps chosen so that f(x - eps) = eps, or f(x + eps) = 1 - eps, exactly
+    value = pl_value(f.breakpoints, t)
+    for x, eps in ((t + value, value), (t - (1 - value), 1 - value)):
+        if 0 <= x <= 1 and 0 < eps < Fraction(1, 2):
+            assert is_repelling(f, x, eps) == pl_is_repelling(f.breakpoints, x, eps)
+            # a hair less eps moves the tied cut point to where the inequality fails
+            assert not is_repelling(f, x, eps - Fraction(1, 10**6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(UNIT, EPS)
+def test_repelling_element_matches_its_fraction_breakpoints(x, eps):
+    reference = PLHomeo(repelling_points(x, eps))
+    g = repelling_element(x, eps)
+    assert g.integer_form == reference.integer_form and g.breakpoints == reference.breakpoints
+    assert is_repelling(g, x, eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(pl_maps(), min_size=1, max_size=6), st.integers(2, 8), UNIT)
+def test_endpoint_fractions_match_fraction_counts(maps, n, y):
+    threshold = Fraction(1, n * n)
+    if 0 < y < 1:  # members landing exactly on both thresholds
+        maps += [pl_homeo([(0, 0), (y, v), (1, 1)]) for v in (threshold, 1 - threshold)]
+    family = HomeoFamily(tuple(maps), n=n)
+    for at in (y, Fraction(0), Fraction(1)):
+        assert endpoint_fractions(family, at) == pl_endpoint_fractions(maps, n, at)
+    for outside in (-y - Fraction(1, 7), 1 + y + Fraction(1, 7)):
+        with pytest.raises(ValueError, match="outside"):
+            endpoint_fractions(family, outside)
 
 
 def test_max_matching_long_augmenting_chain():

@@ -233,3 +233,23 @@ def test_serialization_roundtrip():
     assert GroupElement.from_dict(g.to_dict()) == g
     for p in (hat(3), check(-1), INF_HAT):
         assert Point.from_dict(p.to_dict()) == p
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"shift": True, "flips": [False]},
+        {"shift": 1, "flips": [True]},
+        {"shift": 1.0, "flips": []},
+        {"shift": "1", "flips": []},
+        {"shift": 0, "flips": [0.5]},
+        {"shift": 0, "flips": [[1]]},
+        {"shift": 0, "flips": 3},
+        {"shift": 0, "flips": "12"},
+        {"shift": 0},
+        {"flips": []},
+    ],
+)
+def test_element_from_dict_refuses_non_integers(raw):
+    with pytest.raises(ValueError):
+        GroupElement.from_dict(raw)
