@@ -1,10 +1,9 @@
 """Command-line front end.
 
-Subcommands: folner, transport, dynamics, homeo, experiment.  Each
-dynamics action is a one-scenario experiment: it runs the scenario that
-DYNAMICS_ACTIONS names, with its flags as the scenario's parameters,
-checked and written like a config's.  Exit codes: 0 ok, 1 usage error,
-2 invariant failure, 3 guard violation.
+Subcommands: folner, transport, dynamics, homeo, experiment.  ACTIONS names
+every action and the flags it reads, FLAGS declares each flag once, and one
+dispatcher refuses any other flag.  No option matches by prefix.  Exit codes:
+0 ok, 1 usage error, 2 invariant failure, 3 guard violation.
 """
 
 from __future__ import annotations
@@ -70,9 +69,7 @@ def _read_json_list(path: str, keys: tuple[str, ...]) -> list[dict]:
         raw = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"cannot read {path} as JSON: {exc}") from exc
-    if not isinstance(raw, list) or not all(
-        isinstance(entry, dict) and all(key in entry for key in keys) for entry in raw
-    ):
+    if not isinstance(raw, list) or not all(isinstance(e, dict) and e.keys() >= set(keys) for e in raw):
         raise ValueError(f"{path} must hold a JSON list of objects with keys {', '.join(keys)}")
     return raw
 
@@ -85,14 +82,19 @@ def _load_measure(path: str) -> DiscreteMeasure:
     return DiscreteMeasure.from_pairs(pairs)
 
 
-def _measure_dist(mu: DiscreteMeasure):
-    sample = mu.support()[0]
-    return metric if isinstance(sample, Point) else interval_distance
+def _load_family(path: str | None) -> HomeoFamily:
+    if path is None:
+        return HomeoFamily((IDENTITY_MAP,), "identity")
+    entries = _read_json_list(path, ("breakpoints",))
+    for points in (entry["breakpoints"] for entry in entries):
+        if not isinstance(points, list) or any(not isinstance(p, list) or len(p) != 2 for p in points):
+            raise ValueError(f"{path}: breakpoints must be a list of [x, y] pairs, got {points!r}")
+    return HomeoFamily(tuple(PLHomeo.from_dict(entry) for entry in entries), path)
 
 
 def _emit(payload, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -114,160 +116,189 @@ def _number(value: Fraction) -> dict:
     return {"exact": str(value), "float": float(value)}
 
 
-# ---------------------------------------------------------------- folner
+def _folner_set(args):
+    """The box over --a-min..--a-max, or rate set n of --preset, as --kind says."""
+    if args.kind == "box":
+        return box_folner(range(args.a_min, args.a_max + 1))
+    return rate_folner(RateSequence.from_preset(args.preset), args.n)
 
-def _cmd_folner(args) -> int:
+
+def _build(args) -> dict:
+    folner = _folner_set(args)
+    payload = folner.to_dict()
+    if args.materialize:
+        payload["elements"] = [g.to_dict() for g in folner.materialize()]
+    return payload
+
+
+def _defect(args) -> dict:
+    folner = rate_folner(RateSequence.from_preset(args.preset), args.n)
+    defect = left_defect if args.side == "left" else right_defect
+    return {"side": args.side, "word": args.g, "defect": _number(defect(folner, parse_word(args.g)))}
+
+
+def _balance(args) -> dict:
+    return {"position": args.b, "balance": _number(flip_balance(_folner_set(args), args.b))}
+
+
+def _interleave(args) -> list:
+    presets = [RateSequence.from_preset(p) for p in args.presets.split(",")]
+    families = [lambda j, r=r: rate_folner(r, j + 1) for r in presets]
+    schedule = [i % len(families) for i in range(args.count)]
+    tests = [[FLIP, parse_word("s")] for _ in range(args.count)]
+    return [dict(f.recipe) for f in interleave_folner(families, schedule, tests)]
+
+
+def _translate(args) -> list:
     rate = RateSequence.from_preset(args.preset)
-    if args.action == "build":
-        if args.kind == "box":
-            folner = box_folner(range(args.a_min, args.a_max + 1))
-        else:
-            folner = rate_folner(rate, args.n)
-        payload = folner.to_dict()
-        if args.materialize:
-            payload["elements"] = [g.to_dict() for g in folner.materialize()]
-        _emit(payload, args)
-        return 0
-    if args.action == "defect":
-        folner = rate_folner(rate, args.n)
-        g = parse_word(args.g)
-        value = left_defect(folner, g) if args.side == "left" else right_defect(folner, g)
-        _emit({"side": args.side, "word": args.g, "defect": _number(value)}, args)
-        return 0
-    if args.action == "balance":
-        folner = (
-            box_folner(range(args.a_min, args.a_max + 1))
-            if args.kind == "box"
-            else rate_folner(rate, args.n)
-        )
-        _emit({"position": args.b, "balance": _number(flip_balance(folner, args.b))}, args)
-        return 0
-    if args.action == "interleave":
-        presets = [RateSequence.from_preset(p) for p in args.presets.split(",")]
-        families = [
-            (lambda r: (lambda j: rate_folner(r, j + 1)))(r) for r in presets
-        ]
-        schedule = [i % len(families) for i in range(args.count)]
-        tests = [[FLIP, parse_word("s")] for _ in range(args.count)]
-        chosen = interleave_folner(families, schedule, tests)
-        _emit([dict(f.recipe) for f in chosen], args)
-        return 0
-    if args.action == "translate":
-        sets = [rate_folner(rate, n) for n in range(1, args.n + 1)]
-        words = args.g.split(",")
-        if len(words) == 1:
-            words = words * len(sets)
-        translated = translate_folner(sets, [parse_word(w) for w in words])
-        _emit([dict(f.recipe) | {"size": f.size} for f in translated], args)
-        return 0
+    sets = [rate_folner(rate, n) for n in range(1, args.n + 1)]
+    words = args.g.split(",")
+    if len(words) == 1:
+        words = words * len(sets)
+    translated = translate_folner(sets, [parse_word(w) for w in words])
+    return [dict(f.recipe) | {"size": f.size} for f in translated]
 
 
-# -------------------------------------------------------------- transport
-
-def _cmd_transport(args) -> int:
-    mu = _load_measure(args.mu)
-    nu = _load_measure(args.nu)
+def _measures(args):
+    """--mu and --nu, and the metric their points live in."""
+    mu, nu = _load_measure(args.mu), _load_measure(args.nu)
     if len({isinstance(p, Point) for p in mu.support() + nu.support()}) > 1:
         raise ValueError("--mu and --nu must hold only lamplighter points or only interval numbers")
-    dist = _measure_dist(mu)
-    if args.action == "wasserstein":
-        value, plan = wasserstein(mu, nu, dist)
-        _emit(
-            {
-                "value": _number(value),
-                "plan": [[i, j, str(q)] for i, j, q in plan.flows],
-            },
-            args,
-        )
-        return 0
-    if args.action == "assign":
-        if len(mu.atoms) != len(nu.atoms) or any(m != mu.atoms[0][1] for _, m in mu.atoms + nu.atoms):
-            raise UsageError("assign expects two uniform measures with equal support sizes")
-        total, _ = solve_assignment(cost_matrix(mu.support(), nu.support(), dist))
-        value = total / len(mu.atoms)
-        _emit({"value": _number(value), "note": "uniform-uniform assignment equals transport"}, args)
-        return 0
-    if args.action == "dual":
-        support = list(dict.fromkeys(mu.support() + nu.support()))
-        witnesses = [(lambda p: (lambda z: dist(z, p)))(p) for p in support]
-        value = dual_lower_bound(mu, nu, witnesses, dist)
-        primal, _ = wasserstein(mu, nu, dist)
-        _emit({"lower_bound": _number(value), "primal": _number(primal)}, args)
-        return 0
+    return mu, nu, metric if isinstance(mu.support()[0], Point) else interval_distance
 
 
-# --------------------------------------------------------------- dynamics
+def _wasserstein(args) -> dict:
+    value, plan = wasserstein(*_measures(args))
+    return {"value": _number(value), "plan": [[i, j, str(q)] for i, j, q in plan.flows]}
+
+
+def _assign(args) -> dict:
+    mu, nu, dist = _measures(args)
+    if len(mu.atoms) != len(nu.atoms) or any(m != mu.atoms[0][1] for _, m in mu.atoms + nu.atoms):
+        raise UsageError("assign expects two uniform measures with equal support sizes")
+    total, _ = solve_assignment(cost_matrix(mu.support(), nu.support(), dist))
+    return {"value": _number(total / len(mu.atoms)), "note": "uniform-uniform assignment equals transport"}
+
+
+def _dual(args) -> dict:
+    mu, nu, dist = _measures(args)
+    witnesses = [lambda z, p=p: dist(z, p) for p in dict.fromkeys(mu.support() + nu.support())]
+    primal, _ = wasserstein(mu, nu, dist)
+    return {"lower_bound": _number(dual_lower_bound(mu, nu, witnesses, dist)), "primal": _number(primal)}
+
+
+def _match(args) -> dict:
+    left, right = _load_family(args.base), _load_family(args.other or args.base)
+    value = matching_number(left, right, args.radius)
+    return {"matching": value, "left": len(left.members), "right": len(right.members)}
+
+
+def _repel(args) -> dict:
+    return repelling_element(args.x, args.eps).to_dict()
+
+
+def _empirical(args) -> dict:
+    family = repelling_family(_load_family(args.base), args.n)
+    mu = interval_empirical(family, args.y)
+    low, high = endpoint_fractions(family, args.y)
+    value, _ = wasserstein(mu, end_mixture(args.y), interval_distance)
+    return {
+        "measure": [{"point": float(p), "mass": float(m)} for p, m in mu.atoms],
+        "low_fraction": _number(low),
+        "high_fraction": _number(high),
+        "w_to_end_mixture": _number(value),
+    }
+
+
+#: The flags that each folner --kind reads.
+KIND_FLAGS = {"rate": ("preset", "n"), "box": ("a_min", "a_max")}
+
+#: Each subcommand's flags: the value a flag takes when left out, and its argparse keywords.
+FLAGS = {
+    "folner": {
+        "preset": ("r-const:0.5", {}),
+        "presets": ("r-zero,r-const:0.5", {"help": "comma list of rate presets"}),
+        "n": (1, {"type": int}),
+        "kind": ("rate", {"choices": tuple(KIND_FLAGS)}),
+        "a_min": (-2, {"type": int}),
+        "a_max": (2, {"type": int}),
+        "b": (0, {"type": int}),
+        "g": ("s", {}),
+        "side": ("left", {"choices": ("left", "right")}),
+        "count": (3, {"type": int}),
+        "materialize": (False, {"action": "store_true"}),
+    },
+    "transport": {"mu": (None, {"required": True}), "nu": (None, {"required": True})},
+    "dynamics": {
+        "preset": (None, {}),
+        "nmax": (None, {"type": int}),
+        "pairs": (None, {"type": int}),
+        "g": (None, {}),
+        "case": (None, {"choices": ("a", "b", "c", "d")}),
+    },
+    "homeo": {
+        "n": (8, {"type": int}),
+        "y": (Fraction(1, 2), {"type": exact}),
+        "x": (Fraction(1, 2), {"type": exact}),
+        "eps": (Fraction(1, 8), {"type": exact}),
+        "radius": (Fraction(1, 4), {"type": exact}),
+        "base": (None, {"help": "JSON file with a list of PL maps"}),
+        "other": (None, {}),
+    },
+}
 
 _AVERAGING = ("averaging", {"preset": "rate", "g": "g", "nmax": "nmax"})
 
-#: Each action: the scenario it runs, and the scenario parameter each flag sets.
-DYNAMICS_ACTIONS = {
-    "generic": ("genericity", {"preset": "rate", "nmax": "nmax"}),
-    "rightavg": ("rightavg", {"nmax": "nmax"}),
-    "seever": ("operator-identities", {"preset": "rate", "pairs": "pairs"}),
-    "averaging": _AVERAGING,
-    "tinv": _AVERAGING,
-    "met": _AVERAGING,
-    "thm-example": ("thm-example", {"case": "case"}),
+#: Each subcommand's actions: a handler that returns the payload and the flags it reads,
+#: or for dynamics the scenario the action runs and the parameter each flag sets.
+ACTIONS = {
+    "folner": {
+        "build": (_build, ("kind", "materialize")),
+        "defect": (_defect, ("preset", "n", "g", "side")),
+        "balance": (_balance, ("kind", "b")),
+        "interleave": (_interleave, ("presets", "count")),
+        "translate": (_translate, ("preset", "n", "g")),
+    },
+    "transport": {
+        "wasserstein": (_wasserstein, ("mu", "nu")),
+        "assign": (_assign, ("mu", "nu")),
+        "dual": (_dual, ("mu", "nu")),
+    },
+    "dynamics": {
+        "generic": ("genericity", {"preset": "rate", "nmax": "nmax"}),
+        "rightavg": ("rightavg", {"nmax": "nmax"}),
+        "seever": ("operator-identities", {"preset": "rate", "pairs": "pairs"}),
+        "averaging": _AVERAGING,
+        "tinv": _AVERAGING,
+        "met": _AVERAGING,
+        "thm-example": ("thm-example", {"case": "case"}),
+    },
+    "homeo": {
+        "match": (_match, ("base", "other", "radius")),
+        "repel": (_repel, ("x", "eps")),
+        "empirical": (_empirical, ("base", "n", "y")),
+    },
 }
 
 
-def _cmd_dynamics(args) -> int:
-    """The parser leaves a flag None unless it is given, so a flag the
-    action does not map is a usage error, and a flag left out takes the
-    scenario's default."""
-    scenario, flags = DYNAMICS_ACTIONS[args.action]
-    every = dict.fromkeys(flag for _, mapped in DYNAMICS_ACTIONS.values() for flag in mapped)
-    given = {flag: getattr(args, flag) for flag in every if getattr(args, flag) is not None}
-    stray = [f"--{flag}" for flag in given if flag not in flags]
+def _dispatch(args) -> int:
+    """The parser leaves a flag None unless it is given.  A given flag the action
+    does not read is a usage error; one left out takes its FLAGS default."""
+    flags = FLAGS[args.command]
+    runs, reads = ACTIONS[args.command][args.action]
+    given = [flag for flag in flags if getattr(args, flag) is not None]
+    vars(args).update({flag: default for flag, (default, _) in flags.items() if flag not in given})
+    if "kind" in reads:
+        reads = (*reads, *KIND_FLAGS[args.kind])
+    stray = ["--" + flag.replace("_", "-") for flag in given if flag not in reads]
     if stray:
-        raise UsageError(f"dynamics {args.action} does not take {', '.join(stray)}")
-    params = {param: given[flag] for flag, param in flags.items() if flag in given}
-    return _run(ExperimentConfig((ScenarioSpec(scenario, params),)), args)
+        raise UsageError(f"{args.command} {args.action} does not take {', '.join(stray)}")
+    if isinstance(runs, str):
+        params = {param: getattr(args, flag) for flag, param in reads.items() if flag in given}
+        return _run(ExperimentConfig((ScenarioSpec(runs, params),)), args)
+    _emit(runs(args), args)
+    return 0
 
-
-# ------------------------------------------------------------------ homeo
-
-def _load_family(path: str | None) -> HomeoFamily:
-    if path is None:
-        return HomeoFamily((IDENTITY_MAP,), "identity")
-    entries = _read_json_list(path, ("breakpoints",))
-    for points in (entry["breakpoints"] for entry in entries):
-        if not isinstance(points, list) or any(not isinstance(p, list) or len(p) != 2 for p in points):
-            raise ValueError(f"{path}: breakpoints must be a list of [x, y] pairs, got {points!r}")
-    return HomeoFamily(tuple(PLHomeo.from_dict(entry) for entry in entries), path)
-
-
-def _cmd_homeo(args) -> int:
-    if args.action == "match":
-        left = _load_family(args.base)
-        right = _load_family(args.other or args.base)
-        value = matching_number(left, right, exact(args.radius))
-        _emit({"matching": value, "left": len(left.members), "right": len(right.members)}, args)
-        return 0
-    if args.action == "repel":
-        g = repelling_element(exact(args.x), exact(args.eps))
-        _emit(g.to_dict(), args)
-        return 0
-    if args.action == "empirical":
-        family = repelling_family(_load_family(args.base), args.n)
-        y = exact(args.y)
-        mu = interval_empirical(family, y)
-        low, high = endpoint_fractions(family, y)
-        value, _ = wasserstein(mu, end_mixture(y), interval_distance)
-        _emit(
-            {
-                "measure": [{"point": float(p), "mass": float(m)} for p, m in mu.atoms],
-                "low_fraction": _number(low),
-                "high_fraction": _number(high),
-                "w_to_end_mixture": _number(value),
-            },
-            args,
-        )
-        return 0
-
-
-# ------------------------------------------------------------- experiment
 
 def _cmd_experiment(args) -> int:
     config = validate_config(Path(args.config).read_text()) if args.config else ExperimentConfig(())
@@ -275,74 +306,33 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="folnerlab", description=__doc__)
+    parser = _Parser(prog="folnerlab", description=__doc__, allow_abbrev=False)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--out", default=None, help="output file; for dynamics and experiment, a results and manifest directory"
-    )
-    runs = argparse.ArgumentParser(add_help=False, parents=[common])
-    runs.add_argument("--seed", type=int, default=None, help="seed for randomized suites")
-    runs.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+    common.add_argument("--out", help="output file")
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--out", help="directory for results and manifest.json")
+    runs.add_argument("--seed", type=int, help="seed for randomized suites")
+    runs.add_argument("--format", dest="fmt", choices=("csv", "json"))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    folner = sub.add_parser("folner", parents=[common])
-    folner.add_argument("action", choices=("build", "defect", "balance", "interleave", "translate"))
-    folner.add_argument("--preset", default="r-const:0.5")
-    folner.add_argument("--presets", default="r-zero,r-const:0.5", help="comma list (interleave)")
-    folner.add_argument("--n", type=int, default=1)
-    folner.add_argument("--kind", choices=("rate", "box"), default="rate")
-    folner.add_argument("--a-min", type=int, default=-2)
-    folner.add_argument("--a-max", type=int, default=2)
-    folner.add_argument("--b", type=int, default=0)
-    folner.add_argument("--g", default="s")
-    folner.add_argument("--side", choices=("left", "right"), default="left")
-    folner.add_argument("--count", type=int, default=3)
-    folner.add_argument("--materialize", action="store_true")
-    folner.set_defaults(func=_cmd_folner)
-
-    transport = sub.add_parser("transport", parents=[common])
-    transport.add_argument("action", choices=("wasserstein", "assign", "dual"))
-    transport.add_argument("--mu", required=True)
-    transport.add_argument("--nu", required=True)
-    transport.set_defaults(func=_cmd_transport)
-
-    dynamics = sub.add_parser("dynamics", parents=[runs])
-    dynamics.add_argument("action", choices=tuple(DYNAMICS_ACTIONS))
-    dynamics.add_argument("--case", choices=("a", "b", "c", "d"))
-    dynamics.add_argument("--preset")
-    dynamics.add_argument("--nmax", type=int)
-    dynamics.add_argument("--pairs", type=int)
-    dynamics.add_argument("--g")
-    dynamics.set_defaults(func=_cmd_dynamics)
-
-    homeo = sub.add_parser("homeo", parents=[common])
-    homeo.add_argument("action", choices=("match", "repel", "empirical"))
-    homeo.add_argument("--n", type=int, default=8)
-    homeo.add_argument("--y", type=float, default=0.5)
-    homeo.add_argument("--x", type=float, default=0.5)
-    homeo.add_argument("--eps", type=float, default=0.125)
-    homeo.add_argument("--radius", type=float, default=0.25)
-    homeo.add_argument("--base", default=None, help="JSON file with a list of PL maps")
-    homeo.add_argument("--other", default=None)
-    homeo.set_defaults(func=_cmd_homeo)
-
-    experiment = sub.add_parser("experiment", parents=[runs])
-    experiment.add_argument("--config", default=None)
-    experiment.set_defaults(func=_cmd_experiment)
+    for command, actions in ACTIONS.items():
+        parents = [runs if command == "dynamics" else common]
+        subparser = sub.add_parser(command, parents=parents, allow_abbrev=False)
+        subparser.add_argument("action", choices=tuple(actions))
+        for flag, (_, keywords) in FLAGS[command].items():
+            subparser.add_argument("--" + flag.replace("_", "-"), default=None, **keywords)
+    sub.add_parser("experiment", parents=[runs], allow_abbrev=False).add_argument("--config")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return _cmd_experiment(args) if args.command == "experiment" else _dispatch(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
-        for violation in exc.violations:
-            print(violation_message(violation), file=sys.stderr)
+        print("\n".join(map(violation_message, exc.violations)), file=sys.stderr)
         return 3 if guard_violations(exc) else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -154,25 +154,26 @@ class Scenario:
     run: Callable
     params: dict[str, Param]
 
-    def resolve(self, raw: dict, where: str) -> tuple[dict, list[str]]:
-        """The runner's values, defaults filled in, and every violation
-        (guard violations are prefixed so the CLI can exit 3).  A key that
-        names no parameter is a violation too."""
-        values = {}
-        violations = [
-            f"{where}.params.{name}: unknown parameter; accepted: {', '.join(self.params)}"
-            for name in sorted(set(raw) - set(self.params))
-        ]
-        for name, param in self.params.items():
-            try:
-                values[name] = param.parse(raw.get(name, param.default))
-                if param.guard is not None:
-                    param.guard(values[name])
-            except GuardViolation as exc:
-                violations.append(f"{_GUARD_MARK}{where}.params.{name}: {exc}")
-            except ValueError as exc:
-                violations.append(f"{where}.params.{name}: {exc}")
-        return values, violations
+
+def resolve(params: dict[str, Param], raw: dict, where: str) -> tuple[dict, list[str]]:
+    """The values ``params`` read from ``raw``, defaults filled in, and every
+    violation, each prefixed by ``where`` (guard violations are marked so the
+    CLI can exit 3).  A key that names no parameter is a violation too."""
+    values = {}
+    violations = [
+        f"{where}{name}: unknown parameter; accepted: {', '.join(params)}"
+        for name in sorted(set(raw) - set(params))
+    ]
+    for name, param in params.items():
+        try:
+            values[name] = param.parse(raw.get(name, param.default))
+            if param.guard is not None:
+                param.guard(values[name])
+        except GuardViolation as exc:
+            violations.append(f"{_GUARD_MARK}{where}{name}: {exc}")
+        except ValueError as exc:
+            violations.append(f"{where}{name}: {exc}")
+    return values, violations
 
 
 def _is_integer(value) -> bool:
@@ -406,49 +407,46 @@ SCENARIOS = {
 }
 
 
+def _of_type(kind: type, what: str) -> Callable:
+    def parse(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"must be {what}")
+        return value
+
+    return parse
+
+
+#: The keys of a config, and of each of its scenario entries, read as parameters are.
+CONFIG_KEYS = {
+    "seed": Param(0, _integer(-math.inf)),
+    "format": Param("csv", _choice("csv", "json")),
+    "out": Param(None, _of_type((str, type(None)), "a path string")),
+    "scenarios": Param([], _list_of(lambda entry: isinstance(entry, dict), "objects")),
+}
+ENTRY_KEYS = {"id": Param(None, _choice(*SCENARIOS)), "params": Param({}, _of_type(dict, "an object"))}
+
+
 def validate_config(raw: str) -> ExperimentConfig:
     """Parse and range-check a config; raises ConfigError listing every
     violation (guard violations are prefixed so the CLI can exit 3)."""
-    violations: list[str] = []
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"])
     if not isinstance(data, dict):
         raise ConfigError(["config must be a JSON object"])
-    seed = data.get("seed", 0)
-    if not _is_integer(seed):
-        violations.append("seed: must be an integer")
-        seed = 0
-    fmt = data.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        violations.append("format: must be 'csv' or 'json'")
-    out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        violations.append("out: must be a path string")
-        out = None
+    values, violations = resolve(CONFIG_KEYS, data, "")
     scenarios: list[ScenarioSpec] = []
-    raw_scenarios = data.get("scenarios", [])
-    if not isinstance(raw_scenarios, list):
-        violations.append("scenarios: must be a list")
-        raw_scenarios = []
-    for index, entry in enumerate(raw_scenarios):
-        where = f"scenarios[{index}]"
-        if not isinstance(entry, dict) or "id" not in entry:
-            violations.append(f"{where}: each scenario needs an 'id'")
-            continue
-        sid, params = entry["id"], entry.get("params", {})
-        if not isinstance(sid, str) or sid not in SCENARIOS:
-            violations.append(f"{where}.id: unknown scenario {sid!r}")
-            continue
-        if not isinstance(params, dict):
-            violations.append(f"{where}.params: must be an object")
-            continue
-        violations.extend(SCENARIOS[sid].resolve(params, where)[1])
-        scenarios.append(ScenarioSpec(sid, params))
+    for index, entry in enumerate(values.get("scenarios", [])):
+        where = f"scenarios[{index}]."
+        spec, found = resolve(ENTRY_KEYS, entry, where)
+        violations.extend(found)
+        if not found:
+            violations.extend(resolve(SCENARIOS[spec["id"]].params, spec["params"], f"{where}params.")[1])
+            scenarios.append(ScenarioSpec(spec["id"], spec["params"]))
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(tuple(scenarios), seed=seed, fmt=fmt, out=out)
+    return ExperimentConfig(tuple(scenarios), seed=values["seed"], fmt=values["format"], out=values["out"])
 
 
 def guard_violations(error: ConfigError) -> list[str]:
@@ -474,7 +472,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     rng = random.Random(config.seed)
     for spec in config.scenarios:
         scenario = SCENARIOS[spec.id]
-        values, violations = scenario.resolve(spec.params, spec.id)
+        values, violations = resolve(scenario.params, spec.params, f"{spec.id}.params.")
         if violations:
             raise ConfigError(violations)
         scenario.run(values, rng, table)

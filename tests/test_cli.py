@@ -8,7 +8,7 @@ import pytest
 from oracles import two_atom_transport
 
 from folnerlab import experiment
-from folnerlab.cli import DYNAMICS_ACTIONS, main
+from folnerlab.cli import ACTIONS, FLAGS, KIND_FLAGS, main
 from folnerlab.dynamics import empirical_measure, limit_measure
 from folnerlab.errors import ConfigError
 from folnerlab.experiment import (
@@ -20,7 +20,7 @@ from folnerlab.experiment import (
     validate_config,
 )
 from folnerlab.folner import RateSequence, rate_folner
-from folnerlab.homeo import IDENTITY_MAP, HomeoFamily
+from folnerlab.homeo import IDENTITY_MAP, HomeoFamily, endpoint_fractions, repelling_family
 from folnerlab.lamplighter import hat, metric
 from folnerlab.transport import cost_matrix
 
@@ -611,4 +611,165 @@ def test_dynamics_output_is_byte_identical(capsys, case):
 
 
 def test_every_dynamics_action_is_pinned():
-    assert sorted(case["argv"][0] for case in DYNAMICS_GOLDEN) == sorted(DYNAMICS_ACTIONS)
+    assert sorted(case["argv"][0] for case in DYNAMICS_GOLDEN) == sorted(ACTIONS["dynamics"])
+
+
+#: The stdout of each folner, transport and homeo action at fixed flags,
+#: with its input files inline: the README examples, the CI steps, every
+#: action bare (so the flag defaults are pinned) and the other branch of
+#: each action.  Recorded before the actions shared one dispatcher.
+ACTIONS_GOLDEN = json.loads((Path(__file__).parent / "cli_actions_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", ACTIONS_GOLDEN, ids=[" ".join(case["argv"]) for case in ACTIONS_GOLDEN])
+def test_action_output_is_byte_identical(tmp_path, monkeypatch, capsys, case):
+    for name, content in case["files"].items():
+        (tmp_path / name).write_text(json.dumps(content))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
+def test_every_action_is_pinned():
+    pinned = {tuple(case["argv"][:2]) for case in ACTIONS_GOLDEN}
+    tabled = {(command, action) for command, actions in ACTIONS.items() for action in actions}
+    tabled -= {("dynamics", action) for action in ACTIONS["dynamics"]}
+    assert pinned == tabled
+
+
+def _stray_flags():
+    """(argv, flag) for every flag of a subcommand that the action does not
+    read; an action that takes --kind is tried under each kind."""
+    for command, actions in ACTIONS.items():
+        for action, (_, reads) in actions.items():
+            kinds = KIND_FLAGS if "kind" in reads else {None: ()}
+            for kind, kind_reads in kinds.items():
+                argv = (command, action) + (() if kind is None else ("--kind", kind))
+                for flag in FLAGS[command]:
+                    if flag not in reads and flag not in kind_reads:
+                        yield argv, flag
+
+
+STRAY_FLAGS = list(_stray_flags())
+
+#: A value each flag's parser accepts; the flag is refused before it is read.
+STRAY_VALUES = {"kind": ("box",), "side": ("right",), "case": ("a",), "materialize": ()}
+
+
+@pytest.mark.parametrize("argv, flag", STRAY_FLAGS, ids=[" ".join((*a, f)) for a, f in STRAY_FLAGS])
+def test_a_flag_the_action_does_not_read_is_a_usage_error(capsys, argv, flag):
+    option = "--" + flag.replace("_", "-")
+    assert run_cli(*argv, option, *STRAY_VALUES.get(flag, ("1",))) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {argv[0]} {argv[1]} does not take {option}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stray",
+    [
+        (
+            ("folner", "defect", "--kind", "box", "--a-min", "-1", "--a-max", "1", "--n", "2", "--g", "s"),
+            "--kind, --a-min, --a-max",
+        ),
+        (("homeo", "match", "--n", "64", "--y", "0.3"), "--n, --y"),
+        (("folner", "build", "--kind", "box", "--preset", "r-zero", "--n", "2"), "--preset, --n"),
+        (("folner", "balance", "--a-min", "-1", "--b", "0"), "--a-min"),
+    ],
+)
+def test_stray_flags_are_named_in_one_usage_line(capsys, argv, stray):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {argv[0]} {argv[1]} does not take {stray}\n"
+
+
+@pytest.mark.parametrize("command", list(ACTIONS))
+def test_help_lists_every_action(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(command, "--help")
+    assert exit_.value.code == 0
+    assert "{" + ",".join(ACTIONS[command]) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("transport", "wasserstein", "--mu", "a.json", "--nu", "b.json", "--n", "2"), "--n"),
+        (("folner", "defect", "--pre", "r-zero"), "--pre"),
+        (("homeo", "repel", "--ep", "0.1"), "--ep"),
+        (("dynamics", "generic", "--nm", "2"), "--nm"),
+        (("experiment", "--conf", "config.json"), "--conf"),
+    ],
+)
+def test_no_option_matches_by_prefix(capsys, argv, option):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: unrecognized arguments: {option}")
+
+
+def test_homeo_flags_are_read_as_exact_numbers(capsys):
+    assert run_cli("homeo", "empirical", "--n", "8", "--y", "1/3") == 0
+    payload = json.loads(capsys.readouterr().out)
+    family = repelling_family(HomeoFamily((IDENTITY_MAP,), "identity"), 8)
+    low, high = endpoint_fractions(family, Fraction(1, 3))
+    assert (payload["low_fraction"]["exact"], payload["high_fraction"]["exact"]) == (str(low), str(high))
+    assert run_cli("homeo", "repel", "--x", "1/3", "--eps", "1/7") == 0
+    breakpoints = json.loads(capsys.readouterr().out)["breakpoints"]
+    assert breakpoints == [["0", "0"], ["4/21", "1/7"], ["10/21", "6/7"], ["1", "1"]]
+    for decimal, fraction in (("0.5", "1/2"), ("0.3125", "5/16"), ("1e-1", "1/10")):
+        assert run_cli("homeo", "empirical", "--n", "8", "--y", decimal) == 0
+        from_decimal = capsys.readouterr().out
+        assert run_cli("homeo", "empirical", "--n", "8", "--y", fraction) == 0
+        assert capsys.readouterr().out == from_decimal
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("empirical", "--y", "nan"),
+        ("repel", "--eps", "inf"),
+        ("match", "--radius", "1/0"),
+        ("repel", "--x", ""),
+    ],
+)
+def test_homeo_flags_refuse_what_is_no_exact_number(capsys, argv):
+    assert run_cli("homeo", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: argument {argv[1]}: invalid exact value")
+
+
+TOP_KEYS = "accepted: seed, format, out, scenarios"
+
+
+@pytest.mark.parametrize(
+    "config, messages",
+    [
+        ({"sede": 5, "scenarios": []}, [f"sede: unknown parameter; {TOP_KEYS}"]),
+        ({"fromat": "json", "scenarios": []}, [f"fromat: unknown parameter; {TOP_KEYS}"]),
+        (
+            {"scenarios": [{"id": "rightavg", "parms": {"nmax": 1}}]},
+            ["scenarios[0].parms: unknown parameter; accepted: id, params"],
+        ),
+        ({"seed": "5"}, ["seed: must be an integer in [-inf, inf]"]),
+        ({"format": "xml", "out": 3}, ["format: must be one of csv, json", "out: must be a path string"]),
+        ({"scenarios": {"id": "rightavg"}}, ["scenarios: must be a list of objects"]),
+        ({"scenarios": [{"id": "rightavg", "params": []}]}, ["scenarios[0].params: must be an object"]),
+        (
+            {"scenarios": [{"params": {}}, {"id": "mystery"}, {"id": ["rightavg"]}]},
+            [f"scenarios[{i}].id: must be one of {', '.join(experiment.SCENARIOS)}" for i in range(3)],
+        ),
+    ],
+)
+def test_config_keys_are_checked_like_parameters(tmp_path, capsys, config, messages):
+    with pytest.raises(ConfigError) as err:
+        validate_config(json.dumps(config))
+    assert err.value.violations == messages
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("experiment", "--config", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(f"config error: {m}\n" for m in messages)
