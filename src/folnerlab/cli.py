@@ -20,6 +20,7 @@ from .exact import exact
 from .experiment import (
     ExperimentConfig,
     ScenarioSpec,
+    _integer,
     guard_violations,
     run_experiment,
     validate_config,
@@ -114,6 +115,26 @@ def _run(config: ExperimentConfig, args) -> int:
 
 def _number(value: Fraction) -> dict:
     return {"exact": str(value), "float": float(value)}
+
+
+def _checked(read, check):
+    """An argparse type: the value ``read`` makes of the text, refused in ``check``'s words."""
+
+    def parse(text: str):
+        value = read(text)
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parse.__name__ = read.__name__  # argparse names it when ``read`` refuses the text
+    return parse
+
+
+def _positive(value: Fraction) -> Fraction:
+    if value <= 0:
+        raise ValueError("must be a number in (0, inf)")
+    return value
 
 
 def _folner_set(args):
@@ -218,14 +239,14 @@ FLAGS = {
     "folner": {
         "preset": ("r-const:0.5", {}),
         "presets": ("r-zero,r-const:0.5", {"help": "comma list of rate presets"}),
-        "n": (1, {"type": int}),
+        "n": (1, {"type": _checked(int, _integer(1))}),
         "kind": ("rate", {"choices": tuple(KIND_FLAGS)}),
         "a_min": (-2, {"type": int}),
         "a_max": (2, {"type": int}),
         "b": (0, {"type": int}),
         "g": ("s", {}),
         "side": ("left", {"choices": ("left", "right")}),
-        "count": (3, {"type": int}),
+        "count": (3, {"type": _checked(int, _integer(1))}),
         "materialize": (False, {"action": "store_true"}),
     },
     "transport": {"mu": (None, {"required": True}), "nu": (None, {"required": True})},
@@ -241,7 +262,7 @@ FLAGS = {
         "y": (Fraction(1, 2), {"type": exact}),
         "x": (Fraction(1, 2), {"type": exact}),
         "eps": (Fraction(1, 8), {"type": exact}),
-        "radius": (Fraction(1, 4), {"type": exact}),
+        "radius": (Fraction(1, 4), {"type": _checked(exact, _positive)}),
         "base": (None, {"help": "JSON file with a list of PL maps"}),
         "other": (None, {}),
     },

@@ -78,14 +78,7 @@ def empirical_measure(folner: FolnerSet, x: Point) -> DiscreteMeasure:
             if toggled > 0:
                 pairs.append((Point(_other(x.component), x.pos - a), toggled * weight))
         return DiscreteMeasure.from_pairs(pairs)
-    elements = folner.materialize()
-    weight = Fraction(1, len(elements))
-    return DiscreteMeasure.from_pairs((act(g, x), weight) for g in elements)
-
-
-def folner_average(folner: FolnerSet, f: Callable, x: Point) -> Fraction:
-    """(S_n f)(x): the empirical measure integrated against f."""
-    return empirical_measure(folner, x).integrate(f)
+    return DiscreteMeasure.uniform([act(g, x) for g in folner.materialize()])
 
 
 def _end_masses(rate: RateSequence, x: Point) -> tuple[Fraction, Fraction]:

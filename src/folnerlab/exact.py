@@ -9,10 +9,12 @@ from fractions import Fraction
 def exact(value) -> Fraction:
     """``value`` as a Fraction.  A float is read by its repr, so 0.1 is 1/10
     rather than the nearest binary double; strings such as ``"1/3"`` or
-    ``"0.25"`` are read as written.  NaN, infinities and non-numbers raise
-    ValueError."""
+    ``"0.25"`` are read as written.  NaN, infinities, booleans and
+    non-numbers raise ValueError."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):  # an int subclass: JSON true would read as 1
+        raise ValueError(f"{value!r} is not an exact number")
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"{value!r} is not a finite number")

@@ -13,17 +13,18 @@ one finite interval; it balances every in-box flip position exactly at 1/2.
 Rate, box and explicit sets share one protocol (``FolnerSet``): ``size``,
 ``shifts()``, ``balance(position)``, ``left_share(g)`` and
 ``right_share(g)`` (the kept shares |gF & F|/|F| and |Fg & F|/|F| as
-exact fractions), ``materialize()`` and ``to_dict()``.  Only an explicit
-set holds its ``elements``; the rate and box kinds build theirs in
-``materialize()``, under their size guards.  The module-level
-``left_defect``, ``right_defect`` and ``flip_balance`` work on any kind
-through the protocol.  Sets of interesting size are never materialized,
-and a rate set's defects never build its 2^(#free) free-position factor
-or its 4^n selection words: the kept share is counted in window units,
-one stay count per XOR mask, each a sum over the threshold intervals of
-the selection section and the aligned dyadic blocks that tile them (see
-``RateFolner.stay_count``).  Enumeration paths exist below the size
-guards and must agree with the counting paths exactly.
+exact fractions), ``materialize()`` and ``to_dict()``.  The base class
+enumerates ``materialize()``, and each kind overrides what it counts.
+Only an explicit set holds its ``elements``; the rate and box kinds
+build theirs in ``materialize()``, under their size guards.  The
+module-level ``left_defect``, ``right_defect`` and ``flip_balance`` work
+on any kind through the protocol.  Sets of interesting size are never
+materialized, and a rate set's defects never build its 2^(#free)
+free-position factor or its 4^n selection words: the kept share is
+counted in window units, one stay count per XOR mask, each a sum over
+the threshold intervals of the selection section and the aligned dyadic
+blocks that tile them (see ``RateFolner.stay_count``).  The enumeration
+runs below the size guards and must agree with the counting paths exactly.
 """
 
 from __future__ import annotations
@@ -129,14 +130,26 @@ class FolnerSet:
     """A finite set of group elements with a provenance recipe.
 
     Every kind provides ``size``, ``shifts()`` (the shift range when the
-    set is a shift range times a support family, else None),
+    set is a shift range times a support family, else None) and
+    ``materialize()``, its elements (guarded for the rate and box kinds).
     ``balance(position)``, ``left_share(g)`` and ``right_share(g)``
-    (|gF & F|/|F| and |Fg & F|/|F|) and ``materialize()``, its elements
-    (guarded for the rate and box kinds).  ``recipe`` is serialization
-    metadata only.
+    (|gF & F|/|F| and |Fg & F|/|F|) enumerate ``materialize()`` unless the
+    kind counts them.  ``recipe`` is serialization metadata only.
     """
 
     recipe: tuple[tuple[str, str], ...] = field(default=(), kw_only=True)
+
+    def balance(self, position: int) -> Fraction:
+        elements = self.materialize()
+        return Fraction(sum(position in g.flips for g in elements), len(elements))
+
+    def left_share(self, g: GroupElement) -> Fraction:
+        elements = set(self.materialize())
+        return Fraction(len(elements & {compose(g, h) for h in elements}), len(elements))
+
+    def right_share(self, g: GroupElement) -> Fraction:
+        elements = set(self.materialize())
+        return Fraction(len(elements & {compose(h, g) for h in elements}), len(elements))
 
     def to_dict(self) -> dict:
         return {"recipe": dict(self.recipe), "size": self.size}
@@ -144,15 +157,6 @@ class FolnerSet:
 
 def _sorted_elements(elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
     return tuple(sorted(set(elements), key=lambda g: (g.shift, g.flips)))
-
-
-def _enumerated_share(folner: FolnerSet, g: GroupElement, side: str) -> Fraction:
-    elements = set(folner.materialize())
-    if side == "left":
-        translated = {compose(g, h) for h in elements}
-    else:
-        translated = {compose(h, g) for h in elements}
-    return Fraction(len(elements & translated), len(elements))
 
 
 @dataclass(frozen=True)
@@ -307,7 +311,7 @@ class RateFolner(FolnerSet):
     def right_share(self, g: GroupElement) -> Fraction:
         """Counted for pure flips; a shifted g needs enumeration (guarded)."""
         if g.shift != 0:
-            return _enumerated_share(self, g, "right")
+            return super().right_share(g)
         whole = self.stay_count(0)  # 4^n; also the counting guard
         if any(abs(d) > 2**self.n for d in g.flips):
             return Fraction(0)
@@ -393,15 +397,6 @@ class ExplicitFolner(FolnerSet):
 
     def shifts(self) -> None:
         return None
-
-    def balance(self, position: int) -> Fraction:
-        return Fraction(sum(position in g.flips for g in self.elements), len(self.elements))
-
-    def left_share(self, g: GroupElement) -> Fraction:
-        return _enumerated_share(self, g, "left")
-
-    def right_share(self, g: GroupElement) -> Fraction:
-        return _enumerated_share(self, g, "right")
 
     def materialize(self) -> tuple[GroupElement, ...]:
         return self.elements

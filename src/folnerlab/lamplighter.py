@@ -105,15 +105,6 @@ SIGMA = GroupElement(1, ())        # the coordinate shift
 SIGMA_INV = GroupElement(-1, ())
 
 
-def shift_by(a: int) -> GroupElement:
-    return GroupElement(a, ())
-
-
-def flip_at(b: int) -> GroupElement:
-    """The transposition of the two copies of position b."""
-    return GroupElement(0, (b,))
-
-
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """Canonical form of g . h (h acts first).
 

@@ -11,13 +11,13 @@ n <= 6).  Its integer flows are checked against the scaled marginals
 before they are divided back.
 
 The same simplex is the one kernel of the permutation form over a finite
-group set: ``assignment_distance`` runs it on the distinct orbit points
-with their counts as integer masses, and ``solve_assignment`` with unit
-masses.  Integer marginals make every basic flow integral, so the plan
-is a permutation up to relabelling equal points.  At every finite size
-the permutation form and the transport distance agree (Birkhoff), which
-the test suite checks against a factorial brute force, the expanded
-Hungarian solve and a basis-enumeration oracle.
+group set: ``assignment_distance`` is ``wasserstein`` on the two counted
+orbit measures, and ``solve_assignment`` runs it with unit masses.
+Masses in multiples of 1/|F| keep every basic flow in such multiples, so
+the plan is a permutation up to relabelling equal points.  At every
+finite size the permutation form and the transport distance agree
+(Birkhoff), which the test suite checks against a factorial brute force,
+the expanded Hungarian solve and a basis-enumeration oracle.
 
 The simplex scales its rational inputs to integers at entry (costs by
 the lcm of their denominators, masses by the lcm of theirs), runs on
@@ -90,8 +90,9 @@ class DiscreteMeasure:
 
     @staticmethod
     def uniform(points: Sequence[Hashable]) -> "DiscreteMeasure":
+        """Mass 1/len(points) per point; equal points are one atom, in first-seen order."""
         n = len(points)
-        return DiscreteMeasure.from_pairs((p, Fraction(1, n)) for p in points)
+        return DiscreteMeasure.from_pairs((p, Fraction(c, n)) for p, c in Counter(points).items())
 
     def integrate(self, f: Callable) -> Fraction:
         return sum((mass * exact(f(point)) for point, mass in self.atoms), Fraction(0))
@@ -108,9 +109,6 @@ class TransportPlan:
     """Flows (source index, target index, mass) between two atom lists."""
 
     flows: tuple[tuple[int, int, Fraction], ...]
-
-    def cost(self, costs: Sequence[Sequence[Fraction]]) -> Fraction:
-        return sum((mass * costs[i][j] for i, j, mass in self.flows), Fraction(0))
 
 
 def _integer_scaled(values) -> tuple[list[int], int]:
@@ -425,19 +423,17 @@ def solve_assignment(costs: Sequence[Sequence[Fraction]]) -> tuple[Fraction, lis
 def assignment_distance(folner: FolnerSet, x: "lamplighter.Point", y: "lamplighter.Point") -> Fraction:
     """min over permutations p of F of the average of d(gx, p(g)y).
 
-    The orbit points F.x and F.y are counted, and the transportation simplex
-    runs on the distinct points with these counts as integer masses: an
-    integral flow is a permutation of F up to relabelling equal points, and
-    every basic flow is integral, so the minimum is the one of the
-    |F| x |F| problem."""
+    This is ``wasserstein`` between the uniform orbit measures of F.x and
+    F.y, each atom a distinct orbit point with its count over |F| as mass:
+    a flow in multiples of 1/|F| is a permutation of F up to relabelling
+    equal points, and every basic flow is one, so the minimum is the one of
+    the |F| x |F| problem."""
     elements = folner.materialize()
-    xs = Counter(lamplighter.act(g, x) for g in elements)
-    ys = Counter(lamplighter.act(g, y) for g in elements)
-    if len(xs) * len(ys) > ASSIGNMENT_GUARD:
+    mu = DiscreteMeasure.uniform([lamplighter.act(g, x) for g in elements])
+    nu = DiscreteMeasure.uniform([lamplighter.act(g, y) for g in elements])
+    if len(mu.atoms) * len(nu.atoms) > ASSIGNMENT_GUARD:
         raise GuardViolation(
-            f"assignment guard: {len(xs)} x {len(ys)} distinct orbit points exceed "
+            f"assignment guard: {len(mu.atoms)} x {len(nu.atoms)} distinct orbit points exceed "
             f"{ASSIGNMENT_GUARD} cells"
         )
-    costs = cost_matrix(list(xs), list(ys), lamplighter.metric)
-    total, _ = transportation_plan(list(xs.values()), list(ys.values()), costs)
-    return total / len(elements)
+    return wasserstein(mu, nu, lamplighter.metric)[0]

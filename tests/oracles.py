@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 
 from folnerlab.errors import LipschitzViolation
 from folnerlab.folner import FolnerSet, box_folner
-from folnerlab.dynamics import folner_average, limit_measure
+from folnerlab.dynamics import empirical_measure, limit_measure
 from folnerlab.functions import TestFunction
 from folnerlab.homeo import PLHomeo, squash_margin
 from folnerlab.transport import _integer_costs
@@ -347,7 +347,7 @@ def limit_apply_by_measure(rate, f):
 
 def right_box_averages(boxes, x, f) -> list[Fraction]:
     """Averages of f over the box family at x, one value per box."""
-    return [folner_average(box_folner(box), f, x) for box in boxes]
+    return [empirical_measure(box_folner(box), x).integrate(f) for box in boxes]
 
 
 def box_average_tail_bound(box, x, f) -> Fraction:

@@ -741,6 +741,54 @@ def test_homeo_flags_refuse_what_is_no_exact_number(capsys, argv):
     assert captured.err.startswith(f"usage error: argument {argv[1]}: invalid exact value")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("folner", "interleave", "--count", "0"),
+        ("folner", "interleave", "--count", "-2"),
+        ("folner", "translate", "--n", "0"),
+        ("folner", "defect", "--n", "0"),
+        ("folner", "build", "--n", "-1"),
+    ],
+)
+def test_counting_flags_refuse_values_below_one(capsys, argv):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: argument {argv[2]}: must be an integer in [1, inf]\n"
+
+
+@pytest.mark.parametrize("radius", ["0", "-1", "-0.5", "0/7"])
+def test_match_radius_must_be_positive(capsys, radius):
+    assert run_cli("homeo", "match", "--radius", radius) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: argument --radius: must be a number in (0, inf)\n"
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        ([{"point": 0, "mass": True}], ("transport", "wasserstein", "--mu", "{}", "--nu", "{}")),
+        ([{"point": True, "mass": 1}], ("transport", "wasserstein", "--mu", "{}", "--nu", "{}")),
+        ([{"breakpoints": [[0, 0], [True, 1]]}], ("homeo", "match", "--base", "{}")),
+        ({"rate": {"default": True}}, ("experiment", "--config", "{}")),
+        ({"rate": {"default": 0, "window": {"0": True}}}, ("experiment", "--config", "{}")),
+    ],
+    ids=["mass", "point", "breakpoint", "rate-default", "rate-window"],
+)
+def test_json_booleans_are_no_numbers(tmp_path, capsys, content, argv):
+    path = tmp_path / "input.json"
+    if argv[0] == "experiment":
+        content = {"scenarios": [{"id": "genericity", "params": {"nmax": 1, **content}}]}
+    path.write_text(json.dumps(content))
+    assert run_cli(*(arg.format(path) for arg in argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(("error: ", "config error: "))
+    assert "True is not an exact number" in captured.err
+
+
 TOP_KEYS = "accepted: seed, format, out, scenarios"
 
 

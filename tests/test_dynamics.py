@@ -14,7 +14,6 @@ from folnerlab.dynamics import (
     default_sample,
     empirical_measure,
     example_case,
-    folner_average,
     genericity_table,
     invariance_gap,
     is_ergodic,
@@ -109,8 +108,8 @@ def test_average_two_evaluation_orders_agree():
 
 
 def test_average_of_constant():
-    assert folner_average(rate_folner(HALF, 2), constant(7), hat(3)) == 7
-    assert folner_average(box_folner(range(-1, 2)), ends_separator(), INF_CHECK) == 1
+    assert empirical_measure(rate_folner(HALF, 2), hat(3)).integrate(constant(7)) == 7
+    assert empirical_measure(box_folner(range(-1, 2)), INF_CHECK).integrate(ends_separator()) == 1
 
 
 def test_limit_measure_cases():

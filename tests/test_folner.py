@@ -29,7 +29,6 @@ from folnerlab.lamplighter import (
     GroupElement,
     act,
     check,
-    flip_at,
     hat,
     parse_word,
 )
@@ -157,7 +156,7 @@ def test_left_defect_flip_against_enumeration():
     for rate in PRESETS:
         for n in (1, 2):
             folner = rate_folner(rate, n)
-            for g in (FLIP, SIGMA, flip_at(2), parse_word("s f"), parse_word("S f s")):
+            for g in (FLIP, SIGMA, GroupElement(0, (2,)), parse_word("s f"), parse_word("S f s")):
                 assert left_defect(folner, g) == brute_defect(folner, g, "left")
                 assert right_defect(folner, g) == brute_defect(folner, g, "right")
 
@@ -185,7 +184,7 @@ def test_counting_fuzz_random_rates():
 
 def test_counting_matches_enumeration_n3():
     folner = rate_folner(HALF, 3)
-    for g in (SIGMA, FLIP, flip_at(7)):
+    for g in (SIGMA, FLIP, GroupElement(0, (7,))):
         assert left_defect(folner, g) == brute_defect(folner, g, "left")
     assert right_defect(folner, FLIP) == brute_defect(folner, FLIP, "right")
 
@@ -199,23 +198,23 @@ def test_left_defect_nonincreasing_for_generators():
 def test_right_defect_window_flip_is_two():
     for b in (0, 1, -1):
         for n in range(max(abs(b) + 1, 1), 6):
-            assert right_defect(rate_folner(HALF, n), flip_at(b)) == 2
+            assert right_defect(rate_folner(HALF, n), GroupElement(0, (b,))) == 2
 
 
 def test_right_defect_free_zone_flip_is_zero():
     # positions between the window and the bound leave the family invariant
-    assert right_defect(rate_folner(HALF, 3), flip_at(7)) == 0
-    assert right_defect(rate_folner(HALF, 3), flip_at(-8)) == 0
+    assert right_defect(rate_folner(HALF, 3), GroupElement(0, (7,))) == 0
+    assert right_defect(rate_folner(HALF, 3), GroupElement(0, (-8,))) == 0
 
 
 def test_right_defect_out_of_bounds_flip():
-    assert right_defect(rate_folner(HALF, 2), flip_at(9)) == 2
+    assert right_defect(rate_folner(HALF, 2), GroupElement(0, (9,))) == 2
 
 
 def test_box_defect_formulas_against_enumeration():
     for positions in ([0], [-1, 0, 1], [0, 2, 3]):
         folner = box_folner(positions)
-        for g in (SIGMA, FLIP, flip_at(1), parse_word("s f"), parse_word("S S f")):
+        for g in (SIGMA, FLIP, GroupElement(0, (1,)), parse_word("s f"), parse_word("S S f")):
             assert left_defect(folner, g) == brute_defect(folner, g, "left")
             assert right_defect(folner, g) == brute_defect(folner, g, "right")
 
@@ -308,7 +307,7 @@ def test_translate_repel_example():
     from folnerlab.lamplighter import compose
 
     for n in (1, 2, 3):
-        g = compose(flip_at(n), GroupElement(-n, ()))
+        g = compose(GroupElement(0, (n,)), GroupElement(-n, ()))
         assert g == GroupElement(-n, (0,))
         assert act(g, hat(0)) == check(n)
 
@@ -352,6 +351,23 @@ def test_integer_words_match_the_fraction_definition(rate, n):
     words = packed_words(rate_folner(rate, n))
     assert len(words) == 4**n
     assert words == {_packed(w) for w in word_family(rate, n)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    _rates,
+    st.integers(1, 3),
+    st.integers(-10, 10),
+    st.lists(st.integers(-10, 10), unique=True, max_size=3).map(sorted).map(tuple),
+)
+def test_counted_shares_match_the_base_enumeration(rate, n, shift, flips):
+    # An explicit set answers through FolnerSet's enumeration; a rate set counts.
+    folner = rate_folner(rate, n)
+    enumerated = explicit_folner(folner.materialize())
+    g, pure = GroupElement(shift, flips), GroupElement(0, flips)
+    assert folner.left_share(g) == enumerated.left_share(g)
+    assert folner.right_share(pure) == enumerated.right_share(pure)
+    assert folner.balance(shift) == enumerated.balance(shift)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 """Group arithmetic, the action, and the metric on the doubled line."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -19,12 +20,10 @@ from folnerlab.lamplighter import (
     act,
     check,
     compose,
-    flip_at,
     hat,
     inverse,
     metric,
     parse_word,
-    shift_by,
     word_of,
 )
 from oracles import embedding_metric
@@ -39,6 +38,16 @@ def random_point(rng, span=50):
     if rng.random() < 0.1:
         return rng.choice([INF_HAT, INF_CHECK])
     return Point(rng.choice(["hat", "check"]), rng.randint(-span, span))
+
+
+POINTS = st.builds(
+    Point, st.sampled_from(["hat", "check"]), st.integers(-(10**6), 10**6) | st.just(INF)
+)
+ELEMENTS = st.builds(
+    GroupElement,
+    st.integers(-50, 50),
+    st.lists(st.integers(-50, 50), unique=True, max_size=6).map(sorted).map(tuple),
+)
 
 
 def test_compose_flip_then_shift():
@@ -68,17 +77,16 @@ def test_inverse_examples():
     assert inverse(GroupElement(-3, (-2, 5))) == GroupElement(3, (1, 8))
 
 
-def test_inverse_property():
-    rng = random.Random(7)
-    for _ in range(200):
-        g = random_element(rng)
-        assert compose(g, inverse(g)) == IDENTITY
-        assert compose(inverse(g), g) == IDENTITY
+@settings(max_examples=200, deadline=None)
+@given(ELEMENTS)
+def test_inverse_property(g):
+    assert compose(g, inverse(g)) == IDENTITY
+    assert compose(inverse(g), g) == IDENTITY
 
 
 def test_act_examples():
     assert act(SIGMA, check(5)) == check(4)
-    assert act(flip_at(3), hat(3)) == check(3)
+    assert act(GroupElement(0, (3,)), hat(3)) == check(3)
     rng = random.Random(1)
     for _ in range(50):
         g = random_element(rng)
@@ -86,26 +94,25 @@ def test_act_examples():
         assert act(g, INF_CHECK) == INF_CHECK
 
 
-def test_action_axiom():
-    rng = random.Random(11)
-    for _ in range(300):
-        g, h = random_element(rng), random_element(rng)
-        x = random_point(rng)
-        assert act(compose(g, h), x) == act(g, act(h, x))
+@settings(max_examples=300, deadline=None)
+@given(ELEMENTS, ELEMENTS, POINTS)
+def test_action_axiom(g, h, x):
+    assert act(compose(g, h), x) == act(g, act(h, x))
 
 
-def test_group_axioms_randomized():
-    rng = random.Random(13)
-    for _ in range(200):
-        a, b, c = (random_element(rng) for _ in range(3))
-        assert compose(compose(a, b), c) == compose(a, compose(b, c))
+@settings(max_examples=200, deadline=None)
+@given(ELEMENTS, ELEMENTS, ELEMENTS)
+def test_group_axioms_randomized(a, b, c):
+    assert compose(compose(a, b), c) == compose(a, compose(b, c))
+    assert compose(a, IDENTITY) == compose(IDENTITY, a) == a
 
 
 def test_commutation_identity():
     # flip at b then shift by a equals shift by a then flip at a + b
     for a in range(-20, 21):
         for b in range(-20, 21):
-            assert compose(flip_at(b), shift_by(a)) == compose(shift_by(a), flip_at(a + b))
+            shift = GroupElement(a, ())
+            assert compose(GroupElement(0, (b,)), shift) == compose(shift, GroupElement(0, (a + b,)))
 
 
 def test_canonical_forms_act_differently():
@@ -151,11 +158,6 @@ def test_metric_compactification():
     for t in range(-100, 101):
         if t != 5:
             assert metric(hat(5), hat(t)) > 0
-
-
-POINTS = st.builds(
-    Point, st.sampled_from(["hat", "check"]), st.integers(-(10**6), 10**6) | st.just(INF)
-)
 
 
 @settings(max_examples=300, deadline=None)
@@ -233,6 +235,13 @@ def test_serialization_roundtrip():
     assert GroupElement.from_dict(g.to_dict()) == g
     for p in (hat(3), check(-1), INF_HAT):
         assert Point.from_dict(p.to_dict()) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(ELEMENTS, POINTS)
+def test_json_round_trips_property(g, x):
+    assert GroupElement.from_dict(json.loads(json.dumps(g.to_dict()))) == g
+    assert Point.from_dict(json.loads(json.dumps(x.to_dict()))) == x
 
 
 @pytest.mark.parametrize(

@@ -113,7 +113,7 @@ def test_transport_matches_vertex_oracle_random():
         )
         assert value == oracle
         validate_plan(plan, mu, nu)
-        assert plan.cost(costs) == value
+        assert sum(q * costs[i][j] for i, j, q in plan.flows) == value
 
 
 def test_plan_feasibility_and_value():
@@ -123,7 +123,7 @@ def test_plan_feasibility_and_value():
         costs = [[metric(p, q) for q, _ in nu.atoms] for p, _ in mu.atoms]
         value, plan = wasserstein(mu, nu, metric)
         validate_plan(plan, mu, nu)
-        assert plan.cost(costs) == value
+        assert sum(q * costs[i][j] for i, j, q in plan.flows) == value
         assert all(q > 0 for _, _, q in plan.flows)
 
 
