@@ -43,10 +43,16 @@ def random_point(rng, span=50):
 POINTS = st.builds(
     Point, st.sampled_from(["hat", "check"]), st.integers(-(10**6), 10**6) | st.just(INF)
 )
+# Small shifts and supports, so products often cancel flips.
 ELEMENTS = st.builds(
     GroupElement,
-    st.integers(-50, 50),
-    st.lists(st.integers(-50, 50), unique=True, max_size=6).map(sorted).map(tuple),
+    st.integers(-8, 8),
+    st.lists(st.integers(-8, 8), unique=True, max_size=6).map(sorted).map(tuple),
+)
+# Points within reach of those supports (|pos| <= 12, infinity rarely),
+# so act's component toggle fires in about a fifth of the action checks.
+NEAR_POINTS = st.builds(
+    Point, st.sampled_from(["hat", "check"]), st.sampled_from([INF, *range(-12, 13)])
 )
 
 
@@ -95,7 +101,7 @@ def test_act_examples():
 
 
 @settings(max_examples=300, deadline=None)
-@given(ELEMENTS, ELEMENTS, POINTS)
+@given(ELEMENTS, ELEMENTS, NEAR_POINTS)
 def test_action_axiom(g, h, x):
     assert act(compose(g, h), x) == act(g, act(h, x))
 
