@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -58,6 +59,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read -1/3 and -1e-1 as values too, not only argparse's -1 and -1.5.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -87,9 +93,6 @@ def _load_family(path: str | None) -> HomeoFamily:
     if path is None:
         return HomeoFamily((IDENTITY_MAP,), "identity")
     entries = _read_json_list(path, ("breakpoints",))
-    for points in (entry["breakpoints"] for entry in entries):
-        if not isinstance(points, list) or any(not isinstance(p, list) or len(p) != 2 for p in points):
-            raise ValueError(f"{path}: breakpoints must be a list of [x, y] pairs, got {points!r}")
     return HomeoFamily(tuple(PLHomeo.from_dict(entry) for entry in entries), path)
 
 
@@ -140,6 +143,8 @@ def _positive(value: Fraction) -> Fraction:
 def _folner_set(args):
     """The box over --a-min..--a-max, or rate set n of --preset, as --kind says."""
     if args.kind == "box":
+        if args.a_min > args.a_max:
+            raise UsageError(f"--a-min must be at most --a-max, got {args.a_min} > {args.a_max}")
         return box_folner(range(args.a_min, args.a_max + 1))
     return rate_folner(RateSequence.from_preset(args.preset), args.n)
 
@@ -255,10 +260,10 @@ FLAGS = {
         "nmax": (None, {"type": int}),
         "pairs": (None, {"type": int}),
         "g": (None, {}),
-        "case": (None, {"choices": ("a", "b", "c", "d")}),
+        "case": (None, {}),
     },
     "homeo": {
-        "n": (8, {"type": int}),
+        "n": (8, {"type": _checked(int, _integer(2))}),
         "y": (Fraction(1, 2), {"type": exact}),
         "x": (Fraction(1, 2), {"type": exact}),
         "eps": (Fraction(1, 8), {"type": exact}),

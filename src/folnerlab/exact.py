@@ -1,9 +1,15 @@
-"""The one conversion of outside numbers (JSON, floats, CLI flags) to exact rationals."""
+"""The one conversion of outside numbers (JSON, floats, CLI flags) to exact
+rationals, and the one rule for what an outside integer is."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+
+def is_integer(value) -> bool:
+    """An int that is no bool (an int subclass: JSON true would pass as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def exact(value) -> Fraction:

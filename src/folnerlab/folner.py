@@ -54,7 +54,7 @@ SIZE_MAX_N = 12
 #: has 4^n as denominator when c_l is odd, and 4^7142 has 4,300 decimal
 #: digits, 4^7143 4,301.
 BALANCE_MAX_N = 7142
-#: Default search horizon (members inspected per family) when interleaving.
+#: Search horizon (members inspected per family) when interleaving.
 INTERLEAVE_HORIZON = 16
 
 
@@ -122,6 +122,10 @@ class RateSequence:
 
     @staticmethod
     def from_dict(raw: dict) -> "RateSequence":
+        if not isinstance(raw, dict) or not raw.keys() <= {"default", "window"}:
+            raise ValueError(f"a rate mapping holds only 'default' and 'window', got {raw!r}")
+        if not isinstance(raw.get("window", {}), dict):
+            raise ValueError(f"a rate window must be an object of position: value, got {raw['window']!r}")
         return RateSequence.make(raw.get("default", 0), raw.get("window", {}))
 
 
@@ -469,46 +473,37 @@ def translate_folner(
 
 
 def interleave_folner(
-    families: Sequence[Sequence[FolnerSet] | Callable[[int], FolnerSet]],
+    families: Sequence[Callable[[int], FolnerSet]],
     schedule: Sequence[int],
     test_elements: Sequence[Sequence[GroupElement]],
-    target: Callable[[int], Fraction] | None = None,
-    horizon: int = INTERLEAVE_HORIZON,
 ) -> list[FolnerSet]:
     """Pick, for each slot n, a member of family schedule[n-1] whose left
-    defect against every test element is at most target(n) (default 1/n).
+    defect against every test element is at most 1/n.
 
-    The search inspects at most ``horizon`` members per slot (a sequence
-    family ends at its length; errors a callable family raises propagate)
-    and fails loudly if none qualifies.
+    The search inspects members 0 to INTERLEAVE_HORIZON - 1 of the family
+    (errors a family raises propagate) and fails loudly if none qualifies.
     """
     if len(schedule) != len(test_elements):
         raise ValueError("need one test set per schedule slot")
-    target = target or (lambda n: Fraction(1, n))
     chosen = []
     for slot, (family_index, tests) in enumerate(zip(schedule, test_elements), start=1):
         family = families[family_index]
-        bound = target(slot)
-        picked = None
-        reach = horizon if callable(family) else min(horizon, len(family))
-        for member_index in range(reach):
-            member = family(member_index) if callable(family) else family[member_index]
+        bound = Fraction(1, slot)
+        for member_index in range(INTERLEAVE_HORIZON):
+            member = family(member_index)
             worst = max((left_defect(member, g) for g in tests), default=Fraction(0))
             if worst <= bound:
-                picked = replace(
-                    member,
-                    recipe=(
-                        ("kind", "interleaved"),
-                        ("family", str(family_index)),
-                        ("member", str(member_index)),
-                        ("certified_defect", str(worst)),
-                    ),
+                recipe = (
+                    ("kind", "interleaved"),
+                    ("family", str(family_index)),
+                    ("member", str(member_index)),
+                    ("certified_defect", str(worst)),
                 )
+                chosen.append(replace(member, recipe=recipe))
                 break
-        if picked is None:
+        else:
             raise HorizonExhausted(
                 f"slot {slot}: no member of family {family_index} within the first "
-                f"{horizon} reaches defect {bound}"
+                f"{INTERLEAVE_HORIZON} reaches defect {bound}"
             )
-        chosen.append(picked)
     return chosen

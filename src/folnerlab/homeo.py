@@ -100,7 +100,10 @@ class PLHomeo:
 
     @staticmethod
     def from_dict(raw: dict) -> "PLHomeo":
-        return pl_homeo(raw["breakpoints"])
+        points = raw.get("breakpoints") if isinstance(raw, dict) else None
+        if not isinstance(points, list) or any(not isinstance(p, list) or len(p) != 2 for p in points):
+            raise ValueError(f"breakpoints must be a list of [x, y] pairs, got {raw!r}")
+        return pl_homeo(points)
 
 
 def pl_homeo(points: Iterable[Sequence]) -> PLHomeo:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import WordParseError
+from .exact import is_integer
 
 INF = math.inf
 HAT = "hat"
@@ -52,7 +53,7 @@ class Point:
         pos = raw["pos"]
         if pos == "inf":
             pos = INF
-        elif not isinstance(pos, int) or isinstance(pos, bool):  # bool is an int subclass
+        elif not is_integer(pos):
             raise ValueError(f"position must be an integer or 'inf', got {pos!r}")
         return Point(raw["component"], pos)
 
@@ -92,9 +93,7 @@ class GroupElement:
         if "shift" not in raw or "flips" not in raw:
             raise ValueError(f"an element needs 'shift' and 'flips', got {raw!r}")
         shift, flips = raw["shift"], raw["flips"]
-        if not isinstance(flips, (list, tuple)) or any(
-            not isinstance(v, int) or isinstance(v, bool) for v in (shift, *flips)  # bool is an int subclass
-        ):
+        if not isinstance(flips, (list, tuple)) or not all(map(is_integer, (shift, *flips))):
             raise ValueError(f"shift and flips must be integers, got {raw!r}")
         return GroupElement(shift, tuple(flips))
 

@@ -20,7 +20,7 @@ from folnerlab.experiment import (
     validate_config,
 )
 from folnerlab.folner import RateSequence, rate_folner
-from folnerlab.homeo import IDENTITY_MAP, HomeoFamily, endpoint_fractions, repelling_family
+from folnerlab.homeo import IDENTITY_MAP, HomeoFamily, PLHomeo, endpoint_fractions, repelling_family
 from folnerlab.lamplighter import hat, metric
 from folnerlab.transport import cost_matrix
 
@@ -198,6 +198,37 @@ def test_cli_readers_refuse_every_malformed_shape(tmp_path, capsys, shape):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: "), argv
+
+
+BREAKPOINT_SHAPES = sorted(shape for shape in MALFORMED_JSON if shape.startswith("breakpoints-"))
+
+
+@pytest.mark.parametrize("shape", BREAKPOINT_SHAPES)
+def test_pl_maps_read_their_own_shape(shape):
+    (entry,) = json.loads(MALFORMED_JSON[shape])
+    with pytest.raises(ValueError):
+        PLHomeo.from_dict(entry)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [{"window": [1]}, {"window": "0"}, {"defualt": "1/2"}, {"default": 0, "windows": {}}, ["zero"], "zero"],
+    ids=["window-list", "window-string", "misspelled-default", "misspelled-window", "list", "string"],
+)
+def test_rate_mappings_read_their_own_shape(raw):
+    with pytest.raises(ValueError):
+        RateSequence.from_dict(raw)
+
+
+def test_misspelled_rate_key_is_a_config_error(tmp_path, capsys):
+    config = {"scenarios": [{"id": "genericity", "params": {"nmax": 1, "rate": {"defualt": "1/2"}}}]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("experiment", "--config", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: scenarios[0].params.rate: ")
+    assert "defualt" in captured.err
 
 
 def test_unreadable_config_and_unwritable_output_exit_one(tmp_path, capsys):
@@ -533,7 +564,7 @@ def test_dynamics_met_guard_exit_code(capsys):
     [
         ("generic", "--nmax", "0"),
         ("generic", "--nmax", "-2"),
-        ("rightavg", "--nmax", "11"),
+        ("rightavg", "--nmax", "0"),
         ("seever", "--pairs", "0"),
     ],
 )
@@ -653,7 +684,7 @@ def _stray_flags():
 STRAY_FLAGS = list(_stray_flags())
 
 #: A value each flag's parser accepts; the flag is refused before it is read.
-STRAY_VALUES = {"kind": ("box",), "side": ("right",), "case": ("a",), "materialize": ()}
+STRAY_VALUES = {"kind": ("box",), "side": ("right",), "case": ("a",), "n": ("2",), "materialize": ()}
 
 
 @pytest.mark.parametrize("argv, flag", STRAY_FLAGS, ids=[" ".join((*a, f)) for a, f in STRAY_FLAGS])
@@ -758,12 +789,72 @@ def test_counting_flags_refuse_values_below_one(capsys, argv):
     assert captured.err == f"usage error: argument {argv[2]}: must be an integer in [1, inf]\n"
 
 
-@pytest.mark.parametrize("radius", ["0", "-1", "-0.5", "0/7"])
+@pytest.mark.parametrize("radius", ["0", "-1", "-0.5", "0/7", "-1/3", "-1e-1"])
 def test_match_radius_must_be_positive(capsys, radius):
     assert run_cli("homeo", "match", "--radius", radius) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage error: argument --radius: must be a number in (0, inf)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("homeo", "repel", "--x", "-1/2"), "error: x must lie in [0, 1]"),
+        (("homeo", "repel", "--eps", "-1e-1"), "error: eps must lie in (0, 1/2)"),
+        (("homeo", "empirical", "--y", "-3/4"), "error: argument -3/4 outside [0, 1]"),
+    ],
+)
+def test_negative_fractions_are_flag_values(capsys, argv, message):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("folner", "build", "--kind", "box", "--a-min", "3", "--a-max", "2"),
+        ("folner", "balance", "--kind", "box", "--a-min", "1", "--a-max", "-1", "--b", "0"),
+    ],
+)
+def test_box_bounds_are_checked_at_the_flags(capsys, argv):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    low, high = argv[argv.index("--a-min") + 1], argv[argv.index("--a-max") + 1]
+    assert captured.err == f"usage error: --a-min must be at most --a-max, got {low} > {high}\n"
+
+
+def test_flags_are_refused_by_their_config_twins(capsys):
+    assert "choices" not in FLAGS["dynamics"]["case"][1]
+    assert run_cli("dynamics", "thm-example", "--case", "e") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: thm-example.params.case: must be one of a, b, c, d\n"
+    assert run_cli("homeo", "empirical", "--n", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: argument --n: must be an integer in [2, inf]\n"
+
+
+@pytest.mark.parametrize(
+    "scenario, params, ceiling",
+    [("rightavg", {}, 256), ("folner-defect", {"rate": "decay"}, 32)],
+)
+def test_scenario_ceilings_run_and_guard_past_them(tmp_path, capsys, scenario, params, ceiling):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenarios": [{"id": scenario, "params": {**params, "nmax": ceiling}}]}))
+    assert run_cli("experiment", "--config", str(path)) == 0
+    assert f"\n{scenario},{ceiling}," in capsys.readouterr().out
+    path.write_text(json.dumps({"scenarios": [{"id": scenario, "params": {**params, "nmax": ceiling + 1}}]}))
+    assert run_cli("experiment", "--config", str(path)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"guard violation: scenarios[0].params.nmax: the run-time guard allows n <= {ceiling}, got {ceiling + 1}\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from oracles import brute_defect, packed_words, selection_word, word_family
 
 from folnerlab.errors import GuardViolation, HorizonExhausted
 from folnerlab.folner import (
+    INTERLEAVE_HORIZON,
     RateSequence,
     box_folner,
     explicit_folner,
@@ -241,10 +242,7 @@ def test_flip_balance_explicit():
 
 
 def test_interleave_alternating():
-    families = [
-        [rate_folner(ZERO, n) for n in (1, 2, 3, 4)],
-        [rate_folner(HALF, n) for n in (1, 2, 3, 4)],
-    ]
+    families = [lambda j: rate_folner(ZERO, j + 1), lambda j: rate_folner(HALF, j + 1)]
     schedule = [0, 1, 0, 1]
     tests = [[SIGMA]] * 4
     chosen = interleave_folner(families, schedule, tests)
@@ -254,24 +252,22 @@ def test_interleave_alternating():
 
 
 def test_interleave_identity_tests_take_first_member():
-    family = [rate_folner(HALF, n) for n in (1, 2, 3)]
-    chosen = interleave_folner([family], [0, 0], [[IDENTITY], [IDENTITY]])
+    chosen = interleave_folner([lambda j: rate_folner(HALF, j + 1)], [0, 0], [[IDENTITY], [IDENTITY]])
     assert all(dict(f.recipe)["member"] == "0" for f in chosen)
 
 
 def test_interleave_horizon_exhausted():
-    # defect against sigma stays 2/5 in a constant family, so target 1/10 fails
-    family = [rate_folner(HALF, 1)] * 4
-    with pytest.raises(HorizonExhausted):
-        interleave_folner(
-            [family], [0], [[SIGMA]], target=lambda n: Fraction(1, 10), horizon=4
-        )
+    # defect against sigma stays 2/5 in a constant family: slots 1 and 2
+    # (targets 1 and 1/2) take member 0, and slot 3 (target 1/3) finds none
+    inspected = []
 
+    def family(index):
+        inspected.append(index)
+        return rate_folner(HALF, 1)
 
-def test_interleave_sequence_family_ends_at_its_length():
-    family = [rate_folner(HALF, 1)] * 2
-    with pytest.raises(HorizonExhausted):
-        interleave_folner([family], [0], [[SIGMA]], target=lambda n: Fraction(1, 10))
+    with pytest.raises(HorizonExhausted, match="slot 3"):
+        interleave_folner([family], [0, 0, 0], [[SIGMA]] * 3)
+    assert inspected == [0, 0, *range(INTERLEAVE_HORIZON)]
 
 
 def test_interleave_callable_errors_propagate():
@@ -280,8 +276,9 @@ def test_interleave_callable_errors_propagate():
             raise IndexError("broken family member")
         return rate_folner(HALF, 1)
 
+    # member 0 serves slots 1 and 2; slot 3 (target 1/3 < 2/5) asks for member 1
     with pytest.raises(IndexError, match="broken family member"):
-        interleave_folner([family], [0], [[SIGMA]], target=lambda n: Fraction(1, 10))
+        interleave_folner([family], [0, 0, 0], [[SIGMA]] * 3)
 
 
 def test_translate_identity_keeps_sets():
