@@ -22,10 +22,10 @@ from .experiment import (
     ExperimentConfig,
     ScenarioSpec,
     _integer,
+    _unit,
     guard_violations,
     run_experiment,
     validate_config,
-    violation_message,
     write_outputs,
 )
 from .folner import (
@@ -69,15 +69,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_json_list(path: str, keys: tuple[str, ...]) -> list[dict]:
-    """The JSON file at ``path`` as a list of objects that each hold ``keys``.
+    """The JSON file at ``path`` as a list of objects that each hold exactly ``keys``.
     An unreadable file, malformed JSON or any other shape raises ValueError,
     which ``main`` reports as an ``error:`` line with exit code 1."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"cannot read {path} as JSON: {exc}") from exc
-    if not isinstance(raw, list) or not all(isinstance(e, dict) and e.keys() >= set(keys) for e in raw):
-        raise ValueError(f"{path} must hold a JSON list of objects with keys {', '.join(keys)}")
+    if not isinstance(raw, list) or not all(isinstance(e, dict) and e.keys() == set(keys) for e in raw):
+        raise ValueError(f"{path} must hold a JSON list of objects with exactly the keys {', '.join(keys)}")
     return raw
 
 
@@ -97,7 +97,14 @@ def _load_family(path: str | None) -> HomeoFamily:
 
 
 def _emit(payload, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The payload as JSON, each Fraction in it as its exact string and its float."""
+    try:
+        text = json.dumps(
+            payload, indent=2, sort_keys=True, default=lambda q: {"exact": str(q), "float": float(q)}
+        ) + "\n"
+    except ValueError as exc:  # an int with more digits than Python converts to a string
+        limit = sys.get_int_max_str_digits()
+        raise GuardViolation(f"the result holds a number of more than {limit} digits, the print limit") from exc
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -114,10 +121,6 @@ def _run(config: ExperimentConfig, args) -> int:
     if config.out is None:
         sys.stdout.write(table.to_csv() if config.fmt == "csv" else table.to_json())
     return table.exit_code()
-
-
-def _number(value: Fraction) -> dict:
-    return {"exact": str(value), "float": float(value)}
 
 
 def _checked(read, check):
@@ -145,7 +148,7 @@ def _folner_set(args):
     if args.kind == "box":
         if args.a_min > args.a_max:
             raise UsageError(f"--a-min must be at most --a-max, got {args.a_min} > {args.a_max}")
-        return box_folner(range(args.a_min, args.a_max + 1))
+        return box_folner(args.a_min, args.a_max)
     return rate_folner(RateSequence.from_preset(args.preset), args.n)
 
 
@@ -160,11 +163,11 @@ def _build(args) -> dict:
 def _defect(args) -> dict:
     folner = rate_folner(RateSequence.from_preset(args.preset), args.n)
     defect = left_defect if args.side == "left" else right_defect
-    return {"side": args.side, "word": args.g, "defect": _number(defect(folner, parse_word(args.g)))}
+    return {"side": args.side, "word": args.g, "defect": defect(folner, parse_word(args.g))}
 
 
 def _balance(args) -> dict:
-    return {"position": args.b, "balance": _number(flip_balance(_folner_set(args), args.b))}
+    return {"position": args.b, "balance": flip_balance(_folner_set(args), args.b)}
 
 
 def _interleave(args) -> list:
@@ -195,7 +198,7 @@ def _measures(args):
 
 def _wasserstein(args) -> dict:
     value, plan = wasserstein(*_measures(args))
-    return {"value": _number(value), "plan": [[i, j, str(q)] for i, j, q in plan.flows]}
+    return {"value": value, "plan": [[i, j, str(q)] for i, j, q in plan.flows]}
 
 
 def _assign(args) -> dict:
@@ -203,14 +206,14 @@ def _assign(args) -> dict:
     if len(mu.atoms) != len(nu.atoms) or any(m != mu.atoms[0][1] for _, m in mu.atoms + nu.atoms):
         raise UsageError("assign expects two uniform measures with equal support sizes")
     total, _ = solve_assignment(cost_matrix(mu.support(), nu.support(), dist))
-    return {"value": _number(total / len(mu.atoms)), "note": "uniform-uniform assignment equals transport"}
+    return {"value": total / len(mu.atoms), "note": "uniform-uniform assignment equals transport"}
 
 
 def _dual(args) -> dict:
     mu, nu, dist = _measures(args)
     witnesses = [lambda z, p=p: dist(z, p) for p in dict.fromkeys(mu.support() + nu.support())]
     primal, _ = wasserstein(mu, nu, dist)
-    return {"lower_bound": _number(dual_lower_bound(mu, nu, witnesses, dist)), "primal": _number(primal)}
+    return {"lower_bound": dual_lower_bound(mu, nu, witnesses, dist), "primal": primal}
 
 
 def _match(args) -> dict:
@@ -230,9 +233,9 @@ def _empirical(args) -> dict:
     value, _ = wasserstein(mu, end_mixture(args.y), interval_distance)
     return {
         "measure": [{"point": float(p), "mass": float(m)} for p, m in mu.atoms],
-        "low_fraction": _number(low),
-        "high_fraction": _number(high),
-        "w_to_end_mixture": _number(value),
+        "low_fraction": low,
+        "high_fraction": high,
+        "w_to_end_mixture": value,
     }
 
 
@@ -264,7 +267,7 @@ FLAGS = {
     },
     "homeo": {
         "n": (8, {"type": _checked(int, _integer(2))}),
-        "y": (Fraction(1, 2), {"type": exact}),
+        "y": (Fraction(1, 2), {"type": _checked(exact, _unit)}),
         "x": (Fraction(1, 2), {"type": exact}),
         "eps": (Fraction(1, 8), {"type": exact}),
         "radius": (Fraction(1, 4), {"type": _checked(exact, _positive)}),
@@ -358,7 +361,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
-        print("\n".join(map(violation_message, exc.violations)), file=sys.stderr)
+        print("\n".join(exc.violations), file=sys.stderr)
         return 3 if guard_violations(exc) else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ from .dynamics import (
     verdicts,
 )
 from .errors import ConfigError, GuardViolation
-from .exact import is_integer
+from .exact import exact, is_integer
 from .folner import RateSequence, box_folner, flip_balance, left_defect, rate_folner, right_defect
 from .functions import ends_separator, random_affine
 from .homeo import (
@@ -135,9 +135,6 @@ class ExperimentConfig:
         }
 
 
-_GUARD_MARK = "guard:"
-
-
 @dataclass(frozen=True)
 class Param:
     """One scenario parameter.  ``parse`` turns the raw config value into
@@ -158,11 +155,12 @@ class Scenario:
 
 def resolve(params: dict[str, Param], raw: dict, where: str) -> tuple[dict, list[str]]:
     """The values ``params`` read from ``raw``, defaults filled in, and every
-    violation, each prefixed by ``where`` (guard violations are marked so the
-    CLI can exit 3).  A key that names no parameter is a violation too."""
+    violation as the CLI prints it: ``guard violation: `` or ``config error: ``,
+    then ``where`` and the parameter.  A key that names no parameter is a
+    violation too."""
     values = {}
     violations = [
-        f"{where}{name}: unknown parameter; accepted: {', '.join(params)}"
+        f"config error: {where}{name}: unknown parameter; accepted: {', '.join(params)}"
         for name in sorted(set(raw) - set(params))
     ]
     for name, param in params.items():
@@ -171,9 +169,9 @@ def resolve(params: dict[str, Param], raw: dict, where: str) -> tuple[dict, list
             if param.guard is not None:
                 param.guard(values[name])
         except GuardViolation as exc:
-            violations.append(f"{_GUARD_MARK}{where}{name}: {exc}")
+            violations.append(f"guard violation: {where}{name}: {exc}")
         except ValueError as exc:
-            violations.append(f"{where}{name}: {exc}")
+            violations.append(f"config error: {where}{name}: {exc}")
     return values, violations
 
 
@@ -203,13 +201,22 @@ def _choice(*options: str) -> Callable:
     return parse
 
 
-def _list_of(accepts: Callable[[object], bool], what: str) -> Callable:
+def _list_of(item: Callable, what: str) -> Callable:
+    """A list of ``what``, each entry read by ``item`` and refused in its words."""
+
     def parse(value):
-        if not isinstance(value, list) or not all(accepts(v) for v in value):
+        if not isinstance(value, list):
             raise ValueError(f"must be a list of {what}")
-        return value
+        return [item(entry) for entry in value]
 
     return parse
+
+
+def _unit(value):
+    """``value`` as given, once ``exact`` reads it as a number in [0, 1]."""
+    if not 0 <= exact(value) <= 1:
+        raise ValueError("must be a number in [0, 1]")
+    return value
 
 
 def _rate(value) -> RateSequence:
@@ -224,12 +231,6 @@ def _word(value) -> tuple[str, GroupElement]:
     if not isinstance(value, str):
         raise ValueError("must be a generator word")
     return value, parse_word(value)
-
-
-def _generators(value) -> list[tuple[str, GroupElement]]:
-    if not isinstance(value, list) or not all(isinstance(word, str) for word in value):
-        raise ValueError("must be a list of generator words")
-    return [_word(word) for word in value]
 
 
 def _run_thm_example(values: dict, rng, table: ResultTable) -> None:
@@ -271,8 +272,7 @@ def _run_genericity(values: dict, rng, table: ResultTable) -> None:
 
 def _run_rightavg(values: dict, rng, table: ResultTable) -> None:
     for n in range(1, values["nmax"] + 1):
-        box = box_folner(range(-n, n + 1))
-        mass = empirical_measure(box, hat(0)).mass_where(lambda p: p.component == CHECK)
+        mass = empirical_measure(box_folner(-n, n), hat(0)).mass_where(lambda p: p.component == CHECK)
         table.add("rightavg", n, "hat:0", "check-mass", mass, "closed-form")
         if mass != Fraction(1, 2):
             table.failures.append(f"rightavg: check mass at n={n} is {mass}, expected 1/2")
@@ -387,17 +387,9 @@ SCENARIOS = {
     "homeo-empirical": Scenario(
         _run_homeo,
         {
-            "n": Param(
-                [4, 8, 16, 32],
-                _list_of(lambda n: is_integer(n) and 2 <= n <= 64, "integers in [2, 64]"),
-            ),
-            "y": Param(
-                [0.25, 0.5, 0.75],
-                _list_of(
-                    lambda y: (is_integer(y) or isinstance(y, float)) and 0 <= y <= 1,
-                    "numbers in [0, 1]",
-                ),
-            ),
+            "n": Param([4, 8, 16, 32], _list_of(_integer(2), "integers")),
+            # Each y is kept as written: it labels its rows as y=<value>.
+            "y": Param([0.25, 0.5, 0.75], _list_of(_unit, "numbers")),
         },
     ),
     "folner-defect": Scenario(
@@ -407,7 +399,7 @@ SCENARIOS = {
             # Ceiling from timed runs on decay with s, S and f on a 2-vCPU Xeon:
             # 0.6 s to n = 32, 3.4 s to 48, 8.4 s to 64 (COUNT_MAX_N).
             "nmax": Param(4, _integer(1), _ceiling(32)),
-            "generators": Param(["s", "S", "f"], _generators),
+            "generators": Param(["s", "S", "f"], _list_of(_word, "generator words")),
         },
     ),
 }
@@ -427,20 +419,20 @@ CONFIG_KEYS = {
     "seed": Param(0, _integer(-math.inf)),
     "format": Param("csv", _choice("csv", "json")),
     "out": Param(None, _of_type((str, type(None)), "a path string")),
-    "scenarios": Param([], _list_of(lambda entry: isinstance(entry, dict), "objects")),
+    "scenarios": Param([], _list_of(_of_type(dict, "a list of objects"), "objects")),
 }
 ENTRY_KEYS = {"id": Param(None, _choice(*SCENARIOS)), "params": Param({}, _of_type(dict, "an object"))}
 
 
 def validate_config(raw: str) -> ExperimentConfig:
     """Parse and range-check a config; raises ConfigError listing every
-    violation (guard violations are prefixed so the CLI can exit 3)."""
+    violation as the CLI prints it."""
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ConfigError([f"config is not valid JSON: {exc}"])
+        raise ConfigError([f"config error: config is not valid JSON: {exc}"])
     if not isinstance(data, dict):
-        raise ConfigError(["config must be a JSON object"])
+        raise ConfigError(["config error: config must be a JSON object"])
     values, violations = resolve(CONFIG_KEYS, data, "")
     scenarios: list[ScenarioSpec] = []
     for index, entry in enumerate(values.get("scenarios", [])):
@@ -456,15 +448,7 @@ def validate_config(raw: str) -> ExperimentConfig:
 
 
 def guard_violations(error: ConfigError) -> list[str]:
-    return [v for v in error.violations if v.startswith(_GUARD_MARK)]
-
-
-def violation_message(violation: str) -> str:
-    """One violation as the CLI prints it: a guard violation as
-    ``guard violation: <where>: <message>``, any other as a config error."""
-    if violation.startswith(_GUARD_MARK):
-        return f"guard violation: {violation.removeprefix(_GUARD_MARK)}"
-    return f"config error: {violation}"
+    return [v for v in error.violations if v.startswith("guard violation: ")]
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -36,7 +36,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GuardViolation, HorizonExhausted
-from .exact import exact
+from .exact import exact, is_integer
 from .lamplighter import IDENTITY, GroupElement, compose, word_of
 
 #: Largest n for which a rate set may be materialized (|F_4| is ~5.5e8).
@@ -65,6 +65,15 @@ def _to_rate(value) -> Fraction:
     return v
 
 
+def _to_position(key) -> int:
+    """A window key as an integer position: an int, or its decimal string."""
+    if is_integer(key):
+        return key
+    if isinstance(key, str) and key.isascii() and key.removeprefix("-").isdecimal():
+        return int(key)
+    raise ValueError(f"rate window key {key!r} is not an integer position")
+
+
 @dataclass(frozen=True)
 class RateSequence:
     """A [0, 1]-valued sequence: explicit values on a finite window, a
@@ -80,7 +89,7 @@ class RateSequence:
 
     @staticmethod
     def make(default, window=None) -> "RateSequence":
-        items = tuple(sorted((int(k), _to_rate(v)) for k, v in (window or {}).items()))
+        items = tuple(sorted((_to_position(k), _to_rate(v)) for k, v in (window or {}).items()))
         return RateSequence(_to_rate(default), items)
 
     @staticmethod
@@ -196,8 +205,8 @@ class RateFolner(FolnerSet):
     def size(self) -> int:
         return (2 ** (self.n + 1) + 1) * self.cardinality
 
-    def shifts(self) -> tuple[int, ...]:
-        return tuple(range(-(2**self.n), 2**self.n + 1))
+    def shifts(self) -> range:
+        return range(-(2**self.n), 2**self.n + 1)
 
     def threshold(self, position: int) -> int:
         """c_l = ceil(r_l 4^n): word k sets window bit l (|l| <= n) iff k-1 < c_l."""
@@ -345,40 +354,37 @@ class RateFolner(FolnerSet):
 
 @dataclass(frozen=True)
 class BoxFolner(FolnerSet):
-    """All elements whose shift and flip support live inside one finite set."""
+    """All elements whose shift and flip support lie in [low, high]."""
 
-    positions: tuple[int, ...]
+    low: int
+    high: int
 
     @property
     def size(self) -> int:
-        return len(self.positions) * 2 ** len(self.positions)
+        return len(self.shifts()) * 2 ** len(self.shifts())
 
-    def shifts(self) -> tuple[int, ...]:
-        return self.positions
+    def shifts(self) -> range:
+        return range(self.low, self.high + 1)
 
     def balance(self, position: int) -> Fraction:
-        return Fraction(1, 2) if position in self.positions else Fraction(0)
+        return Fraction(1, 2) if self.low <= position <= self.high else Fraction(0)
 
     def left_share(self, g: GroupElement) -> Fraction:
-        members = set(self.positions)
-        good = sum(
-            1
-            for a in self.positions
-            if a + g.shift in members and all(d + a in members for d in g.flips)
-        )
-        return Fraction(good, len(members))
+        # Shift a keeps all its supports iff a + t is in the box for t = 0, g.shift and each flip.
+        offsets, width = (0, g.shift, *g.flips), len(self.shifts())
+        return Fraction(max(0, width - max(offsets) + min(offsets)), width)
 
     def right_share(self, g: GroupElement) -> Fraction:
-        members = set(self.positions)
-        shifted = {q + g.shift for q in members}
-        if any(d not in members and d not in shifted for d in g.flips):
+        s, box = g.shift, self.shifts()
+        if any(d not in box and d - s not in box for d in g.flips):
             return Fraction(0)
-        stable = sum(q + g.shift in members for q in self.positions)
-        # |Fg & F| = stable 2^stable out of |F| = |box| 2^|box|.
-        return Fraction(stable, len(members) * 2 ** (len(members) - stable))
+        stable = max(0, len(box) - abs(s))
+        # |Fg & F| = stable 2^stable (shifts a with a + s in the box, each with the supports that
+        # match g.flips where q + s leaves the box) out of |F| = width 2^width.
+        return Fraction(stable, len(box) * 2 ** (len(box) - stable))
 
     def materialize(self) -> tuple[GroupElement, ...]:
-        box = self.positions
+        box = self.shifts()
         if len(box) > BOX_MATERIALIZE_MAX:
             raise GuardViolation(f"box sets materialize only for |box| <= {BOX_MATERIALIZE_MAX}")
         return _sorted_elements(
@@ -416,12 +422,11 @@ def rate_folner(rate: RateSequence, n: int) -> RateFolner:
     return RateFolner(rate, n, recipe=(("kind", "rate"), ("n", str(n)), ("rate", repr(rate.to_dict()))))
 
 
-def box_folner(positions: Iterable[int]) -> BoxFolner:
-    """All elements whose shift and flip support live inside one finite set."""
-    box = tuple(sorted(set(int(p) for p in positions)))
-    if not box:
-        raise ValueError("box must be non-empty")
-    return BoxFolner(box, recipe=(("kind", "box"), ("positions", repr(list(box)))))
+def box_folner(low: int, high: int) -> BoxFolner:
+    """All elements whose shift and flip support lie in [low, high]."""
+    if low > high:
+        raise ValueError(f"a box needs low <= high, got {low} > {high}")
+    return BoxFolner(low, high, recipe=(("kind", "box"), ("positions", repr(list(range(low, high + 1))))))
 
 
 def explicit_folner(elements: Iterable[GroupElement]) -> ExplicitFolner:

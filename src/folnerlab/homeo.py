@@ -46,35 +46,27 @@ from .transport import DiscreteMeasure
 
 #: Largest base family accepted when building repelling families.
 BASE_FAMILY_GUARD = 64
+#: Largest grid n of a repelling family.  On the identity base at y = 1/3 on a
+#: 2-vCPU Xeon, ``homeo empirical`` takes 0.24 s at n = 1024, 0.85 s at 4096
+#: and 15 s at 16,384; the ``homeo-empirical`` scenario 0.6 s at 4096.
+REPELLING_MAX_N = 4096
 
 #: A map's integer form: keys and values scaled by their least common denominator.
 IntegerForm = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PLHomeo:
-    """Orientation-preserving piecewise-linear homeomorphism of [0, 1].
-    Equality and hashing read its integer form alone."""
+    """Orientation-preserving piecewise-linear homeomorphism of [0, 1],
+    given by its integer form.  Its scale D must be the least common
+    denominator of the breakpoints, so that equal maps have equal forms:
+    equality and hashing read that form alone."""
 
     #: (xs, ys, D): the breakpoints times their least common denominator D.
     integer_form: IntegerForm
 
-    def __init__(self, breakpoints: Iterable[tuple[Fraction, Fraction]]):
-        pts = tuple(breakpoints)
-        scale = math.lcm(*(c.denominator for pt in pts for c in pt))
-        xs = tuple(x.numerator * (scale // x.denominator) for x, _ in pts)
-        ys = tuple(y.numerator * (scale // y.denominator) for _, y in pts)
-        self._set_form(xs, ys, scale)
-
-    @classmethod
-    def _from_integer_form(cls, xs: tuple[int, ...], ys: tuple[int, ...], scale: int) -> "PLHomeo":
-        """The map with this integer form; ``scale`` must be the least
-        common denominator, so that equal maps have equal forms."""
-        self = cls.__new__(cls)
-        self._set_form(xs, ys, scale)
-        return self
-
-    def _set_form(self, xs: tuple[int, ...], ys: tuple[int, ...], scale: int) -> None:
+    def __post_init__(self) -> None:
+        xs, ys, scale = self.integer_form
         if len(xs) < 2 or xs[0] != 0 or ys[0] != 0:
             raise ValueError("first breakpoint must be (0, 0)")
         if xs[-1] != scale or ys[-1] != scale:
@@ -82,7 +74,6 @@ class PLHomeo:
         for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
             if not (x0 < x1 and y0 < y1):
                 raise ValueError("breakpoints must increase strictly in both coordinates")
-        object.__setattr__(self, "integer_form", (xs, ys, scale))
 
     @cached_property
     def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -107,7 +98,12 @@ class PLHomeo:
 
 
 def pl_homeo(points: Iterable[Sequence]) -> PLHomeo:
-    return PLHomeo(tuple((exact(x), exact(y)) for x, y in points))
+    """The map through the breakpoints (x, y), each read by ``exact``."""
+    pts = [(exact(x), exact(y)) for x, y in points]
+    scale = math.lcm(*(c.denominator for pt in pts for c in pt))
+    xs = tuple(x.numerator * (scale // x.denominator) for x, _ in pts)
+    ys = tuple(y.numerator * (scale // y.denominator) for _, y in pts)
+    return PLHomeo((xs, ys, scale))
 
 
 IDENTITY_MAP = pl_homeo([(0, 0), (1, 1)])
@@ -178,8 +174,8 @@ def compose_maps(outer: PLHomeo, inner: PLHomeo) -> PLHomeo:
     keys = [key * (common // den) for key, den in zip(keys, dens)]
     values = [value * (common // den) for value, den in zip(values, dens)]
     shrink = math.gcd(common, *keys, *values)
-    return PLHomeo._from_integer_form(
-        tuple(key // shrink for key in keys), tuple(value // shrink for value in values), common // shrink
+    return PLHomeo(
+        (tuple(key // shrink for key in keys), tuple(value // shrink for value in values), common // shrink)
     )
 
 
@@ -311,7 +307,7 @@ def repelling_element(x, eps) -> PLHomeo:
         ys.append(den - e)
     xs.append(den)
     ys.append(den)
-    return PLHomeo._from_integer_form(tuple(xs), tuple(ys), den)
+    return PLHomeo((tuple(xs), tuple(ys), den))
 
 
 def is_repelling(f: PLHomeo, x, eps) -> bool:
@@ -357,6 +353,8 @@ def repelling_family(base: HomeoFamily, n: int) -> HomeoFamily:
     (verified exactly)."""
     if n < 2:
         raise ValueError("n must be at least 2 (the repelling margin needs 1/n^2 < 1/2)")
+    if n > REPELLING_MAX_N:
+        raise GuardViolation(f"repelling families are built only for n <= {REPELLING_MAX_N}, got n={n}")
     if len(base.members) > BASE_FAMILY_GUARD:
         raise GuardViolation(f"base family exceeds the guard of {BASE_FAMILY_GUARD}")
     threshold = Fraction(1, n * n)

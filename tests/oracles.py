@@ -25,7 +25,7 @@ from folnerlab.errors import LipschitzViolation
 from folnerlab.folner import FolnerSet, box_folner
 from folnerlab.dynamics import empirical_measure, limit_measure
 from folnerlab.functions import TestFunction
-from folnerlab.homeo import PLHomeo, squash_margin
+from folnerlab.homeo import PLHomeo, pl_homeo, squash_margin
 from folnerlab.transport import _integer_costs
 from folnerlab.lamplighter import INF_HAT, GroupElement, act, compose, embedding, hat, metric
 
@@ -268,7 +268,7 @@ def breakpoint_xs(f: PLHomeo) -> tuple[Fraction, ...]:
 
 
 def invert(f: PLHomeo) -> PLHomeo:
-    return PLHomeo(tuple((y, x) for x, y in f.breakpoints))
+    return pl_homeo((y, x) for x, y in f.breakpoints)
 
 
 def pl_sup_distance(f, g) -> Fraction:
@@ -323,7 +323,7 @@ def repelling_breakpoints(base, n: int) -> list:
     eps = min(squash_margin(base.members, threshold), threshold)
     members = []
     for k in range(n + 1):
-        mover = PLHomeo(repelling_points(Fraction(k, n), eps))
+        mover = pl_homeo(repelling_points(Fraction(k, n), eps))
         for g in base.members:
             points = pl_compose_breakpoints(g, mover)
             if points not in members:
@@ -346,15 +346,15 @@ def limit_apply_by_measure(rate, f):
 
 
 def right_box_averages(boxes, x, f) -> list[Fraction]:
-    """Averages of f over the box family at x, one value per box."""
-    return [empirical_measure(box_folner(box), x).integrate(f) for box in boxes]
+    """Averages of f over the box family at x, one value per box (low, high)."""
+    return [empirical_measure(box_folner(low, high), x).integrate(f) for low, high in boxes]
 
 
 def box_average_tail_bound(box, x, f) -> Fraction:
     """Exact bound for |average - (f(hat inf) + f(check inf))/2| on a box
-    containing x's position: Lipschitz constant times the mean distance
-    of the shifted copies to the end."""
-    positions = sorted(set(box))
+    (low, high) containing x's position: Lipschitz constant times the mean
+    distance of the shifted copies to the end."""
+    positions = range(box[0], box[1] + 1)
     total = sum(metric(hat(x.pos - a), INF_HAT) for a in positions)
     return f.lipschitz * Fraction(total, len(positions))
 

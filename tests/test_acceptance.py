@@ -133,7 +133,7 @@ def test_acceptance_3_right_averaging_and_balance():
     start = time.monotonic()
     zero = RateSequence.constant(0)
     for n in range(1, 9):
-        box = box_folner(range(-n, n + 1))
+        box = box_folner(-n, n)
         mass = empirical_measure(box, hat(0)).mass_where(lambda p: p.component == CHECK)
         assert mass == Fraction(1, 2), n
         assert flip_balance(rate_folner(zero, n), 0) == 0, n

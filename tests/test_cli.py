@@ -1,6 +1,7 @@
 """CLI surfaces, config validation, exit codes, and determinism."""
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,14 @@ from folnerlab.experiment import (
     validate_config,
 )
 from folnerlab.folner import RateSequence, rate_folner
-from folnerlab.homeo import IDENTITY_MAP, HomeoFamily, PLHomeo, endpoint_fractions, repelling_family
+from folnerlab.homeo import (
+    IDENTITY_MAP,
+    REPELLING_MAX_N,
+    HomeoFamily,
+    PLHomeo,
+    endpoint_fractions,
+    repelling_family,
+)
 from folnerlab.lamplighter import hat, metric
 from folnerlab.transport import cost_matrix
 
@@ -353,7 +361,7 @@ def test_validate_config_rejects_bad_rate():
 def test_config_integers_refuse_booleans(tmp_path, capsys, config, field):
     with pytest.raises(ConfigError) as err:
         validate_config(json.dumps(config))
-    assert any(v.startswith(field) or f".{field}:" in v for v in err.value.violations)
+    assert any(v.startswith(f"config error: {field}") or f".{field}:" in v for v in err.value.violations)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert run_cli("experiment", "--config", str(path), "--out", str(tmp_path / "res")) == 1
@@ -521,7 +529,7 @@ def test_folner_defect_params_checked_with_the_config():
     with pytest.raises(ConfigError) as err:
         validate_config(json.dumps(flagged))
     assert err.value.violations == [
-        "scenarios[0].params.materialize: unknown parameter; accepted: rate, nmax, generators"
+        "config error: scenarios[0].params.materialize: unknown parameter; accepted: rate, nmax, generators"
     ]
     assert not guard_violations(err.value)
 
@@ -802,7 +810,7 @@ def test_match_radius_must_be_positive(capsys, radius):
     [
         (("homeo", "repel", "--x", "-1/2"), "error: x must lie in [0, 1]"),
         (("homeo", "repel", "--eps", "-1e-1"), "error: eps must lie in (0, 1/2)"),
-        (("homeo", "empirical", "--y", "-3/4"), "error: argument -3/4 outside [0, 1]"),
+        (("homeo", "empirical", "--y", "-3/4"), "usage error: argument --y: must be a number in [0, 1]"),
     ],
 )
 def test_negative_fractions_are_flag_values(capsys, argv, message):
@@ -905,10 +913,79 @@ TOP_KEYS = "accepted: seed, format, out, scenarios"
 def test_config_keys_are_checked_like_parameters(tmp_path, capsys, config, messages):
     with pytest.raises(ConfigError) as err:
         validate_config(json.dumps(config))
-    assert err.value.violations == messages
+    assert err.value.violations == [f"config error: {m}" for m in messages]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert run_cli("experiment", "--config", str(path)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "".join(f"config error: {m}\n" for m in messages)
+
+
+def test_homeo_n_and_y_read_alike_as_flags_and_in_a_config(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenarios": [{"id": "homeo-empirical", "params": {"n": [65], "y": ["1/3"]}}]}))
+    assert run_cli("experiment", "--config", str(config)) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert run_cli("homeo", "empirical", "--n", "65", "--y", "1/3") == 0
+    low = Fraction(json.loads(capsys.readouterr().out)["low_fraction"]["exact"])
+    assert f"homeo-empirical,65,y=1/3,low-endpoint-fraction,{float(low)!r},closed-form" in rows
+    assert run_cli("homeo", "empirical", "--y", "2") == 1
+    assert capsys.readouterr().err == "usage error: argument --y: must be a number in [0, 1]\n"
+    config.write_text(json.dumps({"scenarios": [{"id": "homeo-empirical", "params": {"n": [4, 1], "y": [2]}}]}))
+    assert run_cli("experiment", "--config", str(config)) == 1
+    assert capsys.readouterr().err == (
+        "config error: scenarios[0].params.n: must be an integer in [2, inf]\n"
+        "config error: scenarios[0].params.y: must be a number in [0, 1]\n"
+    )
+
+
+def test_repelling_families_stop_at_one_ceiling(tmp_path, capsys):
+    over = str(REPELLING_MAX_N + 1)
+    message = f"guard violation: repelling families are built only for n <= {REPELLING_MAX_N}, got n={over}\n"
+    assert run_cli("homeo", "empirical", "--n", over) == 3
+    assert capsys.readouterr().err == message
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenarios": [{"id": "homeo-empirical", "params": {"n": [int(over)]}}]}))
+    assert run_cli("experiment", "--config", str(config)) == 3
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("folner", "build", "--kind", "box", "--a-min", "-10000", "--a-max", "10000"),
+        ("homeo", "empirical", "--n", "1778", "--y", "0.5"),
+    ],
+    ids=["box-size", "homeo-distance"],
+)
+def test_results_past_the_print_limit_are_guard_violations(capsys, argv):
+    assert run_cli(*argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"guard violation: the result holds a number of more than {sys.get_int_max_str_digits()} digits, "
+        "the print limit\n"
+    )
+
+
+def test_measure_and_family_files_refuse_extra_keys(tmp_path, capsys):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps([{"point": "1/2", "mass": 1, "weight": 2}]))
+    assert run_cli("transport", "wasserstein", "--mu", str(mu), "--nu", str(mu)) == 1
+    assert capsys.readouterr().err == f"error: {mu} must hold a JSON list of objects with exactly the keys point, mass\n"
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps([{"breakpoints": [[0, 0], [1, 1]], "label": "identity"}]))
+    assert run_cli("homeo", "match", "--base", str(base)) == 1
+    assert capsys.readouterr().err == f"error: {base} must hold a JSON list of objects with exactly the keys breakpoints\n"
+
+
+@pytest.mark.parametrize("key", ["x", "1.5"])
+def test_a_rate_window_key_is_named_when_refused(tmp_path, capsys, key):
+    config = {"scenarios": [{"id": "genericity", "params": {"rate": {"window": {key: "1/2"}}}}]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("experiment", "--config", str(path)) == 1
+    assert capsys.readouterr().err == (
+        f"config error: scenarios[0].params.rate: rate window key {key!r} is not an integer position\n"
+    )

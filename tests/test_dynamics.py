@@ -58,7 +58,7 @@ PRESETS = {"zero": ZERO, "half": HALF, "decay": RateSequence.decay(), "split": R
 
 
 def test_empirical_fixed_points():
-    for folner in (rate_folner(HALF, 2), box_folner(range(-2, 3))):
+    for folner in (rate_folner(HALF, 2), box_folner(-2, 2)):
         assert empirical_measure(folner, INF_HAT) == DiscreteMeasure.point_mass(INF_HAT)
         assert empirical_measure(folner, INF_CHECK) == DiscreteMeasure.point_mass(INF_CHECK)
 
@@ -72,7 +72,7 @@ def test_empirical_counting_matches_enumeration():
                 counted = dict(empirical_measure(virtual, x).atoms)
                 enumerated = dict(empirical_measure(materialized, x).atoms)
                 assert counted == enumerated
-    box_virtual = box_folner(range(-2, 3))
+    box_virtual = box_folner(-2, 2)
     box_materialized = explicit_folner(box_virtual.materialize())
     for x in (hat(0), check(2), hat(5)):
         assert dict(empirical_measure(box_virtual, x).atoms) == dict(
@@ -84,7 +84,7 @@ def test_empirical_check_mass():
     mu = empirical_measure(rate_folner(HALF, 1), hat(0))
     assert mu.mass_where(lambda p: p.component == CHECK) == Fraction(1, 2)
     for n in (1, 2, 3):
-        nu = empirical_measure(box_folner(range(-n, n + 1)), hat(0))
+        nu = empirical_measure(box_folner(-n, n), hat(0))
         assert nu.mass_where(lambda p: p.component == CHECK) == Fraction(1, 2)
 
 
@@ -98,7 +98,7 @@ def test_full_rate_toggles_everything():
 
 def test_average_two_evaluation_orders_agree():
     f = affine(1, Fraction(1, 2), Fraction(-1, 3))
-    for folner in (rate_folner(HALF, 1), box_folner(range(-1, 2))):
+    for folner in (rate_folner(HALF, 1), box_folner(-1, 1)):
         elements = folner.materialize()
         for x in (hat(0), check(1), INF_CHECK):
             via_measure = empirical_measure(folner, x).integrate(f)
@@ -109,7 +109,7 @@ def test_average_two_evaluation_orders_agree():
 
 def test_average_of_constant():
     assert empirical_measure(rate_folner(HALF, 2), hat(3)).integrate(constant(7)) == 7
-    assert empirical_measure(box_folner(range(-1, 2)), INF_CHECK).integrate(ends_separator()) == 1
+    assert empirical_measure(box_folner(-1, 1), INF_CHECK).integrate(ends_separator()) == 1
 
 
 def test_limit_measure_cases():
@@ -178,7 +178,7 @@ def test_genericity_translated_sequence():
 
 def test_right_box_averages():
     separator = ends_separator()
-    boxes = [range(-n, n + 1) for n in (1, 2, 3, 4)]
+    boxes = [(-n, n) for n in (1, 2, 3, 4)]
     values = right_box_averages(boxes, hat(0), separator)
     assert values == [Fraction(1, 2)] * 4  # check mass is exactly one half
     assert right_box_averages(boxes, INF_CHECK, separator) == [1, 1, 1, 1]
@@ -189,7 +189,7 @@ def test_right_box_average_tail_bound():
     target = (Fraction(f(INF_HAT)) + Fraction(f(INF_CHECK))) / 2
     previous_bound = None
     for n in (1, 2, 4, 8):
-        box = range(-n, n + 1)
+        box = (-n, n)
         value = right_box_averages([box], hat(0), f)[0]
         bound = box_average_tail_bound(box, hat(0), f)
         assert abs(value - target) <= bound

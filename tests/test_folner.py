@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -129,14 +130,14 @@ def test_rate_folner_materialize_guard():
 
 def test_box_materialize_guard():
     with pytest.raises(GuardViolation):
-        box_folner(range(23)).materialize()
+        box_folner(0, 22).materialize()
 
 
 def test_box_folner_examples():
-    assert set(box_folner([0]).materialize()) == {GroupElement(0, ()), GroupElement(0, (0,))}
-    assert box_folner(range(-2, 3)).size == 5 * 32
-    for positions in ([0, 1], [-1, 1], [2, 5, 7]):
-        assert (IDENTITY in box_folner(positions).materialize()) == (0 in positions)
+    assert set(box_folner(0, 0).materialize()) == {GroupElement(0, ()), GroupElement(0, (0,))}
+    assert box_folner(-2, 2).size == 5 * 32
+    for low, high in ((0, 1), (-1, 1), (2, 7)):
+        assert (IDENTITY in box_folner(low, high).materialize()) == (low <= 0 <= high)
 
 
 def test_left_defect_sigma_closed_form():
@@ -149,7 +150,7 @@ def test_left_defect_sigma_closed_form():
 
 def test_left_defect_identity():
     assert left_defect(rate_folner(HALF, 2), IDENTITY) == 0
-    assert right_defect(box_folner(range(-1, 2)), IDENTITY) == 0
+    assert right_defect(box_folner(-1, 1), IDENTITY) == 0
 
 
 def test_left_defect_flip_against_enumeration():
@@ -213,27 +214,48 @@ def test_right_defect_out_of_bounds_flip():
 
 
 def test_box_defect_formulas_against_enumeration():
-    for positions in ([0], [-1, 0, 1], [0, 2, 3]):
-        folner = box_folner(positions)
+    for low, high in ((0, 0), (-1, 1), (2, 3)):
+        folner = box_folner(low, high)
         for g in (SIGMA, FLIP, GroupElement(0, (1,)), parse_word("s f"), parse_word("S S f")):
             assert left_defect(folner, g) == brute_defect(folner, g, "left")
             assert right_defect(folner, g) == brute_defect(folner, g, "right")
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-6, 6),
+    st.integers(0, 4),
+    st.integers(-7, 7),
+    st.lists(st.integers(-8, 8), unique=True, max_size=4),
+)
+def test_box_defects_in_closed_form_match_enumeration(low, extra, shift, flips):
+    # shifts past the width and flips outside the box included
+    folner = box_folner(low, low + extra)
+    g = GroupElement(shift, tuple(sorted(flips)))
+    assert left_defect(folner, g) == brute_defect(folner, g, "left")
+    assert right_defect(folner, g) == brute_defect(folner, g, "right")
+
+
 def test_box_right_defect_flip_zero():
     for n in range(1, 5):
-        assert right_defect(box_folner(range(-n, n + 1)), FLIP) == 0
+        assert right_defect(box_folner(-n, n), FLIP) == 0
 
 
 def test_flip_balance():
     for n in (1, 2, 3):
         assert abs(flip_balance(rate_folner(HALF, n), 0) - Fraction(1, 2)) <= Fraction(1, 4**n)
         assert flip_balance(rate_folner(ZERO, n), 0) == 0
-        box = box_folner(range(-n, n + 1))
+        box = box_folner(-n, n)
         for b in range(-n, n + 1):
             assert flip_balance(box, b) == Fraction(1, 2)
         assert flip_balance(box, n + 1) == 0
     assert flip_balance(rate_folner(HALF, 2), 99) == 0
+
+
+@pytest.mark.parametrize("key", ["x", "1.5", "", "+1", True])
+def test_rate_window_keys_are_integer_positions(key):
+    with pytest.raises(ValueError, match=re.escape(f"rate window key {key!r} is not an integer position")):
+        RateSequence.make(0, {key: "1/2"})
 
 
 def test_flip_balance_explicit():

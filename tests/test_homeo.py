@@ -49,7 +49,7 @@ def random_homeo(rng, max_breaks=3):
     xs = sorted(rng.sample([Fraction(i, 12) for i in range(1, 12)], count))
     ys = sorted(rng.sample([Fraction(i, 12) for i in range(1, 12)], count))
     pts = [(Fraction(0), Fraction(0))] + list(zip(xs, ys)) + [(Fraction(1), Fraction(1))]
-    return PLHomeo(tuple(pts))
+    return pl_homeo(pts)
 
 
 def test_validation():
@@ -278,7 +278,7 @@ INTERIOR = st.builds(Fraction, st.integers(1, 29), st.integers(2, 30)).filter(la
 def pl_maps(draw, max_breaks=4):
     xs = sorted(draw(st.lists(INTERIOR, unique=True, max_size=max_breaks)))
     ys = sorted(draw(st.lists(INTERIOR, unique=True, min_size=len(xs), max_size=len(xs))))
-    return PLHomeo(((Fraction(0), Fraction(0)), *zip(xs, ys), (Fraction(1), Fraction(1))))
+    return pl_homeo(((Fraction(0), Fraction(0)), *zip(xs, ys), (Fraction(1), Fraction(1))))
 
 
 @settings(max_examples=100, deadline=None)
@@ -308,7 +308,7 @@ def test_early_exit_predicate_matches_reference(f, g, extra):
 @given(pl_maps(), pl_maps())
 def test_compose_matches_pointwise_formula(outer, inner):
     composed = compose_maps(outer, inner)
-    reference = PLHomeo(pl_compose_breakpoints(outer, inner))
+    reference = pl_homeo(pl_compose_breakpoints(outer, inner))
     assert composed.breakpoints == reference.breakpoints
     # the lcm-gcd reduction yields the canonical form, so equality and hashing agree
     assert composed.integer_form == reference.integer_form and hash(composed) == hash(reference)
@@ -322,6 +322,23 @@ def test_serialization_roundtrip_property(f):
     assert again.integer_form == f.integer_form
 
 
+@settings(max_examples=100, deadline=None)
+@given(pl_maps())
+def test_a_map_is_its_integer_form(f):
+    again, read = PLHomeo(f.integer_form), pl_homeo(f.breakpoints)
+    assert again == read == f and hash(again) == hash(read) == hash(f)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [((0, 1), (0, 2), 2), ((1, 2), (0, 2), 2), ((0, 1, 1, 2), (0, 1, 2, 2), 2), ((0,), (0,), 1)],
+    ids=["end-off-the-diagonal", "start-off-the-origin", "repeated-key", "one-point"],
+)
+def test_integer_forms_are_checked(form):
+    with pytest.raises(ValueError):
+        PLHomeo(form)
+
+
 @settings(max_examples=200, deadline=None)
 @given(pl_maps(1), pl_maps(1))
 def test_equality_and_hashing_follow_the_breakpoints(f, g):
@@ -329,7 +346,7 @@ def test_equality_and_hashing_follow_the_breakpoints(f, g):
     if f == g:
         assert hash(f) == hash(g)
     # composing with the identity runs the sweep and its lcm-gcd reduction
-    for same in (compose_maps(f, IDENTITY_MAP), compose_maps(IDENTITY_MAP, f), PLHomeo(f.breakpoints)):
+    for same in (compose_maps(f, IDENTITY_MAP), compose_maps(IDENTITY_MAP, f), pl_homeo(f.breakpoints)):
         assert same == f and hash(same) == hash(f) and same.integer_form == f.integer_form
 
 
@@ -396,7 +413,7 @@ def test_is_repelling_at_exact_ties(f, t):
 @settings(max_examples=100, deadline=None)
 @given(UNIT, EPS)
 def test_repelling_element_matches_its_fraction_breakpoints(x, eps):
-    reference = PLHomeo(repelling_points(x, eps))
+    reference = pl_homeo(repelling_points(x, eps))
     g = repelling_element(x, eps)
     assert g.integer_form == reference.integer_form and g.breakpoints == reference.breakpoints
     assert is_repelling(g, x, eps)
