@@ -45,8 +45,9 @@ GENERATORS = (SIGMA, SIGMA_INV, FLIP)
 
 #: Largest n whose empirical measure (2^(n+2) + 2 atoms) is built for a
 #: genericity row or an average.  Row n solves an atoms x 2 simplex from
-#: its optimal start basis; on a 2-core Xeon one row took 0.2 s at n = 10
-#: (4098 x 2), and ``dynamics met`` to n = 10 took 17 s, doubling per step.
+#: its optimal start basis; on a 2-vCPU Xeon under Python 3.11 one row took
+#: 0.03 s at n = 10 (4098 x 2), and ``dynamics met --preset r-decay --g s``
+#: to n = 10 took 6.4 s, doubling per step.
 GENERICITY_MAX_N = 10
 #: The example cases' rates are explicit on |position| <= CASE_WIDTH, the
 #: largest bound their verdicts may be checked on.
@@ -71,13 +72,13 @@ def empirical_measure(folner: FolnerSet, x: Point) -> DiscreteMeasure:
     if shifts is not None:
         toggled = flip_balance(folner, x.pos)
         weight = Fraction(1, len(shifts))
-        pairs = []
-        for a in shifts:
-            if toggled < 1:
-                pairs.append((Point(x.component, x.pos - a), (1 - toggled) * weight))
-            if toggled > 0:
-                pairs.append((Point(_other(x.component), x.pos - a), toggled * weight))
-        return DiscreteMeasure.from_pairs(pairs)
+        # (component, mass) of each averaged point, the same for every shift
+        parts = [(x.component, (1 - toggled) * weight)] if toggled < 1 else []
+        if toggled > 0:
+            parts.append((_other(x.component), toggled * weight))
+        return DiscreteMeasure.from_pairs(
+            (Point(component, x.pos - a), mass) for a in shifts for component, mass in parts
+        )
     return DiscreteMeasure.uniform([act(g, x) for g in folner.materialize()])
 
 
@@ -139,17 +140,19 @@ class GenericityRow:
     check_mass: Fraction
 
 
-def _genericity_rows(n: int) -> int:
-    """Atoms of the n-th empirical measure: two per shift in [-2^n, 2^n]."""
-    return 2 * (2 ** (n + 1) + 1)
+def _genericity_atoms(n: int) -> str:
+    """Atoms of the n-th empirical measure, two per shift in [-2^n, 2^n]:
+    2^(n+2) + 2, written out while it has at most 20 digits and as the
+    formula past that, so no guard message builds a huge integer."""
+    return str(2 ** (n + 2) + 2) if n <= 64 else f"(2^{n + 2} + 2)"
 
 
 def genericity_guard(n: int) -> None:
     """Refuse a genericity row whose transportation simplex is over the guard."""
     if n > GENERICITY_MAX_N:
         raise GuardViolation(
-            f"n = {n} needs a {_genericity_rows(n)}x2 transportation simplex; the simplex size "
-            f"guard allows n <= {GENERICITY_MAX_N} ({_genericity_rows(GENERICITY_MAX_N)}x2), got {n}"
+            f"n = {n} needs a {_genericity_atoms(n)}x2 transportation simplex; the simplex size "
+            f"guard allows n <= {GENERICITY_MAX_N} ({_genericity_atoms(GENERICITY_MAX_N)}x2), got {n}"
         )
 
 
@@ -157,8 +160,8 @@ def averaging_guard(n: int) -> None:
     """Refuse averages over an empirical measure past GENERICITY_MAX_N."""
     if n > GENERICITY_MAX_N:
         raise GuardViolation(
-            f"n = {n} averages over {_genericity_rows(n)}-atom empirical measures; the guard "
-            f"allows n <= {GENERICITY_MAX_N} ({_genericity_rows(GENERICITY_MAX_N)} atoms), got {n}"
+            f"n = {n} averages over {_genericity_atoms(n)}-atom empirical measures; the guard "
+            f"allows n <= {GENERICITY_MAX_N} ({_genericity_atoms(GENERICITY_MAX_N)} atoms), got {n}"
         )
 
 

@@ -144,7 +144,11 @@ def metric(x: Point, y: Point) -> Fraction:
     With d_a = 1 + |a| and s_a = sign(a) the within-component distance is
     (|d_b - d_a| + |s_a d_b - s_b d_a|) / (4 d_a d_b) between finite a and b,
     (1 + |s_a|) / (4 d_a) from a to infinity, and 0 at equal positions;
-    each case is one Fraction built from integers."""
+    each case is one Fraction built from integers.
+
+    ``metric.integer_block`` gives a whole cost block at once, as integers
+    over 4 L with L the lcm of d over the block's finite points, without a
+    Fraction per cell."""
     if x.component != y.component:
         return Fraction(1)
     a, b = x.pos, y.pos
@@ -157,6 +161,36 @@ def metric(x: Point, y: Point) -> Fraction:
         return Fraction(1 + abs(sa), 4 * da)
     db, sb = 1 + abs(b), (b > 0) - (b < 0)
     return Fraction(abs(db - da) + abs(sa * db - sb * da), 4 * da * db)
+
+
+def _integer_block(sources, targets) -> tuple[list[list[int]], int]:
+    """The costs ``metric(p, q)`` for every source p (row) and target q
+    (column) as integers over one scale: (rows, scale) with
+    rows[i][j] / scale == metric(sources[i], targets[j]).
+
+    The metric is a quarter of the l1 distance of the planar embeddings
+    (1/d, s/d), d = 1 + |pos|, s = sign(pos), with the ends at (0, 0).
+    With L the lcm of d over the finite points of both lists, L times an
+    embedding is the integer pair (k, s k), k = L/d, so over the scale 4 L
+    a cell within a component is |k_a - k_b| + |s_a k_a - s_b k_b| and a
+    cell across components is the scale itself."""
+    lcm = math.lcm(*{1 + abs(p.pos) for p in (*sources, *targets) if p.pos != INF})
+    scale = 4 * lcm
+
+    def scaled(p: Point) -> tuple[str, int, int]:
+        if p.pos == INF:
+            return p.component, 0, 0
+        k = lcm // (1 + abs(p.pos))
+        return p.component, k, k if p.pos > 0 else -k if p.pos < 0 else 0
+
+    cols = [scaled(q) for q in targets]
+    return [
+        [abs(xa - xb) + abs(ya - yb) if ca == cb else scale for cb, xb, yb in cols]
+        for ca, xa, ya in map(scaled, sources)
+    ], scale
+
+
+metric.integer_block = _integer_block
 
 
 _TOKENS = {"f": FLIP, "s": SIGMA, "S": SIGMA_INV}

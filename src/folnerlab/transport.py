@@ -19,10 +19,15 @@ finite size the permutation form and the transport distance agree
 (Birkhoff), which the test suite checks against a factorial brute force,
 the expanded Hungarian solve and a basis-enumeration oracle.
 
-The simplex scales its rational inputs to integers at entry (costs by
-the lcm of their denominators, masses by the lcm of theirs), runs on
-Python ``int`` and divides back at exit, so results stay exact and no
-``Fraction`` is built inside a pivot.
+The simplex runs on Python ``int`` and divides back at exit, so results
+stay exact and no ``Fraction`` is built inside a pivot.  Its costs are
+integers over one scale at entry.  A metric that declares an
+``integer_block`` (``lamplighter.metric`` does) gives them directly, with
+no ``Fraction`` per cell; any other metric is called cell by cell, each
+value checked, and the costs are scaled by the lcm of their
+denominators.  Either way each integer cost is the same positive
+multiple of the exact cost, so the pivots and the plans are the same.
+Masses are scaled by the lcm of theirs.
 """
 
 from __future__ import annotations
@@ -40,8 +45,9 @@ from .folner import FolnerSet
 
 #: Largest transport ``assignment_distance`` solves, in cells |F.x| x |F.y|
 #: over the distinct orbit points.  A set whose orbit points are all
-#: distinct is the costly case: on a 2-core Xeon one such set took 1.2 s at
-#: 300 x 300 points (90,000 cells), 3.3 s at 400 x 400 and 42 s at 1000 x 1000.
+#: distinct is the costly case: on a 2-vCPU Xeon under Python 3.11 the
+#: shifts 0..k-1 (x = hat(0), y = hat(3)) took 0.9 s at 300 x 300 points
+#: (90,000 cells) and 2.0 s at 400 x 400, nearly all of it in pivots.
 ASSIGNMENT_GUARD = 90_000
 
 
@@ -59,6 +65,16 @@ def _checked_cost(dist, x, y) -> Fraction:
 def cost_matrix(sources: Sequence, targets: Sequence, dist: Callable) -> list[list[Fraction]]:
     """Exact costs dist(p, q) for every source p (row) and target q (column)."""
     return [[_checked_cost(dist, p, q) for q in targets] for p in sources]
+
+
+def _scaled_costs(sources: Sequence, targets: Sequence, dist: Callable) -> tuple[list[list[int]], int]:
+    """The costs dist(p, q) as integer rows over one scale: from the
+    metric's ``integer_block`` when it declares one, else checked cell by
+    cell and scaled by the lcm of their denominators."""
+    block = getattr(dist, "integer_block", None)
+    if block is not None:
+        return block(sources, targets)
+    return _integer_costs(cost_matrix(sources, targets, dist))
 
 
 @dataclass(frozen=True)
@@ -237,7 +253,7 @@ def _check_marginals(flow: dict[tuple[int, int], int], supplies, demands) -> Non
                 raise ValueError(f"{kind} marginal {k} is {got}, expected {want} (scaled)")
 
 
-def transportation_plan(supplies, demands, costs):
+def transportation_plan(supplies, demands, costs, cost_scale=None):
     """Exact minimum-cost transportation: ``_start_basis``, then simplex
     pivots with Bland's rule (first negative reduced cost enters, smallest
     tied minus-cell leaves).  Returns (value, flows dict).  Two columns
@@ -248,15 +264,20 @@ def transportation_plan(supplies, demands, costs):
 
     The solve runs on integer-scaled costs and masses; positive scaling
     keeps every comparison, so the pivots are those of the rational
-    problem.  The basis is a spanning tree on rows 0..m-1 and columns
-    m..m+n-1, hung from row 0 with parent links and depths; a start that
-    is not one raises ``InvariantViolation`` before any pivot.  Each pivot
-    re-hangs only the subtree the leaving cell cuts off from row 0; its
-    potentials, recomputed from the tree equations, shift by the entering
-    cell's reduced cost, and no other potential moves.
+    problem.  ``costs`` holds rationals, or, with ``cost_scale``, integers
+    that stand for themselves over ``cost_scale``.  The basis is a spanning
+    tree on rows 0..m-1 and columns m..m+n-1, hung from row 0 with parent
+    links and depths; a start that is not one raises ``InvariantViolation``
+    before any pivot.  Each pivot re-hangs only the subtree the leaving
+    cell cuts off from row 0; its potentials, recomputed from the tree
+    equations, shift by the entering cell's reduced cost, and no other
+    potential moves.
     """
     m, n = len(supplies), len(demands)
-    cost, cost_scale = _integer_costs(costs)
+    if cost_scale is None:
+        cost, cost_scale = _integer_costs(costs)
+    else:
+        cost = costs
     masses, mass_scale = _integer_scaled([*supplies, *demands])
     flow = _start_basis(masses[:m], masses[m:], cost)
     adj: list[set[int]] = [set() for _ in range(m + n)]
@@ -357,11 +378,23 @@ def wasserstein(
     mu: DiscreteMeasure, nu: DiscreteMeasure, dist: Callable
 ) -> tuple[Fraction, TransportPlan]:
     """Exact optimal-transport distance and an optimal plan."""
-    costs = cost_matrix(mu.support(), nu.support(), dist)
+    costs, scale = _scaled_costs(mu.support(), nu.support(), dist)
     supplies = [mass for _, mass in mu.atoms]
     demands = [mass for _, mass in nu.atoms]
-    value, flow = transportation_plan(supplies, demands, costs)
+    value, flow = transportation_plan(supplies, demands, costs, cost_scale=scale)
     return value, TransportPlan(tuple(sorted((i, j, q) for (i, j), q in flow.items())))
+
+
+def _pair_costs(points: Sequence, dist: Callable) -> tuple[list[int], int]:
+    """dist(p_a, p_b) for a < b, row by row, as integers over one scale."""
+    block = getattr(dist, "integer_block", None)
+    if block is not None:
+        rows, scale = block(points, points)
+        return [c for a, row in enumerate(rows) for c in row[a + 1 :]], scale
+    size = len(points)
+    return _integer_scaled(
+        _checked_cost(dist, points[a], points[b]) for a in range(size) for b in range(a + 1, size)
+    )
 
 
 def dual_lower_bound(
@@ -374,9 +407,11 @@ def dual_lower_bound(
     is 1-Lipschitz on every pair of support points.  Always a lower bound
     for the transport distance.
 
-    The metric is called once per pair of the P support points, at the
-    first witness, and the P(P-1)/2 costs are kept as one flat list of
-    integers over a common scale for the later witnesses: O(P^2) memory."""
+    The P(P-1)/2 costs of the pairs of the P support points are built at
+    the first witness and kept as one flat list of integers over a common
+    scale for the later witnesses: O(P^2) memory.  They are taken from the
+    metric's ``integer_block`` when it declares one, else the metric is
+    called once per pair."""
     points = list(dict.fromkeys(mu.support() + nu.support()))
     size = len(points)
     costs = None
@@ -387,11 +422,7 @@ def dual_lower_bound(
             raise LipschitzViolation(f"witness declares Lipschitz constant {declared} > 1")
         values = {p: exact(f(p)) for p in points}
         if costs is None:
-            costs, cost_scale = _integer_scaled(
-                _checked_cost(dist, points[a], points[b])
-                for a in range(size)
-                for b in range(a + 1, size)
-            )
+            costs, cost_scale = _pair_costs(points, dist)
         scaled, value_scale = _integer_scaled(values.values())
         # |f(p) - f(q)| <= d(p, q), both sides over value_scale * cost_scale
         pair_costs = iter(costs)

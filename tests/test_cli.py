@@ -505,6 +505,15 @@ def test_dynamics_generic_guard_exit_code(capsys):
     assert "8194x2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("action, size", [("generic", "(2^100002 + 2)x2"), ("met", "(2^100002 + 2)-atom")])
+def test_guard_messages_past_the_print_limit(capsys, action, size):
+    """2^100002 has more digits than Python prints, so the guard names the
+    size as a formula and still exits 3."""
+    assert run_cli("dynamics", action, "--preset", "r-decay", "--nmax", "100000") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("guard violation: ") and "n = 100000" in err and size in err
+
+
 def test_dynamics_generic_runs_past_the_old_guard(capsys):
     assert run_cli("dynamics", "generic", "--preset", "r-decay", "--nmax", "8") == 0
     rows = capsys.readouterr().out.splitlines()

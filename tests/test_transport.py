@@ -1,5 +1,6 @@
 """Exact transport: plans, duals, assignment, and their cross-checks."""
 
+import functools
 import json
 import math
 import random
@@ -240,13 +241,14 @@ def test_assignment_equals_wasserstein_of_empirical():
 def test_assignment_guard(monkeypatch):
     """One shift more than the guard's square side sends x and y to that
     many distinct points each, just past the guard: refused before any cost
-    or solve."""
+    (from the metric's block or cell by cell) or solve."""
     side = math.isqrt(ASSIGNMENT_GUARD) + 1
     folner = explicit_folner(GroupElement(a, ()) for a in range(side))
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("the guard let the transport run")
 
+    monkeypatch.setattr(metric, "integer_block", refuse)
     monkeypatch.setattr(transport, "cost_matrix", refuse)
     monkeypatch.setattr(transport, "transportation_plan", refuse)
     with pytest.raises(GuardViolation, match=f"{side} x {side} distinct orbit points"):
@@ -691,6 +693,75 @@ def test_dual_error_order_and_exact_bound():
     over = lambda z: metric(z, hat(0)) * (1 + Fraction(1, 10**9))
     with pytest.raises(LipschitzViolation, match="1-Lipschitz bound on"):
         dual_lower_bound(mu, nu, [over], metric)
+
+
+#: Positions near the origin (many tied costs) and far out (large lcms).
+POSITIONS = st.one_of(st.integers(-3, 3), st.integers(-(10**6), 10**6))
+POINTS = st.one_of(
+    st.sampled_from([INF_HAT, INF_CHECK]),
+    st.builds(lambda hatted, pos: (hat if hatted else check)(pos), st.booleans(), POSITIONS),
+)
+#: Few distinct points, so measures share atoms and costs tie.
+TIED_POINTS = st.one_of(st.sampled_from([INF_HAT, INF_CHECK]), FINITE_POINTS)
+
+
+def checked(p, q):
+    """The lamplighter metric without its integer block: the cell-by-cell path."""
+    return metric(p, q)
+
+
+@st.composite
+def measures(draw, points=TIED_POINTS):
+    atoms = draw(st.lists(st.tuples(points, st.integers(1, 4)), min_size=1, max_size=6))
+    total = sum(w for _, w in atoms)
+    return DiscreteMeasure.from_pairs((p, Fraction(w, total)) for p, w in atoms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(POINTS, min_size=1, max_size=7), st.lists(POINTS, min_size=1, max_size=7))
+def test_integer_block_cells_are_the_metric(sources, targets):
+    sources = sources + sources[:2]  # duplicates
+    rows, scale = metric.integer_block(sources, targets)
+    assert [len(row) for row in rows] == [len(targets)] * len(sources)
+    assert all(isinstance(c, int) for row in rows for c in row)
+    for p, row in zip(sources, rows):
+        assert [Fraction(c, scale) for c in row] == [metric(p, q) for q in targets]
+
+
+def test_integer_block_is_carried_by_wrappers():
+    """``functools.wraps`` copies the block, so a wrapped metric takes the
+    same path as the plain one."""
+    traced = functools.wraps(metric)(lambda p, q: metric(p, q))
+    assert traced.integer_block is metric.integer_block
+    assert not hasattr(checked, "integer_block")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([TIED_POINTS, POINTS]).flatmap(lambda points: st.tuples(measures(points), measures(points))))
+def test_wasserstein_from_the_block_equals_the_checked_path(pair):
+    mu, nu = pair
+    supplies = [m for _, m in mu.atoms]
+    demands = [m for _, m in nu.atoms]
+    value, flows = transportation_plan(supplies, demands, cost_matrix(mu.support(), nu.support(), metric))
+    want = TransportPlan(tuple(sorted((i, j, q) for (i, j), q in flows.items())))
+    assert wasserstein(mu, nu, metric) == (value, want)
+    assert wasserstein(mu, nu, checked) == (value, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(measures(), measures(), st.lists(TIED_POINTS, max_size=3), st.integers(0, 10**9))
+def test_dual_bound_from_the_block_equals_the_checked_path(mu, nu, anchors, excess):
+    """Equal bounds, or the same Lipschitz violation on the same pair."""
+    witnesses = [ends_separator()] + [(lambda a: (lambda z: metric(z, a)))(a) for a in anchors]
+    if excess:
+        witnesses.append(lambda z: metric(z, INF_HAT) * (1 + Fraction(1, excess)))
+    outcomes = []
+    for dist in (metric, checked):
+        try:
+            outcomes.append(dual_lower_bound(mu, nu, witnesses, dist))
+        except LipschitzViolation as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def _drop_one_zero_cell(start):
