@@ -38,15 +38,7 @@ from .errors import ConfigError, GuardViolation
 from .exact import exact, is_integer
 from .folner import RateSequence, box_folner, flip_balance, left_defect, rate_folner, right_defect
 from .functions import ends_separator, random_affine
-from .homeo import (
-    HomeoFamily,
-    IDENTITY_MAP,
-    end_mixture,
-    endpoint_fractions,
-    interval_distance,
-    interval_empirical,
-    repelling_family,
-)
+from .homeo import HomeoFamily, IDENTITY_MAP, orbit_to_ends, repelling_family
 from .lamplighter import (
     CHECK,
     FLIP,
@@ -321,28 +313,15 @@ def _run_averaging(values: dict, rng, table: ResultTable) -> None:
 
 def _run_homeo(values: dict, rng, table: ResultTable) -> None:
     """Orbit measures of y under the identity's repelling grid families,
-    checked against W_n <= 1/n^2 + 3/(n + 1) to (1 - y) delta_0 + y delta_1.
-    W_n need not decrease in n: at y = 5/16 it rises from n = 8 to 16.
-    Member g_k, k = 0..n, is (k/n, 1/n^2)-repelling: g_k(y) lies within
-    1/n^2 of 1 if k/n <= y - 1/n^2, of 0 if k/n >= y + 1/n^2, and at most
-    one k is in between.  Moving each atom to its nearer end costs at most
-    1/n^2 + 1/(n + 1).  The end 1 then holds h/(n + 1), h being the count
-    of the first kind, in [ny - 1/n, ny + 1 - 1/n], plus at most one; so
-    |h - (n + 1)y| < 2, and evening out the ends costs under 2/(n + 1).
-    """
+    checked against the bound of ``orbit_to_ends``."""
     base = HomeoFamily((IDENTITY_MAP,), "identity")
     families = {n: repelling_family(base, n) for n in values["n"]}
     for y in values["y"]:
         for n in values["n"]:
-            family = families[n]
-            low, high = endpoint_fractions(family, y)
+            _, low, high, value, bound = orbit_to_ends(families[n], y)
             table.add("homeo-empirical", n, f"y={y}", "low-endpoint-fraction", low, "closed-form")
             table.add("homeo-empirical", n, f"y={y}", "high-endpoint-fraction", high, "closed-form")
-            value, _ = wasserstein(interval_empirical(family, y), end_mixture(y), interval_distance)
-            table.add(
-                "homeo-empirical", n, f"y={y}", "w-to-end-mixture", value, "brute-force-oracle"
-            )
-            bound = Fraction(1, n * n) + Fraction(3, n + 1)
+            table.add("homeo-empirical", n, f"y={y}", "w-to-end-mixture", value, "brute-force-oracle")
             if value > bound:
                 table.failures.append(f"homeo-empirical: distance exceeds {bound} at n={n}, y={y}")
 

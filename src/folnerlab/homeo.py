@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardViolation, InvariantViolation
 from .exact import exact
-from .transport import DiscreteMeasure
+from .transport import DiscreteMeasure, wasserstein
 
 #: Largest base family accepted when building repelling families.
 BASE_FAMILY_GUARD = 64
@@ -405,3 +405,22 @@ def end_mixture(y) -> DiscreteMeasure:
     """(1 - y) delta_0 + y delta_1."""
     y = exact(y)
     return DiscreteMeasure.from_pairs(((Fraction(0), 1 - y), (Fraction(1), y)))
+
+
+def orbit_to_ends(family: HomeoFamily, y) -> tuple[DiscreteMeasure, Fraction, Fraction, Fraction, Fraction]:
+    """The orbit measure of y under a repelling family, its endpoint
+    fractions, its distance W to (1 - y) delta_0 + y delta_1, and the bound
+    1/n^2 + 3/(n + 1) on W, which holds for any base.  A map that is
+    (x, 1/n^2)-repelling at two grid points would send the points between
+    them near both 0 and 1, so members at distinct grid points differ; and
+    g -> g o mover is injective, so each of the n + 1 grid points has mass
+    1/(n + 1).  A member at k/n sends y within 1/n^2 of 1 if k/n <= y - 1/n^2,
+    of 0 if k/n >= y + 1/n^2, and at most one k is in between; moving each
+    atom to its nearer end costs at most 1/n^2 + 1/(n + 1).  The end 1 then
+    holds h/(n + 1), h the count of the first kind, in [ny - 1/n, ny + 1 - 1/n],
+    plus at most one, so |h - (n + 1)y| < 2 and evening out the ends costs
+    under 2/(n + 1).  W need not decrease in n: at y = 5/16 it rises from n = 8 to 16."""
+    mu = interval_empirical(family, y)
+    low, high = endpoint_fractions(family, y)
+    value, _ = wasserstein(mu, end_mixture(y), interval_distance)
+    return mu, low, high, value, Fraction(1, family.n**2) + Fraction(3, family.n + 1)

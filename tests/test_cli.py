@@ -6,10 +6,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import two_atom_transport
+from oracles import two_atom_transport, unit_hungarian
 
-from folnerlab import experiment
-from folnerlab.cli import ACTIONS, FLAGS, KIND_FLAGS, main
+from folnerlab import cli, experiment
+from folnerlab.cli import ACTIONS, FLAGS, INTERLEAVE_MAX_COUNT, KIND_FLAGS, main
 from folnerlab.dynamics import empirical_measure, limit_measure
 from folnerlab.errors import ConfigError
 from folnerlab.experiment import (
@@ -29,7 +29,7 @@ from folnerlab.homeo import (
     endpoint_fractions,
     repelling_family,
 )
-from folnerlab.lamplighter import hat, metric
+from folnerlab.lamplighter import Point, hat, metric
 from folnerlab.transport import cost_matrix
 
 
@@ -118,7 +118,7 @@ def test_transport_commands(tmp_path, capsys):
     assert payload["lower_bound"]["float"] <= payload["primal"]["float"]
 
 
-def test_transport_assign_runs_the_assignment_solver(tmp_path, capsys, monkeypatch):
+def test_transport_assign_is_the_hungarian_value_per_atom(tmp_path, capsys):
     mu = tmp_path / "mu.json"
     nu = tmp_path / "nu.json"
     points_mu = [("hat", 0), ("hat", 3), ("check", 1)]
@@ -127,11 +127,11 @@ def test_transport_assign_runs_the_assignment_solver(tmp_path, capsys, monkeypat
         path.write_text(
             json.dumps([{"point": {"component": c, "pos": p}, "mass": "1/3"} for c, p in points])
         )
-    assert run_cli("transport", "wasserstein", "--mu", str(mu), "--nu", str(nu)) == 0
-    expected = json.loads(capsys.readouterr().out)["value"]["exact"]
-    monkeypatch.setattr("folnerlab.cli.wasserstein", None)
     assert run_cli("transport", "assign", "--mu", str(mu), "--nu", str(nu)) == 0
-    assert json.loads(capsys.readouterr().out)["value"]["exact"] == expected
+    total, _ = unit_hungarian(
+        cost_matrix([Point(c, p) for c, p in points_mu], [Point(c, p) for c, p in points_nu], metric)
+    )
+    assert json.loads(capsys.readouterr().out)["value"]["exact"] == str(total / 3)
 
 
 def test_transport_interval_measures(tmp_path, capsys):
@@ -291,6 +291,15 @@ def test_homeo_empirical(capsys):
     assert abs(sum(entry["mass"] for entry in payload["measure"]) - 1.0) < 1e-9
 
 
+def test_homeo_empirical_action_exits_2_past_the_coupling_bound(capsys, monkeypatch):
+    real = cli.orbit_to_ends
+    monkeypatch.setattr(cli, "orbit_to_ends", lambda family, y: (*real(family, y)[:4], Fraction(0)))
+    assert run_cli("homeo", "empirical", "--n", "8", "--y", "1/2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invariant failure: distance exceeds 0 at n=8, y=1/2\n"
+
+
 def test_homeo_match_identity(capsys):
     assert run_cli("homeo", "match", "--radius", "0.25") == 0
     assert json.loads(capsys.readouterr().out)["matching"] == 1
@@ -310,17 +319,50 @@ def test_folner_translate(capsys):
     assert [entry["size"] for entry in recipes] == [20, 9 * 16]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the guard let the work start")
+
+
+def test_folner_translate_checks_n_before_building_a_set(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "rate_folner", _refuse)
+    assert run_cli("folner", "translate", "--preset", "r-zero", "--n", "20000") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "guard violation: rate sets materialize only for n <= 3, got n=20000\n"
+
+
+def test_folner_interleave_count_has_a_ceiling(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "interleave_folner", lambda *args: [])
+    assert run_cli("folner", "interleave", "--count", str(INTERLEAVE_MAX_COUNT)) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "interleave_folner", _refuse)
+    assert run_cli("folner", "interleave", "--count", "99999999999999999999") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"guard violation: the run-time guard allows --count <= {INTERLEAVE_MAX_COUNT}, got 99999999999999999999\n"
+    )
+
+
 def test_dynamics_other_actions(capsys):
     assert run_cli("dynamics", "rightavg", "--nmax", "3") == 0
     capsys.readouterr()
-    assert run_cli("dynamics", "met", "--preset", "r-zero", "--nmax", "2", "--g", "s") == 0
+    assert run_cli("dynamics", "averaging", "--preset", "r-zero", "--nmax", "2", "--g", "s") == 0
     capsys.readouterr()
-    assert run_cli("dynamics", "tinv", "--preset", "r-zero", "--g", "f") == 0
+    assert run_cli("dynamics", "averaging", "--preset", "r-zero", "--g", "f") == 0
     out = capsys.readouterr().out
     assert "translation-gap,1.0" in out
     assert run_cli("dynamics", "averaging", "--preset", "r-const:0.5") == 0
     out = capsys.readouterr().out
     assert "residual,0.25" in out
+
+
+@pytest.mark.parametrize("action", ["tinv", "met"])
+def test_dynamics_averaging_has_one_name(capsys, action):
+    assert run_cli("dynamics", action, "--preset", "r-zero") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: argument action: invalid choice: '{action}' (choose from ")
 
 
 def test_homeo_repel(capsys):
@@ -505,7 +547,7 @@ def test_dynamics_generic_guard_exit_code(capsys):
     assert "8194x2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("action, size", [("generic", "(2^100002 + 2)x2"), ("met", "(2^100002 + 2)-atom")])
+@pytest.mark.parametrize("action, size", [("generic", "(2^100002 + 2)x2"), ("averaging", "(2^100002 + 2)-atom")])
 def test_guard_messages_past_the_print_limit(capsys, action, size):
     """2^100002 has more digits than Python prints, so the guard names the
     size as a formula and still exits 3."""
@@ -572,7 +614,7 @@ def test_folner_build_prints_the_largest_size(capsys):
 
 
 def test_dynamics_met_guard_exit_code(capsys):
-    assert run_cli("dynamics", "met", "--preset", "r-decay", "--g", "s", "--nmax", "11") == 3
+    assert run_cli("dynamics", "averaging", "--preset", "r-decay", "--g", "s", "--nmax", "11") == 3
     assert "8194-atom" in capsys.readouterr().err
 
 
@@ -613,7 +655,7 @@ def test_guard_violations_print_as_guards(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "guard violation: scenarios[0].params.nmax: n = 11 needs a 8194x2 transportation simplex"
     )
-    assert run_cli("dynamics", "met", "--nmax", "11") == 3
+    assert run_cli("dynamics", "averaging", "--nmax", "11") == 3
     assert capsys.readouterr().err == (
         "guard violation: averaging.params.nmax: n = 11 averages over 8194-atom empirical measures; "
         "the guard allows n <= 10 (4098 atoms), got 11\n"
@@ -652,14 +694,20 @@ def test_dynamics_out_names_a_results_directory(tmp_path, capsys):
 DYNAMICS_GOLDEN = json.loads((Path(__file__).parent / "cli_dynamics_golden.json").read_text())
 
 
-@pytest.mark.parametrize("case", DYNAMICS_GOLDEN, ids=[case["argv"][0] for case in DYNAMICS_GOLDEN])
+def _dynamics_id(index: int, case: dict) -> str:
+    """The action word; a case after the first of its action adds its flags."""
+    earlier = {c["argv"][0] for c in DYNAMICS_GOLDEN[:index]}
+    return " ".join(case["argv"]) if case["argv"][0] in earlier else case["argv"][0]
+
+
+@pytest.mark.parametrize("case", DYNAMICS_GOLDEN, ids=[_dynamics_id(k, c) for k, c in enumerate(DYNAMICS_GOLDEN)])
 def test_dynamics_output_is_byte_identical(capsys, case):
     assert run_cli("dynamics", *case["argv"]) == 0
     assert capsys.readouterr().out == case["stdout"]
 
 
 def test_every_dynamics_action_is_pinned():
-    assert sorted(case["argv"][0] for case in DYNAMICS_GOLDEN) == sorted(ACTIONS["dynamics"])
+    assert {case["argv"][0] for case in DYNAMICS_GOLDEN} == set(ACTIONS["dynamics"])
 
 
 #: The stdout of each folner, transport and homeo action at fixed flags,

@@ -46,6 +46,7 @@ from folnerlab.transport import (
     ASSIGNMENT_GUARD,
     DiscreteMeasure,
     TransportPlan,
+    _integer_costs,
     assignment_distance,
     cost_matrix,
     dual_lower_bound,
@@ -256,7 +257,7 @@ def test_assignment_guard(monkeypatch):
 
 
 def test_float_masses_are_read_by_their_repr():
-    value, flows = transportation_plan([0.1, 0.2, 0.7], [1], [[1], [1], [1]])
+    value, flows = transportation_plan([0.1, 0.2, 0.7], [1], *_integer_costs([[1], [1], [1]]))
     assert value == 1
     assert flows == {(0, 0): Fraction(1, 10), (1, 0): Fraction(1, 5), (2, 0): Fraction(7, 10)}
 
@@ -314,7 +315,9 @@ def _fractions(values):
 @pytest.mark.parametrize("case", GOLDEN["transport"], ids=lambda case: f"{len(case['supplies'])}x{len(case['demands'])}")
 def test_transportation_plan_golden(case):
     value, flows = transportation_plan(
-        _fractions(case["supplies"]), _fractions(case["demands"]), [_fractions(r) for r in case["costs"]]
+        _fractions(case["supplies"]),
+        _fractions(case["demands"]),
+        *_integer_costs([_fractions(r) for r in case["costs"]]),
     )
     assert value == Fraction(case["value"])
     assert flows == {(i, j): Fraction(q) for i, j, q in case["flows"]}
@@ -377,7 +380,7 @@ def _feasible(flows, supplies, demands):
 @given(transport_problems())
 def test_transportation_plan_matches_vertex_enumeration(problem):
     supplies, demands, costs = problem
-    value, flows = transportation_plan(supplies, demands, costs)
+    value, flows = transportation_plan(supplies, demands, *_integer_costs(costs))
     assert value == vertex_enumeration_transport(supplies, demands, costs)
     assert _feasible(flows, supplies, demands)
     assert sum(q * costs[i][j] for (i, j), q in flows.items()) == value
@@ -396,8 +399,10 @@ def test_solve_assignment_matches_brute_force(costs):
 @given(transport_problems(max_side=6), st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50))
 def test_scaling_costs_scales_the_value_and_keeps_the_plan(problem, factor):
     supplies, demands, costs = problem
-    value, flows = transportation_plan(supplies, demands, costs)
-    scaled_value, scaled_flows = transportation_plan(supplies, demands, [[factor * c for c in row] for row in costs])
+    value, flows = transportation_plan(supplies, demands, *_integer_costs(costs))
+    scaled_value, scaled_flows = transportation_plan(
+        supplies, demands, *_integer_costs([[factor * c for c in row] for row in costs])
+    )
     assert scaled_value == factor * value
     assert scaled_flows == flows
 
@@ -440,7 +445,7 @@ def test_two_column_start_is_the_knapsack_plan_and_needs_no_pivot(problem):
     entering_cell = transport._entering_cell
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transport, "_entering_cell", lambda *a: passes.append(a) or entering_cell(*a))
-        value, flows = transportation_plan(supplies, demands, costs)
+        value, flows = transportation_plan(supplies, demands, *_integer_costs(costs))
     assert len(passes) == 1
     assert flows == two_atom_plan(supplies, demands, costs)
     assert value == two_atom_transport(supplies, demands, costs)
@@ -490,7 +495,7 @@ def test_least_cost_start_is_a_feasible_spanning_tree_and_the_value_is_optimal(p
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transport, "_start_basis", recorded)
-        value, flows = transportation_plan(supplies, demands, costs)
+        value, flows = transportation_plan(supplies, demands, *_integer_costs(costs))
     [((rs, rd), start)] = starts
     assert _is_spanning_tree(list(start), m, n)
     assert all(q >= 0 for q in start.values())
@@ -558,7 +563,7 @@ def test_counted_kernel_equals_the_expanded_hungarian(problem):
     """The simplex on integer counts (zeros allowed) against the Hungarian
     solve of the problem expanded to one row and column per unit."""
     costs, supply, demand = problem
-    total, flows = transportation_plan(supply, demand, costs)
+    total, flows = transportation_plan(supply, demand, *_integer_costs(costs))
     rows = [i for i, count in enumerate(supply) for _ in range(count)]
     cols = [j for j, count in enumerate(demand) for _ in range(count)]
     expanded, _ = unit_hungarian([[Fraction(costs[i][j]) for j in cols] for i in rows])
@@ -742,7 +747,8 @@ def test_wasserstein_from_the_block_equals_the_checked_path(pair):
     mu, nu = pair
     supplies = [m for _, m in mu.atoms]
     demands = [m for _, m in nu.atoms]
-    value, flows = transportation_plan(supplies, demands, cost_matrix(mu.support(), nu.support(), metric))
+    costs = cost_matrix(mu.support(), nu.support(), metric)
+    value, flows = transportation_plan(supplies, demands, *_integer_costs(costs))
     want = TransportPlan(tuple(sorted((i, j, q) for (i, j), q in flows.items())))
     assert wasserstein(mu, nu, metric) == (value, want)
     assert wasserstein(mu, nu, checked) == (value, want)
@@ -800,8 +806,8 @@ def test_start_that_is_not_a_spanning_tree_raises(broken):
     never end, so the solve must refuse it."""
     third = [Fraction(1, 3)] * 3
     costs = [[Fraction(int(i != j)) for j in range(3)] for i in range(3)]
-    assert transportation_plan(third, third, costs)[0] == 0
+    assert transportation_plan(third, third, *_integer_costs(costs))[0] == 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transport, "_least_cost_start", broken(transport._least_cost_start))
         with pytest.raises(InvariantViolation, match="not a spanning tree"):
-            transportation_plan(third, third, costs)
+            transportation_plan(third, third, *_integer_costs(costs))
