@@ -50,7 +50,7 @@ from .homeo import (
     repelling_family,
 )
 from .lamplighter import FLIP, Point, metric, parse_word
-from .transport import DiscreteMeasure, dual_lower_bound, wasserstein
+from .transport import ASSIGNMENT_GUARD, DiscreteMeasure, dual_lower_bound, wasserstein
 
 
 class UsageError(Exception):
@@ -81,10 +81,14 @@ def _read_json_list(path: str, keys: tuple[str, ...]) -> list[dict]:
 
 
 def _load_measure(path: str) -> DiscreteMeasure:
+    """The measure in the file at ``path``; each point is a lamplighter point or a number in [0, 1]."""
     pairs = []
     for entry in _read_json_list(path, ("point", "mass")):
-        point = entry["point"]
-        pairs.append((Point.from_dict(point) if isinstance(point, dict) else exact(point), entry["mass"]))
+        raw = entry["point"]
+        point = Point.from_dict(raw) if isinstance(raw, dict) else exact(raw)
+        if not isinstance(point, Point) and not 0 <= point <= 1:
+            raise ValueError(f"{path}: an interval point must be a number in [0, 1], got {raw!r}")
+        pairs.append((point, entry["mass"]))
     return DiscreteMeasure.from_pairs(pairs)
 
 
@@ -196,12 +200,26 @@ def _translate(args) -> list:
     return [dict(f.recipe) | {"size": f.size} for f in translated]
 
 
+#: Largest count P of distinct support points of ``transport dual``, whose P witnesses each
+#: check P(P-1)/2 pairs of O(P)-bit integers.  On a 2-vCPU Xeon under Python 3.11, measures of
+#: random positions in +-10^6 took 1.25 s at P = 100 and 6.4 s at P = 150.
+DUAL_MAX_POINTS = 100
+
+
 def _measures(args):
-    """--mu and --nu, and the metric their points live in."""
+    """--mu and --nu, and the metric their points live in, refused before any cost is built
+    past the assignment guard (and for ``dual`` past ``DUAL_MAX_POINTS``)."""
     mu, nu = _load_measure(args.mu), _load_measure(args.nu)
-    if len({isinstance(p, Point) for p in mu.support() + nu.support()}) > 1:
+    support = mu.support() + nu.support()
+    if len({isinstance(p, Point) for p in support}) > 1:
         raise ValueError("--mu and --nu must hold only lamplighter points or only interval numbers")
-    return mu, nu, metric if isinstance(mu.support()[0], Point) else interval_distance
+    m, n = len(mu.atoms), len(nu.atoms)
+    if m * n > ASSIGNMENT_GUARD:
+        raise GuardViolation(f"{m} x {n} atoms exceed the assignment guard of {ASSIGNMENT_GUARD} cells")
+    points = len(set(support))
+    if args.action == "dual" and points > DUAL_MAX_POINTS:
+        raise GuardViolation(f"the dual is checked on at most {DUAL_MAX_POINTS} support points, got {points}")
+    return mu, nu, metric if isinstance(support[0], Point) else interval_distance
 
 
 def _wasserstein(args) -> dict:

@@ -21,10 +21,6 @@ class LipschitzViolation(ValueError):
     """A dual witness exceeded its declared Lipschitz bound on the support."""
 
 
-class MetricOracleError(ValueError):
-    """A metric oracle returned a negative or NaN value."""
-
-
 class ConfigError(ValueError):
     """An experiment config failed validation; carries the violation list."""
 

@@ -43,6 +43,9 @@ from .lamplighter import IDENTITY, GroupElement, compose, word_of
 MATERIALIZE_MAX_N = 3
 #: Largest box (interval length) that may be materialized.
 BOX_MATERIALIZE_MAX = 22
+#: Largest box width whose size width 2^width is built: 4,300 digits at 14,270
+#: positions, and at 14,271 one past the 4,300 Python converts to a string.
+BOX_SIZE_MAX_WIDTH = 14_270
 #: Largest n for which rate-set defects are counted.  One stay count costs
 #: O(n^2) integer steps; the CLI ``folner defect --preset r-decay --n 64
 #: --g "f s s f S S f"`` takes about 0.8 s on a 2-core Xeon.
@@ -360,8 +363,14 @@ class BoxFolner(FolnerSet):
     high: int
 
     @property
+    def width(self) -> int:
+        return self.high - self.low + 1
+
+    @property
     def size(self) -> int:
-        return len(self.shifts()) * 2 ** len(self.shifts())
+        if self.width > BOX_SIZE_MAX_WIDTH:
+            raise GuardViolation(f"box sizes are built only up to width {BOX_SIZE_MAX_WIDTH}, got {self.width}")
+        return self.width * 2**self.width
 
     def shifts(self) -> range:
         return range(self.low, self.high + 1)
@@ -371,21 +380,21 @@ class BoxFolner(FolnerSet):
 
     def left_share(self, g: GroupElement) -> Fraction:
         # Shift a keeps all its supports iff a + t is in the box for t = 0, g.shift and each flip.
-        offsets, width = (0, g.shift, *g.flips), len(self.shifts())
+        offsets, width = (0, g.shift, *g.flips), self.width
         return Fraction(max(0, width - max(offsets) + min(offsets)), width)
 
     def right_share(self, g: GroupElement) -> Fraction:
-        s, box = g.shift, self.shifts()
+        s, box, width = g.shift, self.shifts(), self.width
         if any(d not in box and d - s not in box for d in g.flips):
             return Fraction(0)
-        stable = max(0, len(box) - abs(s))
+        stable = max(0, width - abs(s))
         # |Fg & F| = stable 2^stable (shifts a with a + s in the box, each with the supports that
         # match g.flips where q + s leaves the box) out of |F| = width 2^width.
-        return Fraction(stable, len(box) * 2 ** (len(box) - stable))
+        return Fraction(stable, width * 2 ** (width - stable))
 
     def materialize(self) -> tuple[GroupElement, ...]:
         box = self.shifts()
-        if len(box) > BOX_MATERIALIZE_MAX:
+        if self.width > BOX_MATERIALIZE_MAX:
             raise GuardViolation(f"box sets materialize only for |box| <= {BOX_MATERIALIZE_MAX}")
         return _sorted_elements(
             GroupElement(a, flips)
@@ -426,7 +435,7 @@ def box_folner(low: int, high: int) -> BoxFolner:
     """All elements whose shift and flip support lie in [low, high]."""
     if low > high:
         raise ValueError(f"a box needs low <= high, got {low} > {high}")
-    return BoxFolner(low, high, recipe=(("kind", "box"), ("positions", repr(list(range(low, high + 1))))))
+    return BoxFolner(low, high, recipe=(("kind", "box"), ("low", str(low)), ("high", str(high))))
 
 
 def explicit_folner(elements: Iterable[GroupElement]) -> ExplicitFolner:

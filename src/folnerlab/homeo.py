@@ -26,9 +26,10 @@ non-locally-compact group.  Repelling elements squash everything left
 of x - eps below eps and everything right of x + eps above 1 - eps,
 their integer forms read off x and eps over one denominator; spreading
 them over a grid of x values yields families whose orbit measures at y
-approach (1-y) delta_0 + y delta_1.  The squash margin that lets a base
-family ride along is exact: half the closed-form supremum
-min over g of min(g^-1(t), 1 - g^-1(1 - t)).
+approach (1-y) delta_0 + y delta_1 in the interval distance, whose costs
+enter the transport simplex as one integer block.  The squash margin
+that lets a base family ride along is exact: half the closed-form
+supremum min over g of min(g^-1(t), 1 - g^-1(1 - t)).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardViolation, InvariantViolation
 from .exact import exact
-from .transport import DiscreteMeasure, wasserstein
+from .transport import DiscreteMeasure, _integer_scaled, wasserstein
 
 #: Largest base family accepted when building repelling families.
 BASE_FAMILY_GUARD = 64
@@ -398,7 +399,19 @@ def endpoint_fractions(family: HomeoFamily, y) -> tuple[Fraction, Fraction]:
 
 
 def interval_distance(a, b) -> Fraction:
+    """|a - b|; ``interval_distance.integer_block`` gives a whole block of them."""
     return abs(exact(a) - exact(b))
+
+
+def _interval_block(sources, targets) -> tuple[list[list[int]], int]:
+    """(rows, scale) with rows[i][j] / scale == |sources[i] - targets[j]|, the
+    scale the lcm of the points' denominators, with no Fraction per cell."""
+    scaled, scale = _integer_scaled([*sources, *targets])
+    cols = scaled[len(sources) :]
+    return [[abs(p - q) for q in cols] for p in scaled[: len(sources)]], scale
+
+
+interval_distance.integer_block = _interval_block
 
 
 def end_mixture(y) -> DiscreteMeasure:

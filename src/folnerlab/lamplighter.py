@@ -201,13 +201,16 @@ def parse_word(word: str) -> GroupElement:
 
     Tokens are listed in the order they are applied: ``"s f"`` means
     shift first, then flip, i.e. the element f . sigma = (1, {0}).
+    As in ``compose``, each token's flips move by the shift so far, so the
+    word folds in one pass to a shift and a flip set, sorted once at the end.
     """
-    out = IDENTITY
+    shift, flips = 0, set()
     for token in word.split():
         if token not in _TOKENS:
             raise WordParseError(f"unknown token {token!r}; expected one of f, s, S")
-        out = compose(_TOKENS[token], out)
-    return out
+        flips ^= {b + shift for b in _TOKENS[token].flips}
+        shift += _TOKENS[token].shift
+    return GroupElement(shift, tuple(sorted(flips)))
 
 
 def word_of(g: GroupElement) -> str:

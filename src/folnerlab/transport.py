@@ -21,13 +21,12 @@ the expanded Hungarian solve and a basis-enumeration oracle.
 
 The simplex runs on Python ``int`` and divides back at exit, so results
 stay exact and no ``Fraction`` is built inside a pivot.  It takes its
-costs as integers over one scale.  A metric that declares an
-``integer_block`` (``lamplighter.metric`` does) gives them directly, with
-no ``Fraction`` per cell; any other metric is called cell by cell, each
-value checked, and the costs are scaled by the lcm of their
-denominators.  Either way each integer cost is the same positive
-multiple of the exact cost, so the pivots and the plans are the same.
-Masses are scaled by the lcm of theirs.
+costs as integers over one scale, from the metric's ``integer_block``:
+``lamplighter.metric`` and ``homeo.interval_distance`` each give a whole
+block at once, with no ``Fraction`` per cell.  Each integer cost is a
+positive multiple of the exact cost, the same for every cell, so the
+pivots and the plans are those of the rational problem.  Masses are
+scaled by the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .errors import GuardViolation, InvariantViolation, LipschitzViolation, MetricOracleError
+from .errors import GuardViolation, InvariantViolation, LipschitzViolation
 from .exact import exact
 from . import lamplighter
 from .folner import FolnerSet
@@ -49,32 +48,6 @@ from .folner import FolnerSet
 #: shifts 0..k-1 (x = hat(0), y = hat(3)) took 0.9 s at 300 x 300 points
 #: (90,000 cells) and 2.0 s at 400 x 400, nearly all of it in pivots.
 ASSIGNMENT_GUARD = 90_000
-
-
-def _checked_cost(dist, x, y) -> Fraction:
-    value = dist(x, y)
-    try:
-        cost = exact(value)
-    except ValueError as exc:
-        raise MetricOracleError(f"metric returned {value!r} at ({x!r}, {y!r})") from exc
-    if cost.numerator < 0:
-        raise MetricOracleError(f"metric returned negative value {value!r}")
-    return cost
-
-
-def cost_matrix(sources: Sequence, targets: Sequence, dist: Callable) -> list[list[Fraction]]:
-    """Exact costs dist(p, q) for every source p (row) and target q (column)."""
-    return [[_checked_cost(dist, p, q) for q in targets] for p in sources]
-
-
-def _scaled_costs(sources: Sequence, targets: Sequence, dist: Callable) -> tuple[list[list[int]], int]:
-    """The costs dist(p, q) as integer rows over one scale: from the
-    metric's ``integer_block`` when it declares one, else checked cell by
-    cell and scaled by the lcm of their denominators."""
-    block = getattr(dist, "integer_block", None)
-    if block is not None:
-        return block(sources, targets)
-    return _integer_costs(cost_matrix(sources, targets, dist))
 
 
 @dataclass(frozen=True)
@@ -373,24 +346,13 @@ def transportation_plan(supplies, demands, costs, scale):
 def wasserstein(
     mu: DiscreteMeasure, nu: DiscreteMeasure, dist: Callable
 ) -> tuple[Fraction, TransportPlan]:
-    """Exact optimal-transport distance and an optimal plan."""
-    costs, scale = _scaled_costs(mu.support(), nu.support(), dist)
+    """Exact optimal-transport distance and an optimal plan, on the costs
+    that ``dist.integer_block`` gives as integers over one scale."""
+    costs, scale = dist.integer_block(mu.support(), nu.support())
     supplies = [mass for _, mass in mu.atoms]
     demands = [mass for _, mass in nu.atoms]
     value, flow = transportation_plan(supplies, demands, costs, scale)
     return value, TransportPlan(tuple(sorted((i, j, q) for (i, j), q in flow.items())))
-
-
-def _pair_costs(points: Sequence, dist: Callable) -> tuple[list[int], int]:
-    """dist(p_a, p_b) for a < b, row by row, as integers over one scale."""
-    block = getattr(dist, "integer_block", None)
-    if block is not None:
-        rows, scale = block(points, points)
-        return [c for a, row in enumerate(rows) for c in row[a + 1 :]], scale
-    size = len(points)
-    return _integer_scaled(
-        _checked_cost(dist, points[a], points[b]) for a in range(size) for b in range(a + 1, size)
-    )
 
 
 def dual_lower_bound(
@@ -403,11 +365,9 @@ def dual_lower_bound(
     is 1-Lipschitz on every pair of support points.  Always a lower bound
     for the transport distance.
 
-    The P(P-1)/2 costs of the pairs of the P support points are built at
-    the first witness and kept as one flat list of integers over a common
-    scale for the later witnesses: O(P^2) memory.  They are taken from the
-    metric's ``integer_block`` when it declares one, else the metric is
-    called once per pair."""
+    The P x P block of costs between the P support points is built at the
+    first witness by ``dist.integer_block`` and kept for the later
+    witnesses, which read its upper triangle: O(P^2) memory."""
     points = list(dict.fromkeys(mu.support() + nu.support()))
     size = len(points)
     costs = None
@@ -418,14 +378,13 @@ def dual_lower_bound(
             raise LipschitzViolation(f"witness declares Lipschitz constant {declared} > 1")
         values = {p: exact(f(p)) for p in points}
         if costs is None:
-            costs, cost_scale = _pair_costs(points, dist)
+            costs, cost_scale = dist.integer_block(points, points)
         scaled, value_scale = _integer_scaled(values.values())
         # |f(p) - f(q)| <= d(p, q), both sides over value_scale * cost_scale
-        pair_costs = iter(costs)
         for a in range(size):
-            fa = scaled[a]
+            fa, row = scaled[a], costs[a]
             for b in range(a + 1, size):
-                if abs(fa - scaled[b]) * cost_scale > next(pair_costs) * value_scale:
+                if abs(fa - scaled[b]) * cost_scale > row[b] * value_scale:
                     raise LipschitzViolation(
                         f"witness violates the 1-Lipschitz bound on ({points[a]!r}, {points[b]!r})"
                     )

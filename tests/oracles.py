@@ -14,20 +14,37 @@ repelling checks and endpoint counts from their Fraction definitions,
 the lamplighter metric from its planar embedding, the limit operator by
 integrating against the limit measure, and right-box averages with their
 tail bound.  Test-only checks live here too: the marginals of a transport
-plan and the declared Lipschitz constant of a test function.
+plan and the declared Lipschitz constant of a test function.  Cost
+matrices are built with one Fraction per cell, the reference for the
+metrics' integer blocks; the dual bound checks each witness pair by pair
+in Fraction; and generator words are parsed by a left fold of
+``compose``, one token at a time.
 """
 
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from folnerlab.errors import LipschitzViolation
+from folnerlab.errors import LipschitzViolation, WordParseError
+from folnerlab.exact import exact
 from folnerlab.folner import FolnerSet, box_folner
 from folnerlab.dynamics import empirical_measure, limit_measure
 from folnerlab.functions import TestFunction
 from folnerlab.homeo import PLHomeo, pl_homeo, squash_margin
 from folnerlab.transport import _integer_costs
-from folnerlab.lamplighter import INF_HAT, GroupElement, act, compose, embedding, hat, metric
+from folnerlab.lamplighter import (
+    FLIP,
+    IDENTITY,
+    INF_HAT,
+    SIGMA,
+    SIGMA_INV,
+    GroupElement,
+    act,
+    compose,
+    embedding,
+    hat,
+    metric,
+)
 
 
 def brute_assignment(costs) -> Fraction:
@@ -400,3 +417,37 @@ def verify_lipschitz(f: TestFunction, points) -> None:
                 raise LipschitzViolation(
                     f"{f.label}: |f({p}) - f({q})| exceeds {f.lipschitz} * d"
                 )
+
+
+def cost_matrix(sources, targets, dist) -> list[list[Fraction]]:
+    """dist(p, q) as one Fraction per cell, source p by row and target q by column."""
+    return [[exact(dist(p, q)) for q in targets] for p in sources]
+
+
+def dual_bound(mu, nu, witnesses, dist) -> Fraction:
+    """max over witnesses of |mu(f) - nu(f)|, each witness first checked
+    in Fraction to be 1-Lipschitz on every pair of support points (and to
+    declare no constant above 1), with the messages of ``dual_lower_bound``."""
+    points = list(dict.fromkeys(mu.support() + nu.support()))
+    best = Fraction(0)
+    for f in witnesses:
+        declared = getattr(f, "lipschitz", Fraction(1))
+        if declared > 1:
+            raise LipschitzViolation(f"witness declares Lipschitz constant {declared} > 1")
+        for p, q in combinations(points, 2):
+            if abs(exact(f(p)) - exact(f(q))) > exact(dist(p, q)):
+                raise LipschitzViolation(f"witness violates the 1-Lipschitz bound on ({p!r}, {q!r})")
+        best = max(best, abs(mu.integrate(f) - nu.integrate(f)))
+    return best
+
+
+def fold_word(word: str) -> GroupElement:
+    """A generator word, tokens in the order they apply, as the left fold
+    of ``compose`` from the identity, one token at a time."""
+    generators = {"f": FLIP, "s": SIGMA, "S": SIGMA_INV}
+    out = IDENTITY
+    for token in word.split():
+        if token not in generators:
+            raise WordParseError(f"unknown token {token!r}; expected one of f, s, S")
+        out = compose(generators[token], out)
+    return out

@@ -1,15 +1,16 @@
 """CLI surfaces, config validation, exit codes, and determinism."""
 
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import two_atom_transport, unit_hungarian
+from oracles import cost_matrix, two_atom_transport, unit_hungarian
 
 from folnerlab import cli, experiment
-from folnerlab.cli import ACTIONS, FLAGS, INTERLEAVE_MAX_COUNT, KIND_FLAGS, main
+from folnerlab.cli import ACTIONS, DUAL_MAX_POINTS, FLAGS, INTERLEAVE_MAX_COUNT, KIND_FLAGS, main
 from folnerlab.dynamics import empirical_measure, limit_measure
 from folnerlab.errors import ConfigError
 from folnerlab.experiment import (
@@ -20,7 +21,7 @@ from folnerlab.experiment import (
     run_experiment,
     validate_config,
 )
-from folnerlab.folner import RateSequence, rate_folner
+from folnerlab.folner import BOX_SIZE_MAX_WIDTH, RateSequence, rate_folner
 from folnerlab.homeo import (
     IDENTITY_MAP,
     REPELLING_MAX_N,
@@ -30,7 +31,7 @@ from folnerlab.homeo import (
     repelling_family,
 )
 from folnerlab.lamplighter import Point, hat, metric
-from folnerlab.transport import cost_matrix
+from folnerlab.transport import ASSIGNMENT_GUARD
 
 
 def run_cli(*argv):
@@ -141,6 +142,50 @@ def test_transport_interval_measures(tmp_path, capsys):
     nu.write_text(json.dumps([{"point": 1.0, "mass": 1.0}]))
     assert run_cli("transport", "wasserstein", "--mu", str(mu), "--nu", str(nu)) == 0
     assert json.loads(capsys.readouterr().out)["value"]["float"] == 1.0
+
+
+@pytest.mark.parametrize("point", ["1e400", 2, -5, "-1/3", "4/3"])
+def test_transport_refuses_interval_points_outside_the_unit_interval(tmp_path, capsys, point):
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps([{"point": point, "mass": 1}]))
+    nu = tmp_path / "nu.json"
+    nu.write_text(json.dumps([{"point": 1, "mass": 1}]))
+    assert run_cli("transport", "wasserstein", "--mu", str(mu), "--nu", str(nu)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {mu}: an interval point must be a number in [0, 1], got {point!r}\n"
+
+
+def _write_lamplighter_measure(path, positions):
+    atoms = [{"point": {"component": "hat", "pos": p}, "mass": f"1/{len(positions)}"} for p in positions]
+    path.write_text(json.dumps(atoms))
+
+
+@pytest.mark.parametrize("action", ["wasserstein", "assign", "dual"])
+def test_transport_guards_refuse_before_any_cost(tmp_path, monkeypatch, capsys, action):
+    """The atoms of --mu and --nu one cell past the assignment guard, or for
+    the dual one support point past its ceiling, exit 3 before the metric's
+    cost block is built."""
+
+    def refuse(*args):
+        raise AssertionError("the guard let the costs be built")
+
+    monkeypatch.setattr(metric, "integer_block", refuse)
+    mu, nu = tmp_path / "mu.json", tmp_path / "nu.json"
+    if action == "dual":
+        half = DUAL_MAX_POINTS // 2 + 1
+        _write_lamplighter_measure(mu, range(half))
+        _write_lamplighter_measure(nu, range(half, DUAL_MAX_POINTS + 1))
+        message = f"the dual is checked on at most {DUAL_MAX_POINTS} support points, got {DUAL_MAX_POINTS + 1}"
+    else:
+        side = math.isqrt(ASSIGNMENT_GUARD)
+        _write_lamplighter_measure(mu, range(side + 1))
+        _write_lamplighter_measure(nu, range(side))
+        message = f"{side + 1} x {side} atoms exceed the assignment guard of {ASSIGNMENT_GUARD} cells"
+    assert run_cli("transport", action, "--mu", str(mu), "--nu", str(nu)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"guard violation: {message}\n"
 
 
 def test_transport_refuses_non_finite_masses(tmp_path, capsys):
@@ -1008,22 +1053,47 @@ def test_repelling_families_stop_at_one_ceiling(tmp_path, capsys):
     assert capsys.readouterr().err == message
 
 
+PRINT_LIMIT = f"the result holds a number of more than {sys.get_int_max_str_digits()} digits, the print limit"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("folner", "build", "--kind", "box", "--a-min", "-10000", "--a-max", "10000"),
-        ("homeo", "empirical", "--n", "1778", "--y", "0.5"),
+        (
+            ("folner", "build", "--kind", "box", "--a-min", "-10000", "--a-max", "10000"),
+            f"box sizes are built only up to width {BOX_SIZE_MAX_WIDTH}, got 20001",
+        ),
+        (("homeo", "empirical", "--n", "1778", "--y", "0.5"), PRINT_LIMIT),
     ],
     ids=["box-size", "homeo-distance"],
 )
-def test_results_past_the_print_limit_are_guard_violations(capsys, argv):
+def test_results_past_the_print_limit_are_guard_violations(capsys, argv, message):
+    """The box's size is refused before it is built, the distance when it is printed."""
     assert run_cli(*argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"guard violation: the result holds a number of more than {sys.get_int_max_str_digits()} digits, "
-        "the print limit\n"
+    assert captured.err == f"guard violation: {message}\n"
+
+
+@pytest.mark.parametrize("high", [str(BOX_SIZE_MAX_WIDTH), "99999999999999999999"])
+def test_box_sizes_stop_at_the_print_limit(capsys, high):
+    """The widest box whose size is built prints it in full; a box one
+    position wider, or too wide for a range's length, is refused."""
+    assert run_cli("folner", "build", "--kind", "box", "--a-min", "1", "--a-max", str(BOX_SIZE_MAX_WIDTH - 1)) == 0
+    size = json.loads(capsys.readouterr().out)["size"]
+    assert len(str(size)) == sys.get_int_max_str_digits()
+    assert run_cli("folner", "build", "--kind", "box", "--a-min", "0", "--a-max", high) == 3
+    width = int(high) + 1
+    assert capsys.readouterr().err == (
+        f"guard violation: box sizes are built only up to width {BOX_SIZE_MAX_WIDTH}, got {width}\n"
     )
+
+
+def test_a_box_over_ten_to_the_twenty_balances_at_one_half(capsys):
+    """A box is its two ends, so its balance is the closed form at any width."""
+    bound = str(10**20)
+    assert run_cli("folner", "balance", "--kind", "box", "--a-min", f"-{bound}", "--a-max", bound) == 0
+    assert json.loads(capsys.readouterr().out)["balance"]["exact"] == "1/2"
 
 
 def test_measure_and_family_files_refuse_extra_keys(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     breakpoint_xs,
     brute_matching,
+    cost_matrix,
     invert,
     pl_compose_breakpoints,
     pl_endpoint_fractions,
@@ -262,6 +263,24 @@ def test_interval_empirical_transport_within_the_coupling_bound():
             y = Fraction(k, 16)
             value, _ = wasserstein(interval_empirical(family, y), end_mixture(y), interval_distance)
             assert value <= Fraction(1, n * n) + Fraction(3, n + 1)
+
+
+#: Points of [0, 1]: both ends, and fractions with small and large denominators.
+UNIT_POINTS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(0, 1, max_denominator=12),
+    st.fractions(0, 1, max_denominator=10**9),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(UNIT_POINTS, min_size=1, max_size=7), st.lists(UNIT_POINTS, min_size=1, max_size=7))
+def test_interval_block_cells_are_the_interval_distance(sources, targets):
+    sources = sources + sources[:2]  # duplicates
+    targets = targets + [Fraction(0), Fraction(1)]
+    rows, scale = interval_distance.integer_block(sources, targets)
+    assert all(isinstance(c, int) for row in rows for c in row)
+    assert [[Fraction(c, scale) for c in row] for row in rows] == cost_matrix(sources, targets, interval_distance)
 
 
 def test_serialization_roundtrip():

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     brute_assignment,
     brute_assignment_distance,
+    cost_matrix,
+    dual_bound,
     scaled_to_unit,
     two_atom_plan,
     two_atom_transport,
@@ -28,7 +30,7 @@ from folnerlab.dynamics import (
     limit_measure,
     wf_estimate,
 )
-from folnerlab.errors import GuardViolation, InvariantViolation, LipschitzViolation, MetricOracleError
+from folnerlab.errors import GuardViolation, InvariantViolation, LipschitzViolation
 from folnerlab.exact import exact
 from folnerlab.folner import RateSequence, explicit_folner, rate_folner
 from folnerlab.functions import ends_separator, affine
@@ -48,7 +50,6 @@ from folnerlab.transport import (
     TransportPlan,
     _integer_costs,
     assignment_distance,
-    cost_matrix,
     dual_lower_bound,
     solve_assignment,
     transportation_plan,
@@ -163,15 +164,6 @@ def test_outside_numbers_convert_exactly():
     assert affine(0.1, 0, 0)(hat(0)) == Fraction(1, 10)
 
 
-def test_metric_oracle_errors():
-    mu = DiscreteMeasure.point_mass(hat(0))
-    nu = DiscreteMeasure.point_mass(hat(1))
-    with pytest.raises(MetricOracleError):
-        wasserstein(mu, nu, lambda x, y: -1)
-    with pytest.raises(MetricOracleError):
-        wasserstein(mu, nu, lambda x, y: float("nan"))
-
-
 def test_dual_constant_witness_gives_zero():
     rng = random.Random(41)
     mu, nu = random_measure(rng), random_measure(rng)
@@ -241,8 +233,8 @@ def test_assignment_equals_wasserstein_of_empirical():
 
 def test_assignment_guard(monkeypatch):
     """One shift more than the guard's square side sends x and y to that
-    many distinct points each, just past the guard: refused before any cost
-    (from the metric's block or cell by cell) or solve."""
+    many distinct points each, just past the guard: refused before the
+    metric's cost block is built or any solve runs."""
     side = math.isqrt(ASSIGNMENT_GUARD) + 1
     folner = explicit_folner(GroupElement(a, ()) for a in range(side))
 
@@ -250,7 +242,6 @@ def test_assignment_guard(monkeypatch):
         raise AssertionError("the guard let the transport run")
 
     monkeypatch.setattr(metric, "integer_block", refuse)
-    monkeypatch.setattr(transport, "cost_matrix", refuse)
     monkeypatch.setattr(transport, "transportation_plan", refuse)
     with pytest.raises(GuardViolation, match=f"{side} x {side} distinct orbit points"):
         assignment_distance(folner, hat(0), hat(3))
@@ -656,42 +647,17 @@ def test_corrupted_flow_makes_wasserstein_raise():
             wasserstein(mu, nu, metric)
 
 
-def _counting(dist):
-    calls = []
-
-    def counted(p, q):
-        calls.append((p, q))
-        return dist(p, q)
-
-    return counted, calls
-
-
-def test_dual_calls_the_metric_once_per_support_pair():
-    rng = random.Random(47)
-    mu, nu = random_measure(rng, 5), random_measure(rng, 5)
-    points = set(mu.support() + nu.support())
-    anchors = list(points)[:3]
-    witnesses = [ends_separator()] + [(lambda a: (lambda z: metric(z, a)))(a) for a in anchors]
-    dist, calls = _counting(metric)
-    assert dual_lower_bound(mu, nu, witnesses, dist) == dual_lower_bound(mu, nu, witnesses, metric)
-    assert len(calls) == len(points) * (len(points) - 1) // 2
-    dist, calls = _counting(metric)
-    assert dual_lower_bound(mu, nu, [], dist) == 0
-    assert calls == []
-
-
 def test_dual_error_order_and_exact_bound():
     mu, nu = DiscreteMeasure.point_mass(hat(0)), DiscreteMeasure.point_mass(hat(2))
 
-    def broken(p, q):
+    def broken(*args):
         raise AssertionError("the metric must not be called")
 
+    broken.integer_block = broken
     steep = lambda z: metric(z, hat(0))
     steep.lipschitz = Fraction(2)
     with pytest.raises(LipschitzViolation, match="declares Lipschitz constant 2"):
         dual_lower_bound(mu, nu, [steep], broken)
-    with pytest.raises(MetricOracleError):
-        dual_lower_bound(mu, nu, [lambda z: 0], lambda p, q: float("nan"))
     gap = metric(hat(0), hat(2))
     tight = lambda z: metric(z, hat(0))
     assert dual_lower_bound(mu, nu, [tight], metric) == gap
@@ -708,11 +674,6 @@ POINTS = st.one_of(
 )
 #: Few distinct points, so measures share atoms and costs tie.
 TIED_POINTS = st.one_of(st.sampled_from([INF_HAT, INF_CHECK]), FINITE_POINTS)
-
-
-def checked(p, q):
-    """The lamplighter metric without its integer block: the cell-by-cell path."""
-    return metric(p, q)
 
 
 @st.composite
@@ -738,12 +699,12 @@ def test_integer_block_is_carried_by_wrappers():
     same path as the plain one."""
     traced = functools.wraps(metric)(lambda p, q: metric(p, q))
     assert traced.integer_block is metric.integer_block
-    assert not hasattr(checked, "integer_block")
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from([TIED_POINTS, POINTS]).flatmap(lambda points: st.tuples(measures(points), measures(points))))
-def test_wasserstein_from_the_block_equals_the_checked_path(pair):
+def test_wasserstein_from_the_block_equals_the_oracle_costs(pair):
+    """The value and plan of the simplex on the Fraction-per-cell costs."""
     mu, nu = pair
     supplies = [m for _, m in mu.atoms]
     demands = [m for _, m in nu.atoms]
@@ -751,20 +712,20 @@ def test_wasserstein_from_the_block_equals_the_checked_path(pair):
     value, flows = transportation_plan(supplies, demands, *_integer_costs(costs))
     want = TransportPlan(tuple(sorted((i, j, q) for (i, j), q in flows.items())))
     assert wasserstein(mu, nu, metric) == (value, want)
-    assert wasserstein(mu, nu, checked) == (value, want)
 
 
 @settings(max_examples=60, deadline=None)
 @given(measures(), measures(), st.lists(TIED_POINTS, max_size=3), st.integers(0, 10**9))
-def test_dual_bound_from_the_block_equals_the_checked_path(mu, nu, anchors, excess):
-    """Equal bounds, or the same Lipschitz violation on the same pair."""
+def test_dual_bound_from_the_block_equals_the_oracle_dual(mu, nu, anchors, excess):
+    """Equal bounds, or the same Lipschitz violation on the same pair, as
+    the dual checked pair by pair in Fraction."""
     witnesses = [ends_separator()] + [(lambda a: (lambda z: metric(z, a)))(a) for a in anchors]
     if excess:
         witnesses.append(lambda z: metric(z, INF_HAT) * (1 + Fraction(1, excess)))
     outcomes = []
-    for dist in (metric, checked):
+    for dual in (dual_lower_bound, dual_bound):
         try:
-            outcomes.append(dual_lower_bound(mu, nu, witnesses, dist))
+            outcomes.append(dual(mu, nu, witnesses, metric))
         except LipschitzViolation as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
