@@ -38,6 +38,7 @@ from .lamplighter import (
     check,
     hat,
     metric,
+    other,
 )
 from .transport import DiscreteMeasure, wasserstein
 
@@ -52,10 +53,6 @@ GENERICITY_MAX_N = 10
 #: The example cases' rates are explicit on |position| <= CASE_WIDTH, the
 #: largest bound their verdicts may be checked on.
 CASE_WIDTH = 256
-
-
-def _other(component: str) -> str:
-    return CHECK if component == HAT else HAT
 
 
 def empirical_measure(folner: FolnerSet, x: Point) -> DiscreteMeasure:
@@ -75,7 +72,7 @@ def empirical_measure(folner: FolnerSet, x: Point) -> DiscreteMeasure:
         # (component, mass) of each averaged point, the same for every shift
         parts = [(x.component, (1 - toggled) * weight)] if toggled < 1 else []
         if toggled > 0:
-            parts.append((_other(x.component), toggled * weight))
+            parts.append((other(x.component), toggled * weight))
         return DiscreteMeasure.from_pairs(
             (Point(component, x.pos - a), mass) for a in shifts for component, mass in parts
         )

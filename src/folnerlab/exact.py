@@ -1,5 +1,6 @@
 """The one conversion of outside numbers (JSON, floats, CLI flags) to exact
-rationals, and the one rule for what an outside integer is."""
+rationals, the one rule for what an outside integer is, and the one rule
+that brings rationals to integers over their lcm."""
 
 from __future__ import annotations
 
@@ -29,3 +30,11 @@ def exact(value) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{value!r} is not an exact number") from exc
+
+
+def integer_scaled(values) -> tuple[list[int], int]:
+    """Integers proportional to the rationals in ``values``, each read by
+    ``exact``, and the common denominator (their lcm) that divides them back."""
+    fractions = [x if isinstance(x, Fraction) else exact(x) for x in values]
+    scale = math.lcm(*(x.denominator for x in fractions))
+    return [x.numerator * (scale // x.denominator) for x in fractions], scale

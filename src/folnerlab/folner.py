@@ -206,7 +206,8 @@ class RateFolner(FolnerSet):
 
     @property
     def size(self) -> int:
-        return (2 ** (self.n + 1) + 1) * self.cardinality
+        cardinality = self.cardinality  # its guard first, before 2^(n+1) is built
+        return (2 ** (self.n + 1) + 1) * cardinality
 
     def shifts(self) -> range:
         return range(-(2**self.n), 2**self.n + 1)
@@ -313,8 +314,8 @@ class RateFolner(FolnerSet):
         bound) form one interval [lo, hi].  Only the shifts that move a
         flip into the window give a nonzero mask; the rest keep 4^n each.
         """
+        whole = self.stay_count(0)  # 4^n; also the counting guard, before 2^n is built
         bound, w = 2**self.n, 2 * self.n
-        whole = self.stay_count(0)  # 4^n; also the counting guard
         flips = g.flips
         lo = max(-bound, -bound - g.shift, -bound - min(flips, default=0))
         hi = min(bound, bound - g.shift, bound - max(flips, default=0))
@@ -336,9 +337,10 @@ class RateFolner(FolnerSet):
     def materialize(self) -> tuple[GroupElement, ...]:
         """Every element: each window word with every subset of the free
         positions as a support, at every shift."""
-        n, b, w = self.n, 2**self.n, 2 * self.n
+        n = self.n
         if n > MATERIALIZE_MAX_N:
             raise GuardViolation(f"rate sets materialize only for n <= {MATERIALIZE_MAX_N}, got n={n}")
+        b, w = 2**n, 2 * n
         free = tuple(itertools.chain(range(-b, -w), range(w + 1, b + 1)))
         words = (
             (j & (1 << n) - 1) | (j >> n) << 3 * n + 1 | section

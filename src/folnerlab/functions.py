@@ -1,10 +1,10 @@
 """Lipschitz test functions on the doubled lamplighter line.
 
-Three kinds: affine combinations of the first embedding coordinate and
-the component indicator, metric bumps, and Lipschitz (McShane) envelopes
-of finitely many anchor values.  Every function evaluates exactly (in
-``Fraction``) at every point including the two infinities, and carries a
-declared Lipschitz constant.
+Three kinds: affine combinations of the coordinate 1/(1 + |pos|) (0 at
+the ends) and the component indicator, metric bumps, and Lipschitz
+(McShane) envelopes of finitely many anchor values.  Every function
+evaluates exactly (in ``Fraction``) at every point including the two
+infinities, and carries a declared Lipschitz constant.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exact import exact
-from .lamplighter import CHECK, Point, embedding, metric
+from .lamplighter import CHECK, Point, metric
 
 
 @dataclass(frozen=True)
@@ -29,17 +29,18 @@ class TestFunction:
 
 
 def affine(c0, c1, c2) -> TestFunction:
-    """c0 + c1 * (first embedding coordinate) + c2 * (check indicator).
+    """c0 + c1 * 1/(1 + |pos|) (0 at the ends) + c2 * (check indicator).
 
-    Within a component the embedding coordinate moves at most 4 times the
-    distance; across components the distance is 1 and the value moves at
-    most |c1| + |c2|.
+    Within a component that coordinate (the first of the metric's planar
+    embedding) moves at most 4 times the distance; across components the
+    distance is 1 and the value moves at most |c1| + |c2|.
     """
     c0, c1, c2 = exact(c0), exact(c1), exact(c2)
     bound = max(4 * abs(c1), abs(c1) + abs(c2))
 
     def evaluate(x: Point) -> Fraction:
-        return c0 + c1 * embedding(x.pos)[0] + (c2 if x.component == CHECK else 0)
+        coordinate = 0 if x.is_infinite() else Fraction(1, 1 + abs(x.pos))
+        return c0 + c1 * coordinate + (c2 if x.component == CHECK else 0)
 
     return TestFunction("coordinate", f"affine({c0},{c1},{c2})", bound, evaluate)
 

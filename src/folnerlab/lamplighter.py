@@ -10,7 +10,9 @@ generated by the transposition ``f`` of the two origins and the shift
 meaning ``sigma^a . f_{b_k} . ... . f_{b_1}`` where ``f_b`` swaps the two
 copies of position ``b``.  All operations are pure and exact: positions are
 integers (with ``math.inf`` as the point at infinity) and distances are
-``fractions.Fraction`` values.
+``fractions.Fraction`` values.  The metric has one form, its integer cost
+block (``metric.integer_block``), and ``metric(x, y)`` is that block's one
+cell for x and y; no Fraction embedding of the line is kept beside it.
 """
 
 from __future__ import annotations
@@ -119,54 +121,30 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(-g.shift, tuple(b - g.shift for b in g.flips))
 
 
+def other(component: str) -> str:
+    """The component that a flip swaps with ``component``."""
+    return CHECK if component == HAT else HAT
+
+
 def act(g: GroupElement, x: Point) -> Point:
     """Apply g to x: infinity is fixed within its component; a finite
     position toggles component iff it lies in g's flip support, then shifts."""
     if x.is_infinite():
         return x
-    toggled = x.pos in g.flips
-    component = x.component if not toggled else (CHECK if x.component == HAT else HAT)
-    return Point(component, x.pos - g.shift)
-
-
-def embedding(pos: int | float) -> tuple[Fraction, Fraction]:
-    """Planar embedding of Z + {infinity}: both tails converge to the origin."""
-    if pos == INF:
-        return (Fraction(0), Fraction(0))
-    sign = (pos > 0) - (pos < 0)
-    return (Fraction(1, 1 + abs(pos)), Fraction(sign, 1 + abs(pos)))
+    return Point(other(x.component) if x.pos in g.flips else x.component, x.pos - g.shift)
 
 
 def metric(x: Point, y: Point) -> Fraction:
-    """Distance on the doubled line: exactly 1 across components, a scaled
-    l1 distance of the planar embeddings within a component.
-
-    With d_a = 1 + |a| and s_a = sign(a) the within-component distance is
-    (|d_b - d_a| + |s_a d_b - s_b d_a|) / (4 d_a d_b) between finite a and b,
-    (1 + |s_a|) / (4 d_a) from a to infinity, and 0 at equal positions;
-    each case is one Fraction built from integers.
-
-    ``metric.integer_block`` gives a whole cost block at once, as integers
-    over 4 L with L the lcm of d over the block's finite points, without a
-    Fraction per cell."""
-    if x.component != y.component:
-        return Fraction(1)
-    a, b = x.pos, y.pos
-    if a == b:
-        return Fraction(0)
-    if a == INF:
-        a, b = b, a
-    da, sa = 1 + abs(a), (a > 0) - (a < 0)
-    if b == INF:
-        return Fraction(1 + abs(sa), 4 * da)
-    db, sb = 1 + abs(b), (b > 0) - (b < 0)
-    return Fraction(abs(db - da) + abs(sa * db - sb * da), 4 * da * db)
+    """Distance on the doubled line: the one cell of ``metric.integer_block``
+    for x and y, whose docstring gives the formula."""
+    rows, scale = _integer_block((x,), (y,))
+    return Fraction(rows[0][0], scale)
 
 
 def _integer_block(sources, targets) -> tuple[list[list[int]], int]:
-    """The costs ``metric(p, q)`` for every source p (row) and target q
-    (column) as integers over one scale: (rows, scale) with
-    rows[i][j] / scale == metric(sources[i], targets[j]).
+    """The distance from every source (row) to every target (column) as
+    integers over one scale: (rows, scale), with rows[i][j] / scale the
+    distance from sources[i] to targets[j].
 
     The metric is a quarter of the l1 distance of the planar embeddings
     (1/d, s/d), d = 1 + |pos|, s = sign(pos), with the ends at (0, 0).

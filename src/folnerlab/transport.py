@@ -25,20 +25,20 @@ costs as integers over one scale, from the metric's ``integer_block``:
 ``lamplighter.metric`` and ``homeo.interval_distance`` each give a whole
 block at once, with no ``Fraction`` per cell.  Each integer cost is a
 positive multiple of the exact cost, the same for every cell, so the
-pivots and the plans are those of the rational problem.  Masses are
-scaled by the lcm of their denominators.
+pivots and the plans are those of the rational problem.  Masses, sums
+and dual values reach integers by the one rule of ``exact.integer_scaled``
+(over the lcm of their denominators).
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import GuardViolation, InvariantViolation, LipschitzViolation
-from .exact import exact
+from .exact import exact, integer_scaled
 from . import lamplighter
 from .folner import FolnerSet
 
@@ -100,25 +100,17 @@ class TransportPlan:
     flows: tuple[tuple[int, int, Fraction], ...]
 
 
-def _integer_scaled(values) -> tuple[list[int], int]:
-    """Integers proportional to the rationals in ``values``, and the common
-    denominator (their lcm) that divides them back."""
-    fractions = [x if isinstance(x, Fraction) else exact(x) for x in values]
-    scale = math.lcm(*(x.denominator for x in fractions))
-    return [x.numerator * (scale // x.denominator) for x in fractions], scale
-
-
 def _total(values) -> Fraction:
     """The exact sum of rationals, added as integers over their common
     denominator rather than one Fraction at a time."""
-    numerators, scale = _integer_scaled(values)
+    numerators, scale = integer_scaled(values)
     return Fraction(sum(numerators), scale)
 
 
 def _integer_costs(costs) -> tuple[list[list[int]], int]:
     """A cost matrix as integers over one common denominator."""
     width = len(costs[0]) if costs else 0
-    flat, scale = _integer_scaled([c for row in costs for c in row])
+    flat, scale = integer_scaled([c for row in costs for c in row])
     return [flat[k * width : (k + 1) * width] for k in range(len(costs))], scale
 
 
@@ -247,7 +239,7 @@ def transportation_plan(supplies, demands, costs, scale):
     potential moves.
     """
     m, n = len(supplies), len(demands)
-    masses, mass_scale = _integer_scaled([*supplies, *demands])
+    masses, mass_scale = integer_scaled([*supplies, *demands])
     flow = _start_basis(masses[:m], masses[m:], costs)
     adj: list[set[int]] = [set() for _ in range(m + n)]
     for i, j in flow:
@@ -379,7 +371,7 @@ def dual_lower_bound(
         values = {p: exact(f(p)) for p in points}
         if costs is None:
             costs, cost_scale = dist.integer_block(points, points)
-        scaled, value_scale = _integer_scaled(values.values())
+        scaled, value_scale = integer_scaled(values.values())
         # |f(p) - f(q)| <= d(p, q), both sides over value_scale * cost_scale
         for a in range(size):
             fa, row = scaled[a], costs[a]

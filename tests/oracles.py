@@ -35,13 +35,13 @@ from folnerlab.transport import _integer_costs
 from folnerlab.lamplighter import (
     FLIP,
     IDENTITY,
+    INF,
     INF_HAT,
     SIGMA,
     SIGMA_INV,
     GroupElement,
     act,
     compose,
-    embedding,
     hat,
     metric,
 )
@@ -348,9 +348,18 @@ def repelling_breakpoints(base, n: int) -> list:
     return members
 
 
+def embedding(pos) -> tuple[Fraction, Fraction]:
+    """Planar embedding of Z + {infinity}: both tails converge to the origin."""
+    if pos == INF:
+        return (Fraction(0), Fraction(0))
+    sign = (pos > 0) - (pos < 0)
+    return (Fraction(1, 1 + abs(pos)), Fraction(sign, 1 + abs(pos)))
+
+
 def embedding_metric(x, y) -> Fraction:
     """The doubled-line distance as a quarter of the l1 distance of the
-    planar embeddings within a component, 1 across components."""
+    planar embeddings within a component, 1 across components, in Fraction
+    and apart from the library's integer block."""
     if x.component != y.component:
         return Fraction(1)
     px, py = embedding(x.pos), embedding(y.pos)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from oracles import cost_matrix, two_atom_transport, unit_hungarian
 
-from folnerlab import cli, experiment
+from folnerlab import cli, experiment, homeo
 from folnerlab.cli import ACTIONS, DUAL_MAX_POINTS, FLAGS, INTERLEAVE_MAX_COUNT, KIND_FLAGS, main
 from folnerlab.dynamics import empirical_measure, limit_measure
 from folnerlab.errors import ConfigError
@@ -24,10 +24,12 @@ from folnerlab.experiment import (
 from folnerlab.folner import BOX_SIZE_MAX_WIDTH, RateSequence, rate_folner
 from folnerlab.homeo import (
     IDENTITY_MAP,
+    MATCH_MAX_PAIRS,
     REPELLING_MAX_N,
     HomeoFamily,
     PLHomeo,
     endpoint_fractions,
+    matching_number,
     repelling_family,
 )
 from folnerlab.lamplighter import Point, hat, metric
@@ -348,6 +350,28 @@ def test_homeo_empirical_action_exits_2_past_the_coupling_bound(capsys, monkeypa
 def test_homeo_match_identity(capsys):
     assert run_cli("homeo", "match", "--radius", "0.25") == 0
     assert json.loads(capsys.readouterr().out)["matching"] == 1
+
+
+def test_homeo_match_refuses_past_its_pair_ceiling_before_any_pair(tmp_path, monkeypatch, capsys):
+    """Identity families one member past MATCH_MAX_PAIRS exit 3, naming both
+    counts, before any pair of maps is compared."""
+
+    def refuse(*args):
+        raise AssertionError("the guard let the pairs be compared")
+
+    monkeypatch.setattr(homeo, "_closer_than", refuse)
+    side = math.isqrt(MATCH_MAX_PAIRS)
+    for name, size in (("base.json", side + 1), ("other.json", side)):
+        (tmp_path / name).write_text(json.dumps([IDENTITY_MAP.to_dict()] * size))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("homeo", "match", "--base", "base.json", "--other", "other.json") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"guard violation: {side + 1} x {side} members exceed the matching guard of {MATCH_MAX_PAIRS} pairs\n"
+    )
+    monkeypatch.setattr(homeo, "_closer_than", lambda f, g, radius: True)
+    assert matching_number(HomeoFamily((IDENTITY_MAP,) * side), HomeoFamily((IDENTITY_MAP,) * side), 1) == side
 
 
 def test_folner_interleave(capsys):

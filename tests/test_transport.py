@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -16,6 +17,7 @@ from oracles import (
     brute_assignment_distance,
     cost_matrix,
     dual_bound,
+    embedding_metric,
     scaled_to_unit,
     two_atom_plan,
     two_atom_transport,
@@ -31,7 +33,7 @@ from folnerlab.dynamics import (
     wf_estimate,
 )
 from folnerlab.errors import GuardViolation, InvariantViolation, LipschitzViolation
-from folnerlab.exact import exact
+from folnerlab.exact import exact, integer_scaled
 from folnerlab.folner import RateSequence, explicit_folner, rate_folner
 from folnerlab.functions import ends_separator, affine
 from folnerlab.lamplighter import (
@@ -162,6 +164,37 @@ def test_outside_numbers_convert_exactly():
         with pytest.raises(ValueError):
             exact(bad)
     assert affine(0.1, 0, 0)(hat(0)) == Fraction(1, 10)
+
+
+#: Numbers as they come from outside: ints, Fractions, floats, and p/q and decimal strings.
+OUTSIDE_NUMBERS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.fractions(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions().map(str),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(OUTSIDE_NUMBERS, max_size=6))
+def test_integer_scaled_is_exact_over_the_lcm(values):
+    scaled, scale = integer_scaled(values)
+    assert [Fraction(k, scale) for k in scaled] == [exact(v) for v in values]
+    assert scale == math.lcm(*(exact(v).denominator for v in values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(OUTSIDE_NUMBERS, max_size=3),
+    st.sampled_from([float("nan"), float("-inf"), True, "nan", "1/0", "junk", "", None, [1]]),
+    st.lists(OUTSIDE_NUMBERS, max_size=3),
+)
+def test_integer_scaled_refuses_what_exact_refuses(before, bad, after):
+    with pytest.raises(ValueError) as refused:
+        exact(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        integer_scaled([*before, bad, *after])
 
 
 def test_dual_constant_witness_gives_zero():
@@ -691,7 +724,7 @@ def test_integer_block_cells_are_the_metric(sources, targets):
     assert [len(row) for row in rows] == [len(targets)] * len(sources)
     assert all(isinstance(c, int) for row in rows for c in row)
     for p, row in zip(sources, rows):
-        assert [Fraction(c, scale) for c in row] == [metric(p, q) for q in targets]
+        assert [Fraction(c, scale) for c in row] == [embedding_metric(p, q) for q in targets]
 
 
 def test_integer_block_is_carried_by_wrappers():
