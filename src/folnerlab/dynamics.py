@@ -9,7 +9,10 @@ sequence; the resulting limit operator S is a positive contractive
 projection and satisfies Seever's identity, while its averaging defect
 factors exactly as r(1-r) * (gap of f at the ends) * (gap of h).
 Since every limit measure lives on the two ends, S f is fixed by f's two
-end values and the rate: S reads f once at each end.
+end values and the rate: S reads f once at each end.  For the same reason
+the distance of an empirical measure to its limit has a closed form, a
+fractional knapsack whose value is a sum of harmonic windows, so no
+genericity row builds an empirical measure or solves a transport.
 All quantities here are exact rationals.
 """
 
@@ -44,12 +47,16 @@ from .transport import DiscreteMeasure, wasserstein
 
 GENERATORS = (SIGMA, SIGMA_INV, FLIP)
 
-#: Largest n whose empirical measure (2^(n+2) + 2 atoms) is built for a
-#: genericity row or an average.  Row n solves an atoms x 2 simplex from
-#: its optimal start basis; on a 2-vCPU Xeon under Python 3.11 one row took
-#: 0.03 s at n = 10 (4098 x 2), and ``dynamics met --preset r-decay --g s``
-#: to n = 10 took 6.4 s, doubling per step.
-GENERICITY_MAX_N = 10
+#: Largest n of a genericity row.  A row is a closed form with no
+#: transport (see ``genericity_table``), so the ceiling is the size of its
+#: exact value: on ``decay`` at hat(0) the distance at n = 13 has a
+#: 3,556-digit denominator, and n = 14 passes the 4,300 digits Python
+#: prints, which an exact CSV would need.
+GENERICITY_MAX_N = 13
+#: Largest n whose empirical measure (2^(n+2) + 2 atoms) is built for an
+#: average; ``dynamics averaging --preset r-decay --g s`` to n = 10 took
+#: 6.4 s on a 2-vCPU Xeon under Python 3.11, doubling per step.
+AVERAGING_MAX_N = 10
 #: The example cases' rates are explicit on |position| <= CASE_WIDTH, the
 #: largest bound their verdicts may be checked on.
 CASE_WIDTH = 256
@@ -137,7 +144,7 @@ class GenericityRow:
     check_mass: Fraction
 
 
-def _genericity_atoms(n: int) -> str:
+def _averaged_atoms(n: int) -> str:
     """Atoms of the n-th empirical measure, two per shift in [-2^n, 2^n]:
     2^(n+2) + 2, written out while it has at most 20 digits and as the
     formula past that, so no guard message builds a huge integer."""
@@ -145,37 +152,126 @@ def _genericity_atoms(n: int) -> str:
 
 
 def genericity_guard(n: int) -> None:
-    """Refuse a genericity row whose transportation simplex is over the guard."""
+    """Refuse a genericity row whose exact distance may not print."""
     if n > GENERICITY_MAX_N:
         raise GuardViolation(
-            f"n = {n} needs a {_genericity_atoms(n)}x2 transportation simplex; the simplex size "
-            f"guard allows n <= {GENERICITY_MAX_N} ({_genericity_atoms(GENERICITY_MAX_N)}x2), got {n}"
+            f"n = {n} can give an exact genericity distance of more than 4,300 digits, the most "
+            f"Python prints; the guard allows n <= {GENERICITY_MAX_N}, got {n}"
         )
 
 
 def averaging_guard(n: int) -> None:
-    """Refuse averages over an empirical measure past GENERICITY_MAX_N."""
-    if n > GENERICITY_MAX_N:
+    """Refuse averages over an empirical measure past AVERAGING_MAX_N."""
+    if n > AVERAGING_MAX_N:
         raise GuardViolation(
-            f"n = {n} averages over {_genericity_atoms(n)}-atom empirical measures; the guard "
-            f"allows n <= {GENERICITY_MAX_N} ({_genericity_atoms(GENERICITY_MAX_N)} atoms), got {n}"
+            f"n = {n} averages over {_averaged_atoms(n)}-atom empirical measures; the guard "
+            f"allows n <= {AVERAGING_MAX_N} ({_averaged_atoms(AVERAGING_MAX_N)} atoms), got {n}"
         )
+
+
+def _harmonic(a: int, b: int) -> tuple[int, int]:
+    """The sum of 1/j over a <= j <= b (a >= 1) as an unreduced integer pair
+    (numerator, denominator) by binary splitting; (0, 1) when a > b."""
+    if a > b:
+        return 0, 1
+    if a == b:
+        return 1, a
+    mid = (a + b) // 2
+    p, q = _harmonic(a, mid)
+    r, s = _harmonic(mid + 1, b)
+    return p * s + r * q, q * s
+
+
+def _end_cost_sum(lo: int, hi: int) -> tuple[int, int]:
+    """4 times the sum of d_p = (1 + |sgn p|) / (4 (1 + |p|)) over the window
+    lo <= p <= hi, as an integer pair; 4 d_p is 2/(1 + |p|), less 1 at p = 0,
+    so the sum is twice a harmonic window on each side of 0.  An empty window
+    (hi = lo - 1) gives 0."""
+    p, q = _harmonic(max(lo, 0) + 1, hi + 1)
+    r, s = _harmonic(1 - min(hi, -1), 1 - lo)
+    zero = 1 if lo <= 0 <= hi else 0
+    return 2 * (p * s + r * q) - zero * q * s, q * s
+
+
+def _nearest_start(lo: int, hi: int, k: int) -> int:
+    """a such that [a, a + k - 1] holds k positions of least |p| in [lo, hi]."""
+    return min(max(-(k // 2), lo), hi - k + 1)
+
+
+def _end_cost(p: int) -> Fraction:
+    """d_p, the distance from position p to the end of its component."""
+    return Fraction(2 if p else 1, 4 * (1 + abs(p)))
+
+
+def _genericity_row(folner: RateFolner, x: Point, rate: RateSequence) -> GenericityRow:
+    """W(S_n* delta_x, mu_x) in closed form; see ``genericity_table``."""
+    n = folner.n
+    if x.is_infinite():
+        return GenericityRow(n, Fraction(0), tau_bound(n), Fraction(1 if x.component == CHECK else 0))
+    shifts = folner.shifts()
+    size = shifts.stop - shifts.start
+    lo, hi = x.pos - shifts.stop + 1, x.pos - shifts.start
+    t, r = flip_balance(folner, x.pos), rate.value(x.pos)
+    crossing = abs(t - r)
+    # the crossing component's mass: the toggled one (t) when t > r, else x's own
+    mass = t if t > r else 1 - t
+    reach, rest, next_cost = 0, Fraction(0), Fraction(0)
+    if crossing:
+        reach = crossing * size // mass
+        rest = crossing - reach * mass / size
+    start = _nearest_start(lo, hi, reach)
+    if rest:  # the next nearest position: the one the window of reach + 1 adds
+        after = _nearest_start(lo, hi, reach + 1)
+        next_cost = _end_cost(after if after < start else start + reach)
+    whole, whole_den = _end_cost_sum(lo, hi)
+    crossed, crossed_den = _end_cost_sum(start, start + reach - 1)
+    # crossing - rest * next_cost + (whole - mass * crossed) / (4 size), as one Fraction
+    small = crossing - rest * next_cost
+    big_num = whole * crossed_den * mass.denominator - mass.numerator * crossed * whole_den
+    big_den = 4 * size * whole_den * crossed_den * mass.denominator
+    distance = Fraction(
+        small.numerator * big_den + small.denominator * big_num, small.denominator * big_den
+    )
+    return GenericityRow(n, distance, tau_bound(n), t if x.component == HAT else 1 - t)
 
 
 def genericity_table(
     sets: Sequence[RateFolner], x: Point, rate: RateSequence
 ) -> tuple[list[GenericityRow], list[str]]:
-    """Per-set transport distance of the empirical measure to the limit;
-    flags any failure of monotone decrease along the list.  Every set is
-    checked against the simplex size guard before any transport runs."""
+    """Per-set transport distance W(S_n* delta_x, mu_x) of the empirical
+    measure to the limit; flags any failure of monotone decrease along the
+    list.  Every set is checked against the guard before any row is built.
+
+    Each row is exact and in closed form, with no transport solved.  Let Q
+    be the set's shift range, P = x.pos - Q the window of averaged
+    positions, t the flip balance at x.pos and r the rate there.  The
+    empirical measure puts mass (1 - t)/|Q| on x's component and t/|Q| on
+    the other at every p in P; the limit puts 1 - r on the end of x's
+    component and r on the other end, for a hat and a check x alike.  A unit of mass at p goes
+    to its own component's end at cost d_p = (1 + |sgn p|)/(4 (1 + |p|))
+    <= 1/4 or crosses to the other end at cost 1.  A plan crossing mass in
+    both directions is not optimal: swapping the ends of two crossing units
+    saves at least 2 - 1/2.  So an optimal plan crosses exactly
+    e = |t - r|, from the component whose mass exceeds its end's (the
+    toggled one, of mass M = t, when t > r, else x's own, M = 1 - t; e <= M
+    since 0 <= r <= 1), and crossing at p costs 1 - d_p more than staying.
+    The optimum is therefore a fractional knapsack: it crosses from the
+    positions of least |p| first, whole atoms of mass M/|Q| at the k =
+    floor(e |Q| / M) positions nearest 0 (a window W of P) and the rest
+    e - k M/|Q| at the next one, q.  Its value is
+
+        (1/|Q|) sum_P d_p + e - (M/|Q|) sum_W d_p - (e - k M/|Q|) d_q,
+
+    and the two sums are harmonic windows on each side of 0, summed by
+    integer binary splitting (Haible & Papanikolaou, "Fast multiprecision
+    evaluation of series of rational numbers", 1998) and reduced once.
+    The check mass is t for a hat point and 1 - t for a check point.  An
+    infinite x is fixed by the group, so both measures are the point mass
+    at x: distance 0 and check mass 1 on the check end, 0 on the hat end.
+    """
     for folner in sets:
         genericity_guard(folner.n)
-    rows = []
-    for folner in sets:
-        mu = empirical_measure(folner, x)
-        value, _ = wasserstein(mu, limit_measure(rate, x), metric)
-        check_mass = mu.mass_where(lambda p: p.component == CHECK)
-        rows.append(GenericityRow(folner.n, value, tau_bound(folner.n), check_mass))
+    rows = [_genericity_row(folner, x, rate) for folner in sets]
     violations = [
         f"distance increased from n={a.n} ({a.distance}) to n={b.n} ({b.distance})"
         for a, b in zip(rows, rows[1:])

@@ -136,9 +136,28 @@ def act(g: GroupElement, x: Point) -> Point:
 
 def metric(x: Point, y: Point) -> Fraction:
     """Distance on the doubled line: the one cell of ``metric.integer_block``
-    for x and y, whose docstring gives the formula."""
-    rows, scale = _integer_block((x,), (y,))
-    return Fraction(rows[0][0], scale)
+    for x and y, whose docstring gives the formula, computed alone."""
+    lcm = math.lcm(_denominator(x), _denominator(y))
+    scale = 4 * lcm
+    return Fraction(_cell(_scaled(x, lcm), _scaled(y, lcm), scale), scale)
+
+
+def _denominator(p: Point) -> int:
+    """d = 1 + |pos| of a finite point, 1 at an end (which needs no scale)."""
+    return 1 if p.pos == INF else 1 + abs(p.pos)
+
+
+def _scaled(p: Point, lcm: int) -> tuple[str, int, int]:
+    """(component, k, s k): lcm times p's planar embedding, k = lcm/d."""
+    if p.pos == INF:
+        return p.component, 0, 0
+    k = lcm // _denominator(p)
+    return p.component, k, k if p.pos > 0 else -k if p.pos < 0 else 0
+
+
+def _cell(a: tuple[str, int, int], b: tuple[str, int, int], scale: int) -> int:
+    """The distance between two scaled points, times the scale."""
+    return abs(a[1] - b[1]) + abs(a[2] - b[2]) if a[0] == b[0] else scale
 
 
 def _integer_block(sources, targets) -> tuple[list[list[int]], int]:
@@ -152,20 +171,10 @@ def _integer_block(sources, targets) -> tuple[list[list[int]], int]:
     embedding is the integer pair (k, s k), k = L/d, so over the scale 4 L
     a cell within a component is |k_a - k_b| + |s_a k_a - s_b k_b| and a
     cell across components is the scale itself."""
-    lcm = math.lcm(*{1 + abs(p.pos) for p in (*sources, *targets) if p.pos != INF})
+    lcm = math.lcm(*{_denominator(p) for p in (*sources, *targets)})
     scale = 4 * lcm
-
-    def scaled(p: Point) -> tuple[str, int, int]:
-        if p.pos == INF:
-            return p.component, 0, 0
-        k = lcm // (1 + abs(p.pos))
-        return p.component, k, k if p.pos > 0 else -k if p.pos < 0 else 0
-
-    cols = [scaled(q) for q in targets]
-    return [
-        [abs(xa - xb) + abs(ya - yb) if ca == cb else scale for cb, xb, yb in cols]
-        for ca, xa, ya in map(scaled, sources)
-    ], scale
+    cols = [_scaled(q, lcm) for q in targets]
+    return [[_cell(a, b, scale) for b in cols] for a in (_scaled(p, lcm) for p in sources)], scale
 
 
 metric.integer_block = _integer_block

@@ -12,9 +12,11 @@ PL maps by evaluating their breakpoint lists point by point in Fraction
 (and inverting them by swapping coordinates), repelling elements,
 repelling checks and endpoint counts from their Fraction definitions,
 the lamplighter metric from its planar embedding, the limit operator by
-integrating against the limit measure, and right-box averages with their
-tail bound.  Test-only checks live here too: the marginals of a transport
-plan and the declared Lipschitz constant of a test function.  Cost
+integrating against the limit measure, genericity rows by building the
+empirical measure and solving its transport onto the limit on the
+simplex, and right-box averages with their tail bound.  Test-only checks
+live here too: the marginals of a transport plan and the declared
+Lipschitz constant of a test function.  Cost
 matrices are built with one Fraction per cell, the reference for the
 metrics' integer blocks; the dual bound checks each witness pair by pair
 in Fraction; and generator words are parsed by a left fold of
@@ -28,11 +30,12 @@ from itertools import combinations, permutations
 from folnerlab.errors import LipschitzViolation, WordParseError
 from folnerlab.exact import exact
 from folnerlab.folner import FolnerSet, box_folner
-from folnerlab.dynamics import empirical_measure, limit_measure
+from folnerlab.dynamics import GenericityRow, empirical_measure, limit_measure, tau_bound
 from folnerlab.functions import TestFunction
 from folnerlab.homeo import PLHomeo, pl_homeo, squash_margin
-from folnerlab.transport import _integer_costs
+from folnerlab.transport import _integer_costs, wasserstein
 from folnerlab.lamplighter import (
+    CHECK,
     FLIP,
     IDENTITY,
     INF,
@@ -364,6 +367,16 @@ def embedding_metric(x, y) -> Fraction:
         return Fraction(1)
     px, py = embedding(x.pos), embedding(y.pos)
     return Fraction(1, 4) * (abs(px[0] - py[0]) + abs(px[1] - py[1]))
+
+
+def simplex_genericity_row(folner, x, rate) -> GenericityRow:
+    """A genericity row by building the empirical measure S_n* delta_x and
+    transporting it onto the limit measure on the simplex: the reference
+    for the closed form of ``genericity_table``."""
+    mu = empirical_measure(folner, x)
+    value, _ = wasserstein(mu, limit_measure(rate, x), metric)
+    check_mass = mu.mass_where(lambda p: p.component == CHECK)
+    return GenericityRow(folner.n, value, tau_bound(folner.n), check_mass)
 
 
 def limit_apply_by_measure(rate, f):

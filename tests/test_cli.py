@@ -502,10 +502,10 @@ def test_homeo_empirical_checks_the_coupling_bound(tmp_path, monkeypatch):
 
 def test_validate_config_guard_marked():
     with pytest.raises(ConfigError) as err:
-        validate_config('{"scenarios": [{"id": "genericity", "params": {"nmax": 11}}]}')
+        validate_config('{"scenarios": [{"id": "genericity", "params": {"nmax": 14}}]}')
     assert guard_violations(err.value)
-    assert any("size guard" in v for v in err.value.violations)
-    assert any("8194x2" in v for v in err.value.violations)
+    assert any("n = 14" in v and "n <= 13" in v for v in err.value.violations)
+    assert not any("simplex" in v for v in err.value.violations)
 
 
 def test_genericity_guard_follows_the_simplex_size(tmp_path, capsys):
@@ -517,16 +517,27 @@ def test_genericity_guard_follows_the_simplex_size(tmp_path, capsys):
     rows = (tmp_path / "res" / "results.csv").read_text().splitlines()
     assert any(row.startswith("genericity,4,") for row in rows)
     over = tmp_path / "over.json"
-    over.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 11}}]}))
+    over.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 14}}]}))
     capsys.readouterr()
     assert run_cli("experiment", "--config", str(over)) == 3
-    assert "8194x2 transportation simplex" in capsys.readouterr().err
+    assert "n = 14 can give an exact genericity distance of more than 4,300 digits" in capsys.readouterr().err
 
 
 def test_validate_config_unknown_scenario():
     with pytest.raises(ConfigError) as err:
         validate_config('{"scenarios": [{"id": "mystery"}]}')
     assert not guard_violations(err.value)
+
+
+def test_genericity_distance_over_its_tolerance_fails(capsys, monkeypatch):
+    monkeypatch.setattr("folnerlab.dynamics.tau_bound", lambda n: Fraction(1, 10**6))
+    assert run_cli("dynamics", "generic", "--preset", "r-const:0.5", "--nmax", "2") == 2
+    table = run_experiment(ExperimentConfig((ScenarioSpec("genericity", {"rate": "const:0.5", "nmax": 2}),)))
+    assert table.failures == [
+        "genericity: distance exceeds 1/1000000 at n=1",
+        "genericity: distance exceeds 1/1000000 at n=2",
+    ]
+    assert table.exit_code() == 2
 
 
 def test_any_nonzero_seever_residual_fails(tmp_path, capsys, monkeypatch):
@@ -544,7 +555,7 @@ def test_experiment_cli_exit_codes(tmp_path):
     good.write_text(json.dumps({"scenarios": [{"id": "rightavg", "params": {"nmax": 2}}]}))
     assert run_cli("experiment", "--config", str(good), "--out", str(tmp_path / "res")) == 0
     guard = tmp_path / "guard.json"
-    guard.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 11}}]}))
+    guard.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 14}}]}))
     assert run_cli("experiment", "--config", str(guard)) == 3
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
@@ -612,14 +623,15 @@ def test_thm_example_case_b_over_the_whole_bmax_range(tmp_path):
 
 
 def test_dynamics_generic_guard_exit_code(capsys):
-    assert run_cli("dynamics", "generic", "--preset", "r-const:0.5", "--nmax", "11") == 3
-    assert "8194x2" in capsys.readouterr().err
+    assert run_cli("dynamics", "generic", "--preset", "r-const:0.5", "--nmax", "14") == 3
+    assert "n = 14" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("action, size", [("generic", "(2^100002 + 2)x2"), ("averaging", "(2^100002 + 2)-atom")])
+@pytest.mark.parametrize("action, size", [("generic", "n <= 13"), ("averaging", "(2^100002 + 2)-atom")])
 def test_guard_messages_past_the_print_limit(capsys, action, size):
-    """2^100002 has more digits than Python prints, so the guard names the
-    size as a formula and still exits 3."""
+    """2^100002 has more digits than Python prints, so the averaging guard
+    names the size as a formula; the genericity guard names its ceiling.
+    Both exit 3."""
     assert run_cli("dynamics", action, "--preset", "r-decay", "--nmax", "100000") == 3
     err = capsys.readouterr().err
     assert err.startswith("guard violation: ") and "n = 100000" in err and size in err
@@ -719,10 +731,11 @@ def test_dynamics_flag_the_action_does_not_map_is_a_usage_error(capsys, argv, fl
 
 def test_guard_violations_print_as_guards(tmp_path, capsys):
     over = tmp_path / "over.json"
-    over.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 11}}]}))
+    over.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 14}}]}))
     assert run_cli("experiment", "--config", str(over)) == 3
-    assert capsys.readouterr().err.startswith(
-        "guard violation: scenarios[0].params.nmax: n = 11 needs a 8194x2 transportation simplex"
+    assert capsys.readouterr().err == (
+        "guard violation: scenarios[0].params.nmax: n = 14 can give an exact genericity distance of "
+        "more than 4,300 digits, the most Python prints; the guard allows n <= 13, got 14\n"
     )
     assert run_cli("dynamics", "averaging", "--nmax", "11") == 3
     assert capsys.readouterr().err == (

@@ -36,6 +36,7 @@ from folnerlab.functions import (
 from folnerlab.lamplighter import (
     CHECK,
     FLIP,
+    HAT,
     IDENTITY,
     INF,
     INF_CHECK,
@@ -50,7 +51,13 @@ from folnerlab.lamplighter import (
     metric,
 )
 from folnerlab.transport import DiscreteMeasure, wasserstein
-from oracles import box_average_tail_bound, limit_apply_by_measure, right_box_averages, verify_lipschitz
+from oracles import (
+    box_average_tail_bound,
+    limit_apply_by_measure,
+    right_box_averages,
+    simplex_genericity_row,
+    verify_lipschitz,
+)
 
 HALF = RateSequence.constant(Fraction(1, 2))
 ZERO = RateSequence.constant(0)
@@ -146,6 +153,44 @@ def test_genericity_decreasing_and_bounded():
         assert rows[0].distance > rows[1].distance > rows[2].distance
         for row in rows:
             assert row.distance <= row.bound, name
+
+
+#: Presets and constant rates p/q with q <= 12, including 0 and 1.
+GENERICITY_RATES = st.one_of(
+    st.sampled_from(["decay", "split", "zero", "const:1/2"]),
+    st.fractions(min_value=0, max_value=1, max_denominator=12).map(lambda r: f"const:{r}"),
+)
+#: Both ends, and finite points inside and outside the n <= 7 shift windows.
+GENERICITY_POINTS = st.one_of(
+    st.sampled_from([INF_HAT, INF_CHECK]),
+    st.builds(Point, st.sampled_from([HAT, CHECK]), st.integers(-140, 140)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), GENERICITY_RATES, GENERICITY_POINTS)
+def test_closed_genericity_row_is_the_simplex_row(n, preset, x):
+    rate = RateSequence.from_preset(preset)
+    folner = rate_folner(rate, n)
+    rows, _ = genericity_table([folner], x, rate)
+    assert rows == [simplex_genericity_row(folner, x, rate)]
+
+
+def test_genericity_rows_at_the_guard_ceiling():
+    """On decay at hat(0) the exact distances at n = 10, 12 and 13 have
+    denominators of 1,490 and 5,935 bits and 3,556 digits."""
+    rate = PRESETS["decay"]
+    sets = [rate_folner(rate, n) for n in (10, 12, 13)]
+    rows, violations = genericity_table(sets, hat(0), rate)
+    assert violations == []
+    assert rows == [simplex_genericity_row(folner, hat(0), rate) for folner in sets]
+    assert [row.distance.denominator.bit_length() for row in rows] == [1490, 5935, 11811]
+    assert len(str(rows[2].distance.denominator)) == 3556
+    assert [float(row.distance) for row in rows] == [
+        0.0032992441591187076,
+        0.000994183812767146,
+        0.0005394148368329854,
+    ]
 
 
 def test_tau_bound_decreasing():
