@@ -50,7 +50,7 @@ from .homeo import (
     repelling_family,
 )
 from .lamplighter import FLIP, Point, metric, parse_word
-from .transport import ASSIGNMENT_GUARD, DiscreteMeasure, dual_lower_bound, wasserstein
+from .transport import DiscreteMeasure, dual_lower_bound, wasserstein
 
 
 class UsageError(Exception):
@@ -207,15 +207,12 @@ DUAL_MAX_POINTS = 100
 
 
 def _measures(args):
-    """--mu and --nu, and the metric their points live in, refused before any cost is built
-    past the assignment guard (and for ``dual`` past ``DUAL_MAX_POINTS``)."""
+    """--mu and --nu, and the metric their points live in; for ``dual`` refused past
+    ``DUAL_MAX_POINTS`` before any cost is built (``wasserstein`` guards its own size)."""
     mu, nu = _load_measure(args.mu), _load_measure(args.nu)
     support = mu.support() + nu.support()
     if len({isinstance(p, Point) for p in support}) > 1:
         raise ValueError("--mu and --nu must hold only lamplighter points or only interval numbers")
-    m, n = len(mu.atoms), len(nu.atoms)
-    if m * n > ASSIGNMENT_GUARD:
-        raise GuardViolation(f"{m} x {n} atoms exceed the assignment guard of {ASSIGNMENT_GUARD} cells")
     points = len(set(support))
     if args.action == "dual" and points > DUAL_MAX_POINTS:
         raise GuardViolation(f"the dual is checked on at most {DUAL_MAX_POINTS} support points, got {points}")

@@ -40,10 +40,8 @@ from .lamplighter import (
     act,
     check,
     hat,
-    metric,
-    other,
 )
-from .transport import DiscreteMeasure, wasserstein
+from .transport import DiscreteMeasure, assignment_distance, empirical_measure
 
 GENERATORS = (SIGMA, SIGMA_INV, FLIP)
 
@@ -60,30 +58,6 @@ AVERAGING_MAX_N = 10
 #: The example cases' rates are explicit on |position| <= CASE_WIDTH, the
 #: largest bound their verdicts may be checked on.
 CASE_WIDTH = 256
-
-
-def empirical_measure(folner: FolnerSet, x: Point) -> DiscreteMeasure:
-    """The uniform average of point masses over the orbit piece F.x.
-
-    Counting path for sets with a shift range (rate and box): for every
-    shift a the averaged point sits at position pos - a, toggled with the
-    exact support-balance fraction.  Other sets average over their
-    elements.  Infinite points are fixed by the whole group.
-    """
-    if x.is_infinite():
-        return DiscreteMeasure.point_mass(x)
-    shifts = folner.shifts()
-    if shifts is not None:
-        toggled = flip_balance(folner, x.pos)
-        weight = Fraction(1, len(shifts))
-        # (component, mass) of each averaged point, the same for every shift
-        parts = [(x.component, (1 - toggled) * weight)] if toggled < 1 else []
-        if toggled > 0:
-            parts.append((other(x.component), toggled * weight))
-        return DiscreteMeasure.from_pairs(
-            (Point(component, x.pos - a), mass) for a in shifts for component, mass in parts
-        )
-    return DiscreteMeasure.uniform([act(g, x) for g in folner.materialize()])
 
 
 def _end_masses(rate: RateSequence, x: Point) -> tuple[Fraction, Fraction]:
@@ -281,12 +255,10 @@ def genericity_table(
 
 
 def wf_estimate(sets: Sequence[FolnerSet], x: Point, y: Point) -> list[Fraction]:
-    """The finite prefix W(S_n* delta_x, S_n* delta_y); no limit is claimed,
-    callers inspect stabilization themselves."""
-    return [
-        wasserstein(empirical_measure(folner, x), empirical_measure(folner, y), metric)[0]
-        for folner in sets
-    ]
+    """The finite prefix W(S_n* delta_x, S_n* delta_y), the pair distance
+    ``assignment_distance`` of each set; no limit is claimed, callers
+    inspect stabilization themselves."""
+    return [assignment_distance(folner, x, y) for folner in sets]
 
 
 def seever_residual(

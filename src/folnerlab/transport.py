@@ -10,14 +10,16 @@ by increasing cost, ties by row and then column, and leaves few pivots
 n <= 6).  Its integer flows are checked against the scaled marginals
 before they are divided back.
 
-The same simplex is the one kernel of the permutation form over a finite
-group set: ``assignment_distance`` is ``wasserstein`` on the two counted
-orbit measures, and ``solve_assignment`` runs it with unit masses.
-Masses in multiples of 1/|F| keep every basic flow in such multiples, so
-the plan is a permutation up to relabelling equal points.  At every
-finite size the permutation form and the transport distance agree
-(Birkhoff), which the test suite checks against a factorial brute force,
-the expanded Hungarian solve and a basis-enumeration oracle.
+``wasserstein`` is the one transport entry: it refuses a problem past
+``ASSIGNMENT_GUARD`` cells before any cost is built, and the CLI's
+transport actions, the scenarios and the pair distance all call it.  The
+permutation form over a finite group set is the same number:
+``assignment_distance`` is ``wasserstein`` on the two orbit measures that
+``empirical_measure`` counts, so a rate set is never enumerated, and
+``solve_assignment`` runs the simplex with unit masses.  At every finite
+size the permutation form and the transport distance agree (Birkhoff),
+which the test suite checks against a factorial brute force, the
+expanded Hungarian solve and a basis-enumeration oracle.
 
 The simplex runs on Python ``int`` and divides back at exit, so results
 stay exact and no ``Fraction`` is built inside a pivot.  It takes its
@@ -40,14 +42,16 @@ from typing import Callable, Hashable, Iterable, Sequence
 from .errors import GuardViolation, InvariantViolation, LipschitzViolation
 from .exact import exact, integer_scaled
 from . import lamplighter
-from .folner import FolnerSet
+from .folner import FolnerSet, flip_balance
 
-#: Largest transport ``assignment_distance`` solves, in cells |F.x| x |F.y|
-#: over the distinct orbit points.  A set whose orbit points are all
-#: distinct is the costly case: on a 2-vCPU Xeon under Python 3.11 the
-#: shifts 0..k-1 (x = hat(0), y = hat(3)) took 0.9 s at 300 x 300 points
-#: (90,000 cells) and 2.0 s at 400 x 400, nearly all of it in pivots.
-ASSIGNMENT_GUARD = 90_000
+#: Largest transport ``wasserstein`` solves, in cells |mu| x |nu| over the
+#: atoms.  It holds every rate-set pair distance up to n = 7, whose orbit
+#: measures have two atoms on each of 2^(n+1) + 1 shifts, 514 a side.
+#: Orbit points that are all distinct are the costly case: on a 2-vCPU Xeon
+#: under Python 3.11 the shifts 0..k-1 (x = hat(0), y = hat(3)) took 0.42 s
+#: at 300 x 300 atoms, 1.08 s at 400 x 400 and 2.51 s at 514 x 514, nearly
+#: all of it in pivots; ``wf_estimate`` on ``decay`` at n = 7 took 0.09 s.
+ASSIGNMENT_GUARD = 514**2
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,30 @@ class DiscreteMeasure:
 
     def mass_where(self, predicate: Callable[[Hashable], bool]) -> Fraction:
         return _total(mass for point, mass in self.atoms if predicate(point))
+
+
+def empirical_measure(folner: FolnerSet, x: "lamplighter.Point") -> DiscreteMeasure:
+    """The uniform average of point masses over the orbit piece F.x.
+
+    Counting path for sets with a shift range (rate and box): for every
+    shift a the averaged point sits at position pos - a, toggled with the
+    exact support-balance fraction.  Other sets average over their
+    elements.  Infinite points are fixed by the whole group.
+    """
+    if x.is_infinite():
+        return DiscreteMeasure.point_mass(x)
+    shifts = folner.shifts()
+    if shifts is not None:
+        toggled = flip_balance(folner, x.pos)
+        weight = Fraction(1, len(shifts))
+        # (component, mass) of each averaged point, the same for every shift
+        parts = [(x.component, (1 - toggled) * weight)] if toggled < 1 else []
+        if toggled > 0:
+            parts.append((lamplighter.other(x.component), toggled * weight))
+        return DiscreteMeasure.from_pairs(
+            (lamplighter.Point(component, x.pos - a), mass) for a in shifts for component, mass in parts
+        )
+    return DiscreteMeasure.uniform([lamplighter.act(g, x) for g in folner.materialize()])
 
 
 @dataclass(frozen=True)
@@ -339,7 +367,11 @@ def wasserstein(
     mu: DiscreteMeasure, nu: DiscreteMeasure, dist: Callable
 ) -> tuple[Fraction, TransportPlan]:
     """Exact optimal-transport distance and an optimal plan, on the costs
-    that ``dist.integer_block`` gives as integers over one scale."""
+    that ``dist.integer_block`` gives as integers over one scale.  Refused
+    past ``ASSIGNMENT_GUARD`` cells before any cost is built."""
+    m, n = len(mu.atoms), len(nu.atoms)
+    if m * n > ASSIGNMENT_GUARD:
+        raise GuardViolation(f"{m} x {n} atoms exceed the assignment guard of {ASSIGNMENT_GUARD} cells")
     costs, scale = dist.integer_block(mu.support(), nu.support())
     supplies = [mass for _, mass in mu.atoms]
     demands = [mass for _, mass in nu.atoms]
@@ -400,19 +432,8 @@ def solve_assignment(costs: Sequence[Sequence[Fraction]]) -> tuple[Fraction, lis
 
 
 def assignment_distance(folner: FolnerSet, x: "lamplighter.Point", y: "lamplighter.Point") -> Fraction:
-    """min over permutations p of F of the average of d(gx, p(g)y).
-
-    This is ``wasserstein`` between the uniform orbit measures of F.x and
-    F.y, each atom a distinct orbit point with its count over |F| as mass:
-    a flow in multiples of 1/|F| is a permutation of F up to relabelling
-    equal points, and every basic flow is one, so the minimum is the one of
-    the |F| x |F| problem."""
-    elements = folner.materialize()
-    mu = DiscreteMeasure.uniform([lamplighter.act(g, x) for g in elements])
-    nu = DiscreteMeasure.uniform([lamplighter.act(g, y) for g in elements])
-    if len(mu.atoms) * len(nu.atoms) > ASSIGNMENT_GUARD:
-        raise GuardViolation(
-            f"assignment guard: {len(mu.atoms)} x {len(nu.atoms)} distinct orbit points exceed "
-            f"{ASSIGNMENT_GUARD} cells"
-        )
-    return wasserstein(mu, nu, lamplighter.metric)[0]
+    """min over bijections p of F of the average of d(gx, p(g)y), as
+    ``wasserstein`` between the two orbit measures that ``empirical_measure``
+    counts (Birkhoff): a coupling of the orbit measures lifts to a coupling
+    of uniform-on-F with itself, because the costs depend only on the images."""
+    return wasserstein(empirical_measure(folner, x), empirical_measure(folner, y), lamplighter.metric)[0]

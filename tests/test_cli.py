@@ -21,7 +21,8 @@ from folnerlab.experiment import (
     run_experiment,
     validate_config,
 )
-from folnerlab.folner import BOX_SIZE_MAX_WIDTH, RateSequence, rate_folner
+from folnerlab.folner import BOX_SIZE_MAX_WIDTH, RateSequence, box_folner, explicit_folner, rate_folner
+from folnerlab.functions import bump, envelope
 from folnerlab.homeo import (
     IDENTITY_MAP,
     MATCH_MAX_PAIRS,
@@ -32,8 +33,8 @@ from folnerlab.homeo import (
     matching_number,
     repelling_family,
 )
-from folnerlab.lamplighter import Point, hat, metric
-from folnerlab.transport import ASSIGNMENT_GUARD
+from folnerlab.lamplighter import INF_HAT, GroupElement, Point, hat, metric
+from folnerlab.transport import ASSIGNMENT_GUARD, DiscreteMeasure
 
 
 def run_cli(*argv):
@@ -165,9 +166,10 @@ def _write_lamplighter_measure(path, positions):
 
 @pytest.mark.parametrize("action", ["wasserstein", "assign", "dual"])
 def test_transport_guards_refuse_before_any_cost(tmp_path, monkeypatch, capsys, action):
-    """The atoms of --mu and --nu one cell past the assignment guard, or for
-    the dual one support point past its ceiling, exit 3 before the metric's
-    cost block is built."""
+    """The atoms of --mu and --nu past the assignment guard, or for the dual
+    one support point past its ceiling, exit 3 before the metric's cost block
+    is built.  ``assign`` checks its uniform, equal-size contract first, so
+    its two measures have one atom more than the guard's square side each."""
 
     def refuse(*args):
         raise AssertionError("the guard let the costs be built")
@@ -181,9 +183,10 @@ def test_transport_guards_refuse_before_any_cost(tmp_path, monkeypatch, capsys, 
         message = f"the dual is checked on at most {DUAL_MAX_POINTS} support points, got {DUAL_MAX_POINTS + 1}"
     else:
         side = math.isqrt(ASSIGNMENT_GUARD)
-        _write_lamplighter_measure(mu, range(side + 1))
-        _write_lamplighter_measure(nu, range(side))
-        message = f"{side + 1} x {side} atoms exceed the assignment guard of {ASSIGNMENT_GUARD} cells"
+        rows, cols = (side + 1, side + 1) if action == "assign" else (side + 1, side)
+        _write_lamplighter_measure(mu, range(rows))
+        _write_lamplighter_measure(nu, range(cols))
+        message = f"{rows} x {cols} atoms exceed the assignment guard of {ASSIGNMENT_GUARD} cells"
     assert run_cli("transport", action, "--mu", str(mu), "--nu", str(nu)) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -253,6 +256,76 @@ def test_cli_readers_refuse_every_malformed_shape(tmp_path, capsys, shape):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: "), argv
+
+
+#: Outside input refused with exit 1: (files written by name, argv, the one stderr line).
+OUTSIDE_REFUSALS = {
+    "assign-non-uniform": (
+        {
+            "mu.json": [
+                {"point": {"component": "hat", "pos": 0}, "mass": "1/3"},
+                {"point": {"component": "hat", "pos": 1}, "mass": "2/3"},
+            ],
+            "nu.json": [
+                {"point": {"component": "hat", "pos": 0}, "mass": "1/2"},
+                {"point": {"component": "hat", "pos": 1}, "mass": "1/2"},
+            ],
+        },
+        ("transport", "assign", "--mu", "mu.json", "--nu", "nu.json"),
+        "usage error: assign expects two uniform measures with equal support sizes",
+    ),
+    "config-list": (
+        {"config.json": []},
+        ("experiment", "--config", "config.json"),
+        "config error: config must be a JSON object",
+    ),
+    "config-rate-number": (
+        {"config.json": {"scenarios": [{"id": "genericity", "params": {"rate": 5}}]}},
+        ("experiment", "--config", "config.json"),
+        "config error: scenarios[0].params.rate: expected a preset name or a rate mapping",
+    ),
+    "config-word-number": (
+        {"config.json": {"scenarios": [{"id": "averaging", "params": {"g": 5}}]}},
+        ("experiment", "--config", "config.json"),
+        "config error: scenarios[0].params.g: must be a generator word",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_REFUSALS))
+def test_outside_input_is_refused_with_one_line(tmp_path, monkeypatch, capsys, case):
+    files, argv, line = OUTSIDE_REFUSALS[case]
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        Path(name).write_text(json.dumps(content))
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+#: Library calls on input outside their domain, and the ValueError each raises.
+LIBRARY_REFUSALS = {
+    "rate set at n = 0": (lambda: rate_folner(RateSequence.constant(0), 0), "n must be a positive integer"),
+    "box with low > high": (lambda: box_folner(3, 1), "a box needs low <= high, got 3 > 1"),
+    "empty explicit set": (lambda: explicit_folner([]), "a Folner set must be non-empty"),
+    "bump of radius 0": (lambda: bump(hat(0), 0), "radius must be positive"),
+    "envelope without anchors": (lambda: envelope([]), "need at least one anchor"),
+    "half shift": (lambda: GroupElement(Fraction(1, 2), ()), "shift must be an integer"),
+    "PL map at 2": (lambda: IDENTITY_MAP(2), "argument 2 outside [0, 1]"),
+    "fractions without n": (
+        lambda: endpoint_fractions(HomeoFamily((IDENTITY_MAP,), "identity"), Fraction(1, 2)),
+        "endpoint fractions need a family with an n tag",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
+def test_library_refuses_input_outside_its_domain(case):
+    call, message = LIBRARY_REFUSALS[case]
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 BREAKPOINT_SHAPES = sorted(shape for shape in MALFORMED_JSON if shape.startswith("breakpoints-"))
@@ -548,6 +621,90 @@ def test_any_nonzero_seever_residual_fails(tmp_path, capsys, monkeypatch):
     table = run_experiment(config)
     assert table.failures == ["operator-identities: Seever residual is 1/10000000000000, not 0"]
     assert table.exit_code() == 2
+
+
+#: One scenario check each: (the name patched, its stand-in, scenario, params,
+#: the table's failures, the stderr line).
+SCENARIO_FAULTS = {
+    "verdicts": (
+        "folnerlab.experiment.verdicts",
+        lambda rate, bound: (False, "some"),
+        "thm-example",
+        {"case": "d", "bmax": 1},
+        ["thm-example-d: computed verdicts diverge from the expected alternative"],
+        "",
+    ),
+    "w-to-hat-end": (
+        "folnerlab.experiment.wasserstein",
+        lambda mu, nu, dist: (Fraction(1, 7), None),
+        "thm-example",
+        {"case": "d", "bmax": 1},
+        [f"thm-example-d: W(limit at hat {b}, point mass) != rate value" for b in (-1, 0, 1)],
+        "",
+    ),
+    "hat-check-symmetry": (
+        "folnerlab.experiment.limit_measure",
+        lambda rate, x: DiscreteMeasure.point_mass(INF_HAT),
+        "thm-example",
+        {"case": "d", "bmax": 1},
+        [f"thm-example-d: hat/check symmetry broken at position {b}" for b in (-1, 0, 1)],
+        "",
+    ),
+    "rightavg-check-mass": (
+        "folnerlab.experiment.empirical_measure",
+        lambda folner, x: DiscreteMeasure.point_mass(x),
+        "rightavg",
+        {"nmax": 1},
+        ["rightavg: check mass at n=1 is 0, expected 1/2"],
+        "",
+    ),
+    "rightavg-zero-balance": (
+        "folnerlab.experiment.flip_balance",
+        lambda folner, b: Fraction(1, 3),
+        "rightavg",
+        {"nmax": 1},
+        ["rightavg: zero-rate balance at n=1 is 1/3"],
+        "",
+    ),
+    "invariance-gap": (
+        "folnerlab.experiment.invariance_gap",
+        lambda mu: Fraction(1, 5),
+        "operator-identities",
+        {"pairs": 1},
+        ["operator-identities: limit measure is not invariant"],
+        "",
+    ),
+    "right-defect": (
+        "folnerlab.experiment.right_defect",
+        lambda folner, g: Fraction(1),
+        "folner-defect",
+        {"nmax": 1},
+        ["folner-defect: right defect of the origin flip at n=1 is 1"],
+        "",
+    ),
+    "repelling-member": (
+        "folnerlab.homeo.is_repelling",
+        lambda member, x, threshold: False,
+        "homeo-empirical",
+        {"n": [4], "y": [0.5]},
+        [],
+        "invariant failure: member at grid point 0 is not (0, 1/16)-repelling\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_FAULTS))
+def test_every_scenario_check_fails_on_a_wrong_quantity(tmp_path, capsys, monkeypatch, case):
+    """Each scenario check, fed a wrong value for the quantity it reads,
+    records its failure (or raises its invariant failure) and exits 2."""
+    target, stand_in, scenario, params, failures, err = SCENARIO_FAULTS[case]
+    monkeypatch.setattr(target, stand_in)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "json", "scenarios": [{"id": scenario, "params": params}]}))
+    assert run_cli("experiment", "--config", str(config)) == 2
+    captured = capsys.readouterr()
+    assert (json.loads(captured.out)["failures"] if captured.out else []) == failures
+    assert captured.err == err
 
 
 def test_experiment_cli_exit_codes(tmp_path):

@@ -34,7 +34,7 @@ from folnerlab.dynamics import (
 )
 from folnerlab.errors import GuardViolation, InvariantViolation, LipschitzViolation
 from folnerlab.exact import exact, integer_scaled
-from folnerlab.folner import RateSequence, explicit_folner, rate_folner
+from folnerlab.folner import RateFolner, RateSequence, box_folner, explicit_folner, rate_folner
 from folnerlab.functions import ends_separator, affine
 from folnerlab.lamplighter import (
     INF_CHECK,
@@ -266,8 +266,8 @@ def test_assignment_equals_wasserstein_of_empirical():
 
 def test_assignment_guard(monkeypatch):
     """One shift more than the guard's square side sends x and y to that
-    many distinct points each, just past the guard: refused before the
-    metric's cost block is built or any solve runs."""
+    many distinct points each, just past the guard: ``wasserstein`` refuses
+    them before the metric's cost block is built or any solve runs."""
     side = math.isqrt(ASSIGNMENT_GUARD) + 1
     folner = explicit_folner(GroupElement(a, ()) for a in range(side))
 
@@ -276,7 +276,8 @@ def test_assignment_guard(monkeypatch):
 
     monkeypatch.setattr(metric, "integer_block", refuse)
     monkeypatch.setattr(transport, "transportation_plan", refuse)
-    with pytest.raises(GuardViolation, match=f"{side} x {side} distinct orbit points"):
+    message = f"{side} x {side} atoms exceed the assignment guard of {ASSIGNMENT_GUARD} cells"
+    with pytest.raises(GuardViolation, match=message):
         assignment_distance(folner, hat(0), hat(3))
 
 
@@ -552,6 +553,78 @@ def test_wf_at_n5_on_decay_is_exact():
     assert wf_estimate([folner], hat(0), hat(3)) == [
         Fraction(13190725487917507, 43988560551936000)
     ]
+
+
+def test_wf_at_n7_on_decay_is_exact():
+    """The 514 x 514 pair distance of decay, hat(0) against hat(3), at
+    n = 7: the largest rate-set pair distance the guard lets through."""
+    folner = rate_folner(RateSequence.from_preset("decay"), 7)
+    assert wf_estimate([folner], hat(0), hat(3)) == [
+        Fraction(44435090381856948214775101, 148122545367138970160332800)
+    ]
+
+
+def test_pair_distance_past_n7_is_refused_before_any_cost(monkeypatch):
+    """At n = 8 the two orbit measures have 1026 atoms each, past the guard:
+    both entries refuse before a cost block is built or a solve runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the guard let the transport run")
+
+    monkeypatch.setattr(metric, "integer_block", refuse)
+    monkeypatch.setattr(transport, "transportation_plan", refuse)
+    folner = rate_folner(RateSequence.from_preset("decay"), 8)
+    message = f"1026 x 1026 atoms exceed the assignment guard of {ASSIGNMENT_GUARD} cells"
+    with pytest.raises(GuardViolation, match=message):
+        wf_estimate([folner], hat(0), hat(3))
+    with pytest.raises(GuardViolation, match=message):
+        assignment_distance(folner, hat(0), hat(3))
+
+
+def test_pair_distance_counts_a_rate_set_without_enumerating_it(monkeypatch):
+    """At n = 3 a rate set has 17,408 elements; the pair distance reads its
+    counted orbit measures and never lists them."""
+
+    def refuse(self):
+        raise AssertionError("the pair distance enumerated the rate set")
+
+    monkeypatch.setattr(RateFolner, "materialize", refuse)
+    folner = rate_folner(RateSequence.from_preset("decay"), 3)
+    assert assignment_distance(folner, hat(0), hat(3)) == Fraction(403797, 1340416)
+    assert wf_estimate([folner], hat(0), hat(3)) == [Fraction(403797, 1340416)]
+
+
+RATE_NAMES = st.one_of(
+    st.sampled_from(["zero", "decay", "split"]),
+    st.integers(1, 12).flatmap(lambda q: st.integers(0, q).map(lambda p: f"const:{p}/{q}")),
+)
+RATE_SETS = st.builds(lambda name, n: rate_folner(RateSequence.from_preset(name), n), RATE_NAMES, st.integers(1, 3))
+BOXES = st.builds(lambda low, width: box_folner(low, low + width - 1), st.integers(-3, 3), st.integers(1, 6))
+PAIR_POINTS = st.one_of(
+    st.builds(lambda hatted, pos: (hat if hatted else check)(pos), st.booleans(), st.integers(-6, 6)),
+    st.sampled_from([INF_HAT, INF_CHECK]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(RATE_SETS, BOXES), PAIR_POINTS, PAIR_POINTS)
+def test_counted_pair_distance_equals_the_enumerated_one(folner, x, y):
+    """The pair distance of a rate set or a box, read from its counted orbit
+    measures, equals the one over the same elements listed one by one."""
+    listed = explicit_folner(folner.materialize())
+    assert assignment_distance(folner, x, y) == assignment_distance(listed, x, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(RATE_SETS, PAIR_POINTS, PAIR_POINTS, PAIR_POINTS)
+def test_pair_distance_is_a_pseudometric_bounded_by_one(folner, x, y, z):
+    """W_n(x, x) = 0, symmetry, the triangle inequality and W_n <= 1, the
+    diameter of the doubled line."""
+    xy, yz, xz = (assignment_distance(folner, a, b) for a, b in ((x, y), (y, z), (x, z)))
+    assert assignment_distance(folner, x, x) == 0
+    assert xy == assignment_distance(folner, y, x)
+    assert xz <= xy + yz
+    assert 0 <= xy <= 1
 
 
 # ------------------------------------------------------ counted assignment
