@@ -16,7 +16,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConfigError, GuardViolation, InvariantViolation
+from .errors import ConfigError, GuardViolation, InvariantViolation, refuse_past
 from .exact import exact
 from .experiment import (
     ExperimentConfig,
@@ -179,8 +179,7 @@ INTERLEAVE_MAX_COUNT = 256
 
 
 def _interleave(args) -> list:
-    if args.count > INTERLEAVE_MAX_COUNT:
-        raise GuardViolation(f"the run-time guard allows --count <= {INTERLEAVE_MAX_COUNT}, got {args.count}")
+    refuse_past(args.count, INTERLEAVE_MAX_COUNT, "--count")
     presets = [RateSequence.from_preset(p) for p in args.presets.split(",")]
     families = [lambda j, r=r: rate_folner(r, j + 1) for r in presets]
     schedule = [i % len(families) for i in range(args.count)]
@@ -189,8 +188,7 @@ def _interleave(args) -> list:
 
 
 def _translate(args) -> list:
-    if args.n > MATERIALIZE_MAX_N:
-        raise GuardViolation(f"rate sets materialize only for n <= {MATERIALIZE_MAX_N}, got n={args.n}")
+    refuse_past(args.n, MATERIALIZE_MAX_N, "materialized rate-set n")
     rate = RateSequence.from_preset(args.preset)
     sets = [rate_folner(rate, n) for n in range(1, args.n + 1)]
     words = args.g.split(",")
@@ -207,15 +205,13 @@ DUAL_MAX_POINTS = 100
 
 
 def _measures(args):
-    """--mu and --nu, and the metric their points live in; for ``dual`` refused past
-    ``DUAL_MAX_POINTS`` before any cost is built (``wasserstein`` guards its own size)."""
+    """--mu and --nu and their metric; ``dual`` refuses past ``DUAL_MAX_POINTS`` before any cost."""
     mu, nu = _load_measure(args.mu), _load_measure(args.nu)
     support = mu.support() + nu.support()
     if len({isinstance(p, Point) for p in support}) > 1:
         raise ValueError("--mu and --nu must hold only lamplighter points or only interval numbers")
-    points = len(set(support))
-    if args.action == "dual" and points > DUAL_MAX_POINTS:
-        raise GuardViolation(f"the dual is checked on at most {DUAL_MAX_POINTS} support points, got {points}")
+    if args.action == "dual":
+        refuse_past(len(set(support)), DUAL_MAX_POINTS, "dual support points")
     return mu, nu, metric if isinstance(support[0], Point) else interval_distance
 
 

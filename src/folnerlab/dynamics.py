@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import GuardViolation, InvariantViolation
+from .errors import InvariantViolation, refuse_past
 from .exact import exact
 from .folner import FolnerSet, RateFolner, RateSequence, flip_balance
 from .functions import canonical_family
@@ -55,6 +55,7 @@ GENERICITY_MAX_N = 13
 #: average; ``dynamics averaging --preset r-decay --g s`` to n = 10 took
 #: 6.4 s on a 2-vCPU Xeon under Python 3.11, doubling per step.
 AVERAGING_MAX_N = 10
+AVERAGING_MAX_SHIFTS = 2 ** (AVERAGING_MAX_N + 1) + 1  # the shifts of rate set AVERAGING_MAX_N
 #: The example cases' rates are explicit on |position| <= CASE_WIDTH, the
 #: largest bound their verdicts may be checked on.
 CASE_WIDTH = 256
@@ -116,31 +117,6 @@ class GenericityRow:
     bound: Fraction
     #: The transported empirical measure's mass on the check component.
     check_mass: Fraction
-
-
-def _averaged_atoms(n: int) -> str:
-    """Atoms of the n-th empirical measure, two per shift in [-2^n, 2^n]:
-    2^(n+2) + 2, written out while it has at most 20 digits and as the
-    formula past that, so no guard message builds a huge integer."""
-    return str(2 ** (n + 2) + 2) if n <= 64 else f"(2^{n + 2} + 2)"
-
-
-def genericity_guard(n: int) -> None:
-    """Refuse a genericity row whose exact distance may not print."""
-    if n > GENERICITY_MAX_N:
-        raise GuardViolation(
-            f"n = {n} can give an exact genericity distance of more than 4,300 digits, the most "
-            f"Python prints; the guard allows n <= {GENERICITY_MAX_N}, got {n}"
-        )
-
-
-def averaging_guard(n: int) -> None:
-    """Refuse averages over an empirical measure past AVERAGING_MAX_N."""
-    if n > AVERAGING_MAX_N:
-        raise GuardViolation(
-            f"n = {n} averages over {_averaged_atoms(n)}-atom empirical measures; the guard "
-            f"allows n <= {AVERAGING_MAX_N} ({_averaged_atoms(AVERAGING_MAX_N)} atoms), got {n}"
-        )
 
 
 def _harmonic(a: int, b: int) -> tuple[int, int]:
@@ -244,7 +220,7 @@ def genericity_table(
     at x: distance 0 and check mass 1 on the check end, 0 on the hat end.
     """
     for folner in sets:
-        genericity_guard(folner.n)
+        refuse_past(folner.n, GENERICITY_MAX_N, "genericity n")
     rows = [_genericity_row(folner, x, rate) for folner in sets]
     violations = [
         f"distance increased from n={a.n} ({a.distance}) to n={b.n} ({b.distance})"
@@ -305,7 +281,12 @@ def average_invariance_defect(
     folner: FolnerSet, g: GroupElement, f: Callable, sample: Iterable[Point]
 ) -> Fraction:
     """max over the sample of |S_n(g.f - f)(x)| where (g.f)(x) = f(gx);
-    both functions are integrated against one empirical measure per x."""
+    both functions are integrated against one empirical measure per x,
+    refused past AVERAGING_MAX_SHIFTS shifts."""
+    shifts = folner.shifts()
+    if shifts is not None:
+        flip_balance(folner, 0)  # a rate set's balance guard first, so the count prints
+        refuse_past(shifts.stop - shifts.start, AVERAGING_MAX_SHIFTS, "averaged shifts")
     worst = Fraction(0)
     for x in sample:
         mu = empirical_measure(folner, x)

@@ -1,4 +1,5 @@
-"""Shared exception types; the CLI maps them to exit codes."""
+"""Shared exception types, which the CLI maps to exit codes, and ``refuse_past``, the
+one guard rule: every ceiling is refused there, before its work, naming the value given."""
 
 
 class GuardViolation(RuntimeError):
@@ -27,3 +28,9 @@ class ConfigError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+def refuse_past(value: int, ceiling: int, what: str) -> None:
+    """Raise GuardViolation when ``value`` of ``what`` is past ``ceiling``."""
+    if value > ceiling:
+        raise GuardViolation(f"the guard allows {what} <= {ceiling}, got {value}")

@@ -3,7 +3,8 @@
 A config names scenarios and parameters; running one produces a sorted
 result table (experiment, n, subject, quantity, value, provenance) plus a
 manifest carrying the config hash, the seed, and any invariant failures.
-Identical config and seed yield byte-identical CSV.
+Identical config and seed yield byte-identical CSV.  A parameter past its
+ceiling is refused by ``errors.refuse_past`` before any scenario runs.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from typing import Callable
 
 from . import __version__
 from .dynamics import (
+    AVERAGING_MAX_N,
     CASE_WIDTH,
+    GENERICITY_MAX_N,
     average_invariance_defect,
-    averaging_guard,
     averaging_residual,
     default_sample,
     empirical_measure,
     example_case,
-    genericity_guard,
     genericity_table,
     invariance_gap,
     limit_measure,
@@ -34,7 +35,7 @@ from .dynamics import (
     translation_gap,
     verdicts,
 )
-from .errors import ConfigError, GuardViolation
+from .errors import ConfigError, GuardViolation, refuse_past
 from .exact import exact, is_integer
 from .folner import RateSequence, box_folner, flip_balance, left_defect, rate_folner, right_defect
 from .functions import ends_separator, random_affine
@@ -131,12 +132,11 @@ class ExperimentConfig:
 class Param:
     """One scenario parameter.  ``parse`` turns the raw config value into
     the value the runner reads, or raises ValueError naming the accepted
-    range; ``guard`` raises GuardViolation when that value is past a cost
-    guard."""
+    range; ``ceiling`` is the largest value the cost guard allows."""
 
     default: object
     parse: Callable
-    guard: Callable | None = None
+    ceiling: int | None = None
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,8 @@ def resolve(params: dict[str, Param], raw: dict, where: str) -> tuple[dict, list
     for name, param in params.items():
         try:
             values[name] = param.parse(raw.get(name, param.default))
-            if param.guard is not None:
-                param.guard(values[name])
+            if param.ceiling is not None:
+                refuse_past(values[name], param.ceiling, name)
         except GuardViolation as exc:
             violations.append(f"guard violation: {where}{name}: {exc}")
         except ValueError as exc:
@@ -174,14 +174,6 @@ def _integer(low: int, high: float = math.inf) -> Callable:
         return value
 
     return parse
-
-
-def _ceiling(high: int) -> Callable:
-    def guard(n: int) -> None:
-        if n > high:
-            raise GuardViolation(f"the run-time guard allows n <= {high}, got {n}")
-
-    return guard
 
 
 def _choice(*options: str) -> Callable:
@@ -339,7 +331,7 @@ def _run_folner_defect(values: dict, rng, table: ResultTable) -> None:
             table.failures.append(f"folner-defect: right defect of the origin flip at n={n} is {rvalue}")
 
 
-#: Every scenario: its runner and, per parameter, the one default, check and guard.
+#: Every scenario: its runner and, per parameter, the one default, check and ceiling.
 SCENARIOS = {
     "thm-example": Scenario(
         _run_thm_example,
@@ -347,10 +339,10 @@ SCENARIOS = {
     ),
     "genericity": Scenario(
         _run_genericity,
-        {"rate": Param("const:0.5", _rate), "nmax": Param(3, _integer(1), genericity_guard)},
+        {"rate": Param("const:0.5", _rate), "nmax": Param(3, _integer(1), GENERICITY_MAX_N)},
     ),
     # Ceiling from timed runs on a 2-vCPU Xeon: 0.1 s to n = 64, 1.1-1.3 s to 256.
-    "rightavg": Scenario(_run_rightavg, {"nmax": Param(8, _integer(1), _ceiling(256))}),
+    "rightavg": Scenario(_run_rightavg, {"nmax": Param(8, _integer(1), 256)}),
     "operator-identities": Scenario(
         _run_operator_identities,
         {"rate": Param("const:0.5", _rate), "pairs": Param(20, _integer(1, 1000))},
@@ -360,7 +352,7 @@ SCENARIOS = {
         {
             "rate": Param("const:0.5", _rate),
             "g": Param("f", _word),
-            "nmax": Param(3, _integer(1), averaging_guard),
+            "nmax": Param(3, _integer(1), AVERAGING_MAX_N),
         },
     ),
     "homeo-empirical": Scenario(
@@ -377,7 +369,7 @@ SCENARIOS = {
             "rate": Param("zero", _rate),
             # Ceiling from timed runs on decay with s, S and f on a 2-vCPU Xeon:
             # 0.6 s to n = 32, 3.4 s to 48, 8.4 s to 64 (COUNT_MAX_N).
-            "nmax": Param(4, _integer(1), _ceiling(32)),
+            "nmax": Param(4, _integer(1), 32),
             "generators": Param(["s", "S", "f"], _list_of(_word, "generator words")),
         },
     ),

@@ -25,6 +25,7 @@ counted in window units, one stay count per XOR mask, each a sum over
 the threshold intervals of the selection section and the aligned dyadic
 blocks that tile them (see ``RateFolner.stay_count``).  The enumeration
 runs below the size guards and must agree with the counting paths exactly.
+Each ceiling reads n or the width and is refused before any 2^n is built.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import GuardViolation, HorizonExhausted
+from .errors import HorizonExhausted, refuse_past
 from .exact import exact, is_integer
 from .lamplighter import IDENTITY, GroupElement, compose, word_of
 
@@ -197,11 +198,7 @@ class RateFolner(FolnerSet):
         """The number of flip supports: 4^n window words times 2^(#free),
         #free = 2(2^n - 2n); guarded at n <= SIZE_MAX_N, since it has
         about 2^(n+1) bits."""
-        if self.n > SIZE_MAX_N:
-            raise GuardViolation(
-                f"rate-set sizes are built only for n <= {SIZE_MAX_N} (|F_{SIZE_MAX_N}| has "
-                f"2,464 digits; |F_n| has about 2^(n+1) bits), got n={self.n}"
-            )
+        refuse_past(self.n, SIZE_MAX_N, "rate-set size n")
         return 4**self.n * 2 ** (2 * (2**self.n - 2 * self.n))
 
     @property
@@ -261,16 +258,12 @@ class RateFolner(FolnerSet):
         is section(A) ^ m, if there is one.  XOR with p maps an aligned
         dyadic block of A onto an aligned dyadic block of the same length,
         so each block adds one interval overlap: O(n^2) integer steps per
-        mask over the at most 2n + 2 intervals of 4n blocks each.
+        mask over the at most 2n + 2 intervals of 4n blocks each (mask 0
+        keeps all 4^n).  A mask is counted once, refused past COUNT_MAX_N.
         """
-        n = self.n
-        if n > COUNT_MAX_N:
-            raise GuardViolation(
-                f"rate-set defects are counted only for n <= {COUNT_MAX_N}, got {n}"
-            )
-        if not mask:
-            return 4**n
         if mask not in self._stays:
+            n = self.n
+            refuse_past(n, COUNT_MAX_N, "counted rate-set n")
             pad = (mask & (1 << n) - 1) | (mask >> 3 * n + 1) << n
             flip = mask & ((1 << 2 * n + 1) - 1) << n
             where, tiling = self._tiling
@@ -291,11 +284,7 @@ class RateFolner(FolnerSet):
         """Exact fraction of supports containing the given position: c_l / 4^n
         inside [-n, n], one half on the padding and the free positions.
         Guarded at n <= BALANCE_MAX_N, the largest n whose balances print."""
-        if self.n > BALANCE_MAX_N:
-            raise GuardViolation(
-                f"rate-set balances are built only for n <= {BALANCE_MAX_N} (a balance c/4^n past it "
-                f"can have more than 4,300 digits, the most Python prints), got n={self.n}"
-            )
+        refuse_past(self.n, BALANCE_MAX_N, "rate-set balance n")
         if abs(position) <= self.n:
             return Fraction(self.threshold(position), 4**self.n)
         return Fraction(1, 2) if abs(position) <= 2**self.n else Fraction(0)
@@ -314,7 +303,7 @@ class RateFolner(FolnerSet):
         bound) form one interval [lo, hi].  Only the shifts that move a
         flip into the window give a nonzero mask; the rest keep 4^n each.
         """
-        whole = self.stay_count(0)  # 4^n; also the counting guard, before 2^n is built
+        whole = self.stay_count(0)  # 4^n; its first count refuses n, before 2^n is built
         bound, w = 2**self.n, 2 * self.n
         flips = g.flips
         lo = max(-bound, -bound - g.shift, -bound - min(flips, default=0))
@@ -329,7 +318,7 @@ class RateFolner(FolnerSet):
         """Counted for pure flips; a shifted g needs enumeration (guarded)."""
         if g.shift != 0:
             return super().right_share(g)
-        whole = self.stay_count(0)  # 4^n; also the counting guard
+        whole = self.stay_count(0)  # 4^n; its first count refuses n
         if any(abs(d) > 2**self.n for d in g.flips):
             return Fraction(0)
         return Fraction(self.stay_count(self._window_mask(g.flips)), whole)
@@ -338,8 +327,7 @@ class RateFolner(FolnerSet):
         """Every element: each window word with every subset of the free
         positions as a support, at every shift."""
         n = self.n
-        if n > MATERIALIZE_MAX_N:
-            raise GuardViolation(f"rate sets materialize only for n <= {MATERIALIZE_MAX_N}, got n={n}")
+        refuse_past(n, MATERIALIZE_MAX_N, "materialized rate-set n")
         b, w = 2**n, 2 * n
         free = tuple(itertools.chain(range(-b, -w), range(w + 1, b + 1)))
         words = (
@@ -370,8 +358,7 @@ class BoxFolner(FolnerSet):
 
     @property
     def size(self) -> int:
-        if self.width > BOX_SIZE_MAX_WIDTH:
-            raise GuardViolation(f"box sizes are built only up to width {BOX_SIZE_MAX_WIDTH}, got {self.width}")
+        refuse_past(self.width, BOX_SIZE_MAX_WIDTH, "box-size width")
         return self.width * 2**self.width
 
     def shifts(self) -> range:
@@ -395,9 +382,8 @@ class BoxFolner(FolnerSet):
         return Fraction(stable, width * 2 ** (width - stable))
 
     def materialize(self) -> tuple[GroupElement, ...]:
+        refuse_past(self.width, BOX_MATERIALIZE_MAX, "materialized box width")
         box = self.shifts()
-        if self.width > BOX_MATERIALIZE_MAX:
-            raise GuardViolation(f"box sets materialize only for |box| <= {BOX_MATERIALIZE_MAX}")
         return _sorted_elements(
             GroupElement(a, flips)
             for a in box

@@ -29,7 +29,8 @@ them over a grid of x values yields families whose orbit measures at y
 approach (1-y) delta_0 + y delta_1 in the interval distance, whose costs
 enter the transport simplex as one integer block.  The squash margin
 that lets a base family ride along is exact: half the closed-form
-supremum min over g of min(g^-1(t), 1 - g^-1(1 - t)).
+supremum min over g of min(g^-1(t), 1 - g^-1(1 - t)).  Each ceiling is
+refused by ``errors.refuse_past`` before any map is built or compared.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GuardViolation, InvariantViolation
+from .errors import InvariantViolation, refuse_past
 from .exact import exact, integer_scaled
 from .transport import DiscreteMeasure, wasserstein
 
@@ -240,9 +241,7 @@ def matching_number(left: HomeoFamily, right: HomeoFamily, radius) -> int:
     """Maximum number of members of `left` injectable into `right` with each
     image within uniform distance < radius (augmenting-path matching),
     refused past MATCH_MAX_PAIRS before any pair is compared."""
-    m, n = len(left.members), len(right.members)
-    if m * n > MATCH_MAX_PAIRS:
-        raise GuardViolation(f"{m} x {n} members exceed the matching guard of {MATCH_MAX_PAIRS} pairs")
+    refuse_past(len(left.members) * len(right.members), MATCH_MAX_PAIRS, "matching pairs")
     radius = exact(radius)
     adjacency = [
         [j for j, e in enumerate(right.members) if _closer_than(e, f, radius)] for f in left.members
@@ -360,10 +359,8 @@ def repelling_family(base: HomeoFamily, n: int) -> HomeoFamily:
     (verified exactly)."""
     if n < 2:
         raise ValueError("n must be at least 2 (the repelling margin needs 1/n^2 < 1/2)")
-    if n > REPELLING_MAX_N:
-        raise GuardViolation(f"repelling families are built only for n <= {REPELLING_MAX_N}, got n={n}")
-    if len(base.members) > BASE_FAMILY_GUARD:
-        raise GuardViolation(f"base family exceeds the guard of {BASE_FAMILY_GUARD}")
+    refuse_past(n, REPELLING_MAX_N, "repelling-family n")
+    refuse_past(len(base.members), BASE_FAMILY_GUARD, "base-family members")
     threshold = Fraction(1, n * n)
     eps = min(squash_margin(base.members, threshold), threshold)
     members: dict[PLHomeo, None] = {}  # an ordered seen-set

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .errors import GuardViolation, InvariantViolation, LipschitzViolation
+from .errors import InvariantViolation, LipschitzViolation, refuse_past
 from .exact import exact, integer_scaled
 from . import lamplighter
 from .folner import FolnerSet, flip_balance
@@ -102,14 +102,16 @@ def empirical_measure(folner: FolnerSet, x: "lamplighter.Point") -> DiscreteMeas
 
     Counting path for sets with a shift range (rate and box): for every
     shift a the averaged point sits at position pos - a, toggled with the
-    exact support-balance fraction.  Other sets average over their
-    elements.  Infinite points are fixed by the whole group.
+    exact support-balance fraction; refused past ASSIGNMENT_GUARD atoms, which
+    no transport could take.  Other sets average over their elements.
+    Infinite points are fixed by the whole group.
     """
     if x.is_infinite():
         return DiscreteMeasure.point_mass(x)
     shifts = folner.shifts()
     if shifts is not None:
-        toggled = flip_balance(folner, x.pos)
+        toggled = flip_balance(folner, x.pos)  # a rate set's balance guard first, so the count prints
+        refuse_past(2 * (shifts.stop - shifts.start), ASSIGNMENT_GUARD, "orbit-measure atoms")
         weight = Fraction(1, len(shifts))
         # (component, mass) of each averaged point, the same for every shift
         parts = [(x.component, (1 - toggled) * weight)] if toggled < 1 else []
@@ -369,9 +371,7 @@ def wasserstein(
     """Exact optimal-transport distance and an optimal plan, on the costs
     that ``dist.integer_block`` gives as integers over one scale.  Refused
     past ``ASSIGNMENT_GUARD`` cells before any cost is built."""
-    m, n = len(mu.atoms), len(nu.atoms)
-    if m * n > ASSIGNMENT_GUARD:
-        raise GuardViolation(f"{m} x {n} atoms exceed the assignment guard of {ASSIGNMENT_GUARD} cells")
+    refuse_past(len(mu.atoms) * len(nu.atoms), ASSIGNMENT_GUARD, "transport cells")
     costs, scale = dist.integer_block(mu.support(), nu.support())
     supplies = [mass for _, mass in mu.atoms]
     demands = [mass for _, mass in nu.atoms]

@@ -180,13 +180,13 @@ def test_transport_guards_refuse_before_any_cost(tmp_path, monkeypatch, capsys, 
         half = DUAL_MAX_POINTS // 2 + 1
         _write_lamplighter_measure(mu, range(half))
         _write_lamplighter_measure(nu, range(half, DUAL_MAX_POINTS + 1))
-        message = f"the dual is checked on at most {DUAL_MAX_POINTS} support points, got {DUAL_MAX_POINTS + 1}"
+        message = f"the guard allows dual support points <= {DUAL_MAX_POINTS}, got {DUAL_MAX_POINTS + 1}"
     else:
         side = math.isqrt(ASSIGNMENT_GUARD)
         rows, cols = (side + 1, side + 1) if action == "assign" else (side + 1, side)
         _write_lamplighter_measure(mu, range(rows))
         _write_lamplighter_measure(nu, range(cols))
-        message = f"{rows} x {cols} atoms exceed the assignment guard of {ASSIGNMENT_GUARD} cells"
+        message = f"the guard allows transport cells <= {ASSIGNMENT_GUARD}, got {rows * cols}"
     assert run_cli("transport", action, "--mu", str(mu), "--nu", str(nu)) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -426,8 +426,8 @@ def test_homeo_match_identity(capsys):
 
 
 def test_homeo_match_refuses_past_its_pair_ceiling_before_any_pair(tmp_path, monkeypatch, capsys):
-    """Identity families one member past MATCH_MAX_PAIRS exit 3, naming both
-    counts, before any pair of maps is compared."""
+    """Identity families one member past MATCH_MAX_PAIRS exit 3, naming the
+    pair count, before any pair of maps is compared."""
 
     def refuse(*args):
         raise AssertionError("the guard let the pairs be compared")
@@ -441,7 +441,7 @@ def test_homeo_match_refuses_past_its_pair_ceiling_before_any_pair(tmp_path, mon
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"guard violation: {side + 1} x {side} members exceed the matching guard of {MATCH_MAX_PAIRS} pairs\n"
+        f"guard violation: the guard allows matching pairs <= {MATCH_MAX_PAIRS}, got {(side + 1) * side}\n"
     )
     monkeypatch.setattr(homeo, "_closer_than", lambda f, g, radius: True)
     assert matching_number(HomeoFamily((IDENTITY_MAP,) * side), HomeoFamily((IDENTITY_MAP,) * side), 1) == side
@@ -470,7 +470,7 @@ def test_folner_translate_checks_n_before_building_a_set(capsys, monkeypatch):
     assert run_cli("folner", "translate", "--preset", "r-zero", "--n", "20000") == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "guard violation: rate sets materialize only for n <= 3, got n=20000\n"
+    assert captured.err == "guard violation: the guard allows materialized rate-set n <= 3, got 20000\n"
 
 
 def test_folner_interleave_count_has_a_ceiling(capsys, monkeypatch):
@@ -482,7 +482,7 @@ def test_folner_interleave_count_has_a_ceiling(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"guard violation: the run-time guard allows --count <= {INTERLEAVE_MAX_COUNT}, got 99999999999999999999\n"
+        f"guard violation: the guard allows --count <= {INTERLEAVE_MAX_COUNT}, got 99999999999999999999\n"
     )
 
 
@@ -577,8 +577,7 @@ def test_validate_config_guard_marked():
     with pytest.raises(ConfigError) as err:
         validate_config('{"scenarios": [{"id": "genericity", "params": {"nmax": 14}}]}')
     assert guard_violations(err.value)
-    assert any("n = 14" in v and "n <= 13" in v for v in err.value.violations)
-    assert not any("simplex" in v for v in err.value.violations)
+    assert err.value.violations == ["guard violation: scenarios[0].params.nmax: the guard allows nmax <= 13, got 14"]
 
 
 def test_genericity_guard_follows_the_simplex_size(tmp_path, capsys):
@@ -593,7 +592,9 @@ def test_genericity_guard_follows_the_simplex_size(tmp_path, capsys):
     over.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 14}}]}))
     capsys.readouterr()
     assert run_cli("experiment", "--config", str(over)) == 3
-    assert "n = 14 can give an exact genericity distance of more than 4,300 digits" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "guard violation: scenarios[0].params.nmax: the guard allows nmax <= 13, got 14\n"
+    )
 
 
 def test_validate_config_unknown_scenario():
@@ -781,17 +782,21 @@ def test_thm_example_case_b_over_the_whole_bmax_range(tmp_path):
 
 def test_dynamics_generic_guard_exit_code(capsys):
     assert run_cli("dynamics", "generic", "--preset", "r-const:0.5", "--nmax", "14") == 3
-    assert "n = 14" in capsys.readouterr().err
+    assert capsys.readouterr().err == "guard violation: genericity.params.nmax: the guard allows nmax <= 13, got 14\n"
 
 
-@pytest.mark.parametrize("action, size", [("generic", "n <= 13"), ("averaging", "(2^100002 + 2)-atom")])
-def test_guard_messages_past_the_print_limit(capsys, action, size):
-    """2^100002 has more digits than Python prints, so the averaging guard
-    names the size as a formula; the genericity guard names its ceiling.
-    Both exit 3."""
+@pytest.mark.parametrize(
+    "action, scenario, ceiling",
+    [("generic", "genericity", 13), ("averaging", "averaging", 10)],
+    ids=["generic", "averaging"],
+)
+def test_guard_messages_past_the_print_limit(capsys, action, scenario, ceiling):
+    """At n = 100000 a measure would have 2^100002 + 2 atoms, more digits
+    than Python prints; each guard names the n it was given, and both exit 3."""
     assert run_cli("dynamics", action, "--preset", "r-decay", "--nmax", "100000") == 3
-    err = capsys.readouterr().err
-    assert err.startswith("guard violation: ") and "n = 100000" in err and size in err
+    assert capsys.readouterr().err == (
+        f"guard violation: {scenario}.params.nmax: the guard allows nmax <= {ceiling}, got 100000\n"
+    )
 
 
 def test_dynamics_generic_runs_past_the_old_guard(capsys):
@@ -835,14 +840,13 @@ def test_folner_defect_counts_past_the_word_listing(capsys):
     assert run_cli("folner", "defect", "--preset", "r-decay", "--n", "64", "--g", "f s s f S S f") == 0
     capsys.readouterr()
     assert run_cli("folner", "defect", "--preset", "r-decay", "--n", "65") == 3
-    assert "n <= 64" in capsys.readouterr().err
+    assert capsys.readouterr().err == "guard violation: the guard allows counted rate-set n <= 64, got 65\n"
 
 
 @pytest.mark.parametrize("n", ["13", "20"])
 def test_folner_build_refuses_sizes_past_the_print_limit(capsys, n):
     assert run_cli("folner", "build", "--kind", "rate", "--preset", "r-decay", "--n", n) == 3
-    err = capsys.readouterr().err
-    assert "guard violation" in err and "n <= 12" in err
+    assert capsys.readouterr().err == f"guard violation: the guard allows rate-set size n <= 12, got {n}\n"
 
 
 def test_folner_build_prints_the_largest_size(capsys):
@@ -853,7 +857,7 @@ def test_folner_build_prints_the_largest_size(capsys):
 
 def test_dynamics_met_guard_exit_code(capsys):
     assert run_cli("dynamics", "averaging", "--preset", "r-decay", "--g", "s", "--nmax", "11") == 3
-    assert "8194-atom" in capsys.readouterr().err
+    assert capsys.readouterr().err == "guard violation: averaging.params.nmax: the guard allows nmax <= 10, got 11\n"
 
 
 @pytest.mark.parametrize(
@@ -891,13 +895,11 @@ def test_guard_violations_print_as_guards(tmp_path, capsys):
     over.write_text(json.dumps({"scenarios": [{"id": "genericity", "params": {"nmax": 14}}]}))
     assert run_cli("experiment", "--config", str(over)) == 3
     assert capsys.readouterr().err == (
-        "guard violation: scenarios[0].params.nmax: n = 14 can give an exact genericity distance of "
-        "more than 4,300 digits, the most Python prints; the guard allows n <= 13, got 14\n"
+        "guard violation: scenarios[0].params.nmax: the guard allows nmax <= 13, got 14\n"
     )
     assert run_cli("dynamics", "averaging", "--nmax", "11") == 3
     assert capsys.readouterr().err == (
-        "guard violation: averaging.params.nmax: n = 11 averages over 8194-atom empirical measures; "
-        "the guard allows n <= 10 (4098 atoms), got 11\n"
+        "guard violation: averaging.params.nmax: the guard allows nmax <= 10, got 11\n"
     )
 
 
@@ -1157,7 +1159,7 @@ def test_scenario_ceilings_run_and_guard_past_them(tmp_path, capsys, scenario, p
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"guard violation: scenarios[0].params.nmax: the run-time guard allows n <= {ceiling}, got {ceiling + 1}\n"
+        f"guard violation: scenarios[0].params.nmax: the guard allows nmax <= {ceiling}, got {ceiling + 1}\n"
     )
 
 
@@ -1238,7 +1240,7 @@ def test_homeo_n_and_y_read_alike_as_flags_and_in_a_config(tmp_path, capsys):
 
 def test_repelling_families_stop_at_one_ceiling(tmp_path, capsys):
     over = str(REPELLING_MAX_N + 1)
-    message = f"guard violation: repelling families are built only for n <= {REPELLING_MAX_N}, got n={over}\n"
+    message = f"guard violation: the guard allows repelling-family n <= {REPELLING_MAX_N}, got {over}\n"
     assert run_cli("homeo", "empirical", "--n", over) == 3
     assert capsys.readouterr().err == message
     config = tmp_path / "config.json"
@@ -1255,7 +1257,7 @@ PRINT_LIMIT = f"the result holds a number of more than {sys.get_int_max_str_digi
     [
         (
             ("folner", "build", "--kind", "box", "--a-min", "-10000", "--a-max", "10000"),
-            f"box sizes are built only up to width {BOX_SIZE_MAX_WIDTH}, got 20001",
+            f"the guard allows box-size width <= {BOX_SIZE_MAX_WIDTH}, got 20001",
         ),
         (("homeo", "empirical", "--n", "1778", "--y", "0.5"), PRINT_LIMIT),
     ],
@@ -1279,7 +1281,7 @@ def test_box_sizes_stop_at_the_print_limit(capsys, high):
     assert run_cli("folner", "build", "--kind", "box", "--a-min", "0", "--a-max", high) == 3
     width = int(high) + 1
     assert capsys.readouterr().err == (
-        f"guard violation: box sizes are built only up to width {BOX_SIZE_MAX_WIDTH}, got {width}\n"
+        f"guard violation: the guard allows box-size width <= {BOX_SIZE_MAX_WIDTH}, got {width}\n"
     )
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from test_guards import LEDGER
 
 from folnerlab.cli import ACTIONS, FLAGS, KIND_FLAGS
 from folnerlab.experiment import SCENARIOS
@@ -44,7 +45,9 @@ def _golden_files() -> dict[str, str]:
     return {f"golden{k}.json": text for k, text in enumerate(contents)}
 
 
-FILES = {**_golden_files(), **MALFORMED}
+FILES = {**_golden_files(), **MALFORMED, **{name: text for row in LEDGER for name, text in row.files.items()}}
+#: Each guard ledger row's argv one past its ceiling, drawn whole.
+GUARD_ARGVS = [list(row.argv) for row in LEDGER if row.argv]
 ANY_VALUE = [*NUMBERS, *JUNK, *PRESETS, *WORDS, *FILES]
 #: The values each flag is most often given: its choices, or values of its kind.
 FLAG_VALUES = {
@@ -100,7 +103,9 @@ def _assert_documented_exit(answer: dict, argv: list[str]) -> None:
 def argvs(draw) -> list[str]:
     """A command, one of its actions (or a junk one), mostly the flags that
     action reads and sometimes one more of the command's flags, each flag
-    mostly given a value of its kind."""
+    mostly given a value of its kind; or, one time in ten, a guard argv."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(GUARD_ARGVS))
     command = draw(st.sampled_from(sorted(ACTIONS)))
     action = draw(st.sampled_from([*ACTIONS[command], "junk"]))
     reads = list(ACTIONS[command][action][1]) if action in ACTIONS[command] else []
@@ -128,15 +133,11 @@ def test_every_drawn_argv_ends_in_a_documented_exit(child, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (
-            ["folner", "build", "--n", HUGE],
-            "rate-set sizes are built only for n <= 12 (|F_12| has 2,464 digits; "
-            f"|F_n| has about 2^(n+1) bits), got n={HUGE}",
-        ),
-        (["folner", "defect", "--n", HUGE], f"rate-set defects are counted only for n <= 64, got {HUGE}"),
+        (["folner", "build", "--n", HUGE], f"the guard allows rate-set size n <= 12, got {HUGE}"),
+        (["folner", "defect", "--n", HUGE], f"the guard allows counted rate-set n <= 64, got {HUGE}"),
         (
             ["folner", "defect", "--side", "right", "--n", HUGE],
-            f"rate sets materialize only for n <= 3, got n={HUGE}",
+            f"the guard allows materialized rate-set n <= 3, got {HUGE}",
         ),
     ],
     ids=["size", "left-share", "materialize"],
@@ -155,7 +156,9 @@ JSON_VALUES = [
 ]
 #: The values each scenario parameter is most often given.
 PARAM_VALUES = {
-    **dict.fromkeys(("bmax", "nmax", "pairs"), [0, 1, 2, 3, -1, 99999999999999999999, True, "2"]),
+    **dict.fromkeys(("bmax", "pairs"), [0, 1, 2, 3, -1, 99999999999999999999, True, "2"]),
+    # and each config ledger row's value one past its ceiling
+    "nmax": [0, 1, 2, 3, -1, 99999999999999999999, True, "2", 14, 257, 11, 33],
     "case": ["a", "b", "c", "d", "e"],
     "rate": ["zero", "decay", "split", "const:0.5", "const:2", {"default": "1/2", "window": {"0": "1/3"}}],
     "g": ["s", "f", "s f S", "x"],

@@ -249,6 +249,8 @@ def test_assignment_matches_brute_force():
 
 
 def test_assignment_equals_wasserstein_of_empirical():
+    """``wasserstein`` of the two orbit measures equals the permutation form,
+    the reference Hungarian solve on the |F| x |F| costs d(gx, hy), over |F|."""
     rng = random.Random(57)
     for _ in range(25):
         size = rng.randint(2, 24)
@@ -257,11 +259,9 @@ def test_assignment_equals_wasserstein_of_empirical():
             elements.add(random_element(rng))
         folner = explicit_folner(elements)
         x, y = random_point(rng, span=8), random_point(rng, span=8)
-        assigned = assignment_distance(folner, x, y)
-        value, _ = wasserstein(
-            empirical_measure(folner, x), empirical_measure(folner, y), metric
-        )
-        assert assigned == value
+        images = [[act(g, p) for g in folner.elements] for p in (x, y)]
+        expected = unit_hungarian(cost_matrix(*images, metric))[0] / size
+        assert assignment_distance(folner, x, y) == expected
 
 
 def test_assignment_guard(monkeypatch):
@@ -276,9 +276,9 @@ def test_assignment_guard(monkeypatch):
 
     monkeypatch.setattr(metric, "integer_block", refuse)
     monkeypatch.setattr(transport, "transportation_plan", refuse)
-    message = f"{side} x {side} atoms exceed the assignment guard of {ASSIGNMENT_GUARD} cells"
-    with pytest.raises(GuardViolation, match=message):
+    with pytest.raises(GuardViolation) as refused:
         assignment_distance(folner, hat(0), hat(3))
+    assert str(refused.value) == f"the guard allows transport cells <= {ASSIGNMENT_GUARD}, got {side * side}"
 
 
 def test_float_masses_are_read_by_their_repr():
@@ -574,11 +574,24 @@ def test_pair_distance_past_n7_is_refused_before_any_cost(monkeypatch):
     monkeypatch.setattr(metric, "integer_block", refuse)
     monkeypatch.setattr(transport, "transportation_plan", refuse)
     folner = rate_folner(RateSequence.from_preset("decay"), 8)
-    message = f"1026 x 1026 atoms exceed the assignment guard of {ASSIGNMENT_GUARD} cells"
-    with pytest.raises(GuardViolation, match=message):
-        wf_estimate([folner], hat(0), hat(3))
-    with pytest.raises(GuardViolation, match=message):
-        assignment_distance(folner, hat(0), hat(3))
+    message = f"the guard allows transport cells <= {ASSIGNMENT_GUARD}, got {1026 * 1026}"
+    for entry in (lambda: wf_estimate([folner], hat(0), hat(3)), lambda: assignment_distance(folner, hat(0), hat(3))):
+        with pytest.raises(GuardViolation) as refused:
+            entry()
+        assert str(refused.value) == message
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("the guard let the measure be built")
+
+
+def test_orbit_measure_past_the_guard_is_refused_by_its_shift_count(monkeypatch):
+    """A box over -10^20..10^20 has more shifts than ``len`` of a range can
+    count; its orbit measure is refused from the range's ends, before any atom."""
+    monkeypatch.setattr(DiscreteMeasure, "from_pairs", _refuse_to_build)
+    with pytest.raises(GuardViolation) as refused:
+        empirical_measure(box_folner(-(10**20), 10**20), hat(0))
+    assert str(refused.value) == f"the guard allows orbit-measure atoms <= {ASSIGNMENT_GUARD}, got {4 * 10**20 + 2}"
 
 
 def test_pair_distance_counts_a_rate_set_without_enumerating_it(monkeypatch):
